@@ -255,9 +255,13 @@ def is_f_AT(g, f):
         return False, None
     target = min(coeffs)
     d = orientation_with_outdegrees(g, target)
-    assert d is not None
+    if d is None:
+        raise RuntimeError(f"no orientation has out-degrees {target}")
     ee, eo = eulerian_counts(d)
-    assert abs(ee - eo) == abs(coeffs[target])
+    if abs(ee - eo) != abs(coeffs[target]):
+        raise RuntimeError(
+            f"|EE - EO| = {abs(ee - eo)} differs from the coefficient "
+            f"{coeffs[target]} at {target}")
     return True, ATCertificate(g, f, d, ee, eo)
 
 

@@ -455,7 +455,8 @@ def galvin_orientation(b, parts=None):
     xset = set(parts[0])
 
     copies, colors = bipartite_edge_coloring(b, parts)
-    assert tuple(copies) == tuple(origin)
+    if tuple(copies) != tuple(origin):
+        raise RuntimeError("edge coloring lists the edges out of line-graph order")
     # positions: at an X-vertex later colors come later; at a Y-vertex
     # later colors come earlier.  Parallel copies tie-break by index so
     # no bidirected pairs arise.
@@ -480,7 +481,8 @@ def galvin_orientation(b, parts=None):
         raise RuntimeError("no orientation met the degree bound")
     cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b,
                          verified_by="characterization")
-    assert cert.check()
+    if not cert.check():
+        raise RuntimeError("star-order orientation failed its certificate check")
     return cert
 
 

@@ -10,19 +10,10 @@ explicit list assignments instead.
 """
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import combinations
 
 from .kernel import find_kernel
-
-
-@dataclass
-class GameState:
-    graph: object
-    tokens: dict
-    colored: set = field(default_factory=set)
-
-    def uncolored(self):
-        return [v for v in range(self.graph.n) if v not in self.colored]
 
 
 @dataclass
@@ -56,6 +47,15 @@ def _mask_vertices(mask):
     return out
 
 
+def _vertex_table(n):
+    """_mask_vertices(m) for every mask m over n vertices, indexed by m."""
+    table = [[]]
+    for m in range(1, 1 << n):
+        top = m.bit_length() - 1
+        table.append([top] + table[m ^ (1 << top)])
+    return table
+
+
 def _independent_submasks(adj, mask):
     """All maximal independent subsets of the vertex mask."""
     results = []
@@ -85,6 +85,26 @@ def _independent_submasks(adj, mask):
     return maximal
 
 
+def _greedy_reduce(adj, mask, budget):
+    """Drop vertices of mask whose budget exceeds their remaining degree.
+
+    Such a vertex can always be colored last, greedily, whatever lists
+    or moves the rest of the game brings, so a graph that reduces to
+    the empty mask is budget-choosable and budget-paintable.  Dropping
+    a vertex only lowers the degrees of the others, so the result does
+    not depend on the order of removal.
+    """
+    pending = mask
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        v = bit.bit_length() - 1
+        if budget[v] > (adj[v] & mask).bit_count():
+            mask ^= bit
+            pending |= adj[v] & mask
+    return mask
+
+
 def is_f_paintable(g, f, cap=9, prune=True):
     """Exact value of the online game, with a sample winning line.
 
@@ -95,46 +115,34 @@ def is_f_paintable(g, f, cap=9, prune=True):
     if g.n > cap:
         raise ValueError(f"solver capped at {cap} vertices")
     adj = g.adjacency_masks()
+    verts = _vertex_table(g.n)
+    answers = [None] * (1 << g.n)
     memo = {}
 
-    def uncolored_degree(v, mask):
-        return bin(adj[v] & mask).count("1")
-
-    def reduce_state(mask, tokens):
-        # vertices with more tokens than uncolored neighbors are safe:
-        # they can always be colored greedily at the end
-        if not prune:
-            return mask, tokens
-        changed = True
-        while changed:
-            changed = False
-            for v in _mask_vertices(mask):
-                if tokens[v] >= uncolored_degree(v, mask) + 1:
-                    mask &= ~(1 << v)
-                    changed = True
-        return mask, tokens
+    def painter_answers(listed):
+        if answers[listed] is None:
+            answers[listed] = _independent_submasks(adj, listed)
+        return answers[listed]
 
     def painter_wins(mask, tokens):
-        mask, tokens = reduce_state(mask, tokens)
+        if prune:
+            mask = _greedy_reduce(adj, mask, tokens)
         if mask == 0:
             return True
-        if any(tokens[v] == 0 for v in _mask_vertices(mask)):
+        left = [tokens[v] for v in verts[mask]]
+        if 0 in left:
             return False
-        key = (mask, tuple(tokens[v] for v in _mask_vertices(mask)))
+        key = (mask, tuple(left))
         if key in memo:
             return memo[key]
         result = True
         for listed in _subsets_of(mask):
             new_tokens = list(tokens)
-            for v in _mask_vertices(listed):
+            for v in verts[listed]:
                 new_tokens[v] -= 1
             # painter answers with some maximal independent subset
-            answer = False
-            for paint in _independent_submasks(adj, listed):
-                if painter_wins(mask & ~paint, new_tokens):
-                    answer = True
-                    break
-            if not answer:
+            if not any(painter_wins(mask & ~paint, new_tokens)
+                       for paint in painter_answers(listed)):
                 result = False
                 break
         memo[key] = result
@@ -143,26 +151,27 @@ def is_f_paintable(g, f, cap=9, prune=True):
     full = (1 << g.n) - 1
     tokens = [f(v) for v in range(g.n)]
     win = painter_wins(full, list(tokens))
-    transcript = _principal_line(g, adj, tokens, painter_wins, win, prune)
+    transcript = _principal_line(g.n, verts, tokens, painter_wins,
+                                 painter_answers, win)
     return win, transcript
 
 
-def _principal_line(g, adj, tokens, painter_wins, painter_side, prune):
+def _principal_line(n, verts, tokens, painter_wins, painter_answers, painter_side):
     """Play one game with the winner playing optimally."""
-    mask = (1 << g.n) - 1
+    mask = (1 << n) - 1
     tokens = list(tokens)
     rounds = []
     while mask:
-        if any(tokens[v] == 0 for v in _mask_vertices(mask)):
+        if any(tokens[v] == 0 for v in verts[mask]):
             return GameTranscript(rounds, "Lister")
         chosen_listed = None
         chosen_paint = None
         for listed in sorted(_subsets_of(mask)):
             new_tokens = list(tokens)
-            for v in _mask_vertices(listed):
+            for v in verts[listed]:
                 new_tokens[v] -= 1
             best_paint = None
-            for paint in sorted(_independent_submasks(adj, listed)):
+            for paint in sorted(painter_answers(listed)):
                 if painter_wins(mask & ~paint, list(new_tokens)):
                     best_paint = paint
                     break
@@ -174,21 +183,18 @@ def _principal_line(g, adj, tokens, painter_wins, painter_side, prune):
             if best_paint is None:
                 # lister found a refutation; painter answers best effort
                 chosen_listed = listed
-                chosen_paint = sorted(_independent_submasks(adj, listed))[0]
+                chosen_paint = min(painter_answers(listed))
                 break
         if chosen_listed is None:
             # no winning lister move from here (prune shrank the state);
             # fall back to listing everything
             chosen_listed = mask
-            new_tokens = list(tokens)
-            for v in _mask_vertices(chosen_listed):
-                new_tokens[v] -= 1
-            chosen_paint = sorted(_independent_submasks(adj, chosen_listed))[0]
-        for v in _mask_vertices(chosen_listed):
+            chosen_paint = min(painter_answers(chosen_listed))
+        for v in verts[chosen_listed]:
             tokens[v] -= 1
-        rounds.append((set(_mask_vertices(chosen_listed)), set(_mask_vertices(chosen_paint))))
+        rounds.append((set(verts[chosen_listed]), set(verts[chosen_paint])))
         mask &= ~chosen_paint
-        if len(rounds) > 4 ** g.n:
+        if len(rounds) > 4 ** n:
             raise RuntimeError("runaway game")
     return GameTranscript(rounds, "Painter")
 
@@ -199,48 +205,64 @@ def is_f_choosable(g, f, cap=9):
     Returns (True, None) or (False, failing assignment).  Assignments
     are enumerated in a canonical form — colors are introduced in
     ascending order without gaps — which covers every intersection
-    pattern over a universe of size sum(f).
+    pattern over a universe of size sum(f).  Lists and colors are
+    bitmasks over that universe.  A graph that _greedy_reduce empties is
+    choosable without enumeration.
     """
     if g.n > cap:
         raise ValueError(f"solver capped at {cap} vertices")
-    sizes = [f(v) for v in range(g.n)]
+    n = g.n
+    sizes = [f(v) for v in range(n)]
+    adj = g.adjacency_masks()
+    if not _greedy_reduce(adj, (1 << n) - 1, sizes):
+        return True, None
 
-    lists = [None] * g.n
+    # every list of v has sizes[v] colors, so the coloring order and
+    # each vertex's earlier-colored neighbors are fixed for the call
+    order = sorted(range(n), key=lambda v: sizes[v])
+    earlier = [[w for w in order[:k] if adj[v] >> w & 1]
+               for k, v in enumerate(order)]
+    lists = [0] * n
+    color = [0] * n
 
-    def colorable():
-        order = sorted(range(g.n), key=lambda v: len(lists[v]))
-        assign = {}
-
-        def go(k):
-            if k == g.n:
+    def colorable(k):
+        if k == n:
+            return True
+        v = order[k]
+        avail = lists[v]
+        for w in earlier[k]:
+            avail &= ~color[w]
+        while avail:
+            c = avail & -avail
+            color[v] = c
+            if colorable(k + 1):
                 return True
-            v = order[k]
-            for c in lists[v]:
-                if all(assign.get(w) != c for w in g.neighbors(v)):
-                    assign[v] = c
-                    if go(k + 1):
-                        return True
-                    del assign[v]
-            return False
+            avail ^= c
+        return False
 
-        return go(0)
+    old_masks = {}
 
     def choose_lists(v, used):
-        if v == g.n:
-            return None if colorable() else [set(s) for s in lists]
-        from itertools import combinations
-
+        if v == n:
+            if colorable(0):
+                return None
+            return [set(_mask_vertices(m)[::-1]) for m in lists]
         # candidate colors: all already-introduced colors plus enough
         # fresh ones; fresh colors are interchangeable, so only the
         # count of fresh colors matters
         for old in range(min(sizes[v], used) + 1):
             fresh = sizes[v] - old
-            for old_set in combinations(range(used), old):
-                lists[v] = set(old_set) | set(range(used, used + fresh))
+            fresh_mask = ((1 << fresh) - 1) << used
+            if (used, old) not in old_masks:
+                old_masks[used, old] = [
+                    sum(1 << c for c in old_set)
+                    for old_set in combinations(range(used), old)
+                ]
+            for old_mask in old_masks[used, old]:
+                lists[v] = old_mask | fresh_mask
                 res = choose_lists(v + 1, used + fresh)
                 if res is not None:
                     return res
-        lists[v] = None
         return None
 
     bad = choose_lists(0, 0)
@@ -293,8 +315,6 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive", games=1000):
         return GameTranscript(rounds, "Painter")
 
     if adversary == "exhaustive":
-        from itertools import combinations
-
         # the painter's reply is deterministic, so game states repeat;
         # a state is the uncolored set with its remaining tokens
         visited = set()

@@ -178,3 +178,18 @@ def test_complement_bipartite_embedding():
     # each rest vertex is matched to a non-neighbor in the clique
     for bv, av in matching.items():
         assert not g.has_edge(bv, av)
+
+
+def test_is_f_AT_raises_when_its_identity_breaks(monkeypatch):
+    # these checks must survive python -O, so they raise instead of asserting
+    g = cycle_graph(4)
+    f = ListSizeFn.constant(4, 2)
+    assert alon_tarsi.is_f_AT(g, f)[0]
+    with monkeypatch.context() as m:
+        m.setattr(alon_tarsi, "orientation_with_outdegrees", lambda g, t: None)
+        with pytest.raises(RuntimeError, match="no orientation"):
+            alon_tarsi.is_f_AT(g, f)
+    with monkeypatch.context() as m:
+        m.setattr(alon_tarsi, "eulerian_counts", lambda d: (0, 0))
+        with pytest.raises(RuntimeError, match="differs from the coefficient"):
+            alon_tarsi.is_f_AT(g, f)

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +164,35 @@ def test_f_spec_file(tmp_path, c5_file, capsys):
     assert run(["at", "check", c5_file, "--f", "file:" + fpath]) == 0
     short = write(tmp_path, "short.json", json.dumps([3, 3]))
     assert run(["at", "check", c5_file, "--f", "file:" + short]) == 2
+
+
+def _readme_cli_examples():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("colorcert ")]
+
+
+def test_readme_cli_examples_parse():
+    examples = _readme_cli_examples()
+    assert len(examples) >= 10
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)  # a rejected example exits with status 2
+
+
+@pytest.mark.parametrize("name, graph, failing, digest", [
+    ("c5.g6", cycle_graph(5), [[0, 1]] * 5,
+     "e0e4793d56d89c7905764ee3f94a935777581b8ccafdbf18d576c06380cc4b19"),
+    ("k24.g6", complete_bipartite(2, 4), [[0, 1], [2, 3], [0, 2], [0, 3], [1, 2], [1, 3]],
+     "e943e6539e7fc3d8f46885b55b61d3f216c47bc7dd60262d985333324967cb39"),
+])
+def test_choose_solve_report_bytes(name, graph, failing, digest, tmp_path, monkeypatch,
+                                   capsys):
+    # the report names its input by the path given, so run from tmp_path
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    assert run(["choose", "solve", name, "--f", "const:2", "--json", "rep.json"]) == 1
+    data = (tmp_path / "rep.json").read_bytes()
+    assert json.loads(data)["results"][0]["payload"]["failing_lists"] == failing
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -148,3 +148,20 @@ def test_kp_certificate_roundtrip():
     cert2 = kernel.KPCertificate.from_json(doc)
     assert cert2.check()
     assert cert2.digraph == cert.digraph
+
+
+def test_galvin_orientation_raises_when_its_checks_fail(monkeypatch):
+    # these checks must survive python -O, so they raise instead of asserting
+    b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
+    coloring = kernel.bipartite_edge_coloring
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "bipartite_edge_coloring",
+                  lambda b, parts: tuple(x[::-1] for x in coloring(b, parts)))
+        with pytest.raises(RuntimeError, match="out of line-graph order"):
+            kernel.galvin_orientation(b)
+    with monkeypatch.context() as m:
+        # the color-order construction fails its check, and so does the
+        # star-order fallback
+        m.setattr(kernel.KPCertificate, "check", lambda self: False)
+        with pytest.raises(RuntimeError, match="failed its certificate check"):
+            kernel.galvin_orientation(b)
