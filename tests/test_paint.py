@@ -331,13 +331,3 @@ def test_paintable_transcripts_match_oracle(rng):
             assert ok == want_ok, (g.edge_list(), f.values, prune)
             assert tr.rounds == want_tr.rounds and tr.winner == want_tr.winner
 
-
-def test_greedy_reduce_fixed_point():
-    # every vertex of C5 has more colors than neighbors at f=3
-    c5 = cycle_graph(5)
-    adj = c5.adjacency_masks()
-    assert paint._greedy_reduce(adj, 0b11111, [3] * 5) == 0
-    assert paint._greedy_reduce(adj, 0b11111, [2] * 5) == 0b11111
-    # the path unravels from its end with spare colors up to vertex 1
-    p = path_graph(4)
-    assert paint._greedy_reduce(p.adjacency_masks(), 0b1111, [1, 1, 2, 2]) == 0b0011
