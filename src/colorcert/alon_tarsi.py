@@ -12,7 +12,7 @@ orientation realizing that exponent vector is the portable certificate.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .graphs import Digraph, SimpleGraph, complete_graph, complete_multipartite_2t, join
 
@@ -24,34 +24,46 @@ def eulerian_counts(d):
     out-degree within it; parity is the parity of its arc count.  Exact
     integers; the empty sub-digraph counts as even.
     """
-    arcs = sorted(d.arcs)
-    # remaining[v] = number of not-yet-decided arcs incident to v;
-    # states map imbalance vectors (out - in per vertex) to
-    # (even_count, odd_count) weights.
+    # The counts do not depend on the arc order.  Taking arcs in
+    # (min, max) endpoint order finishes each vertex early, and a
+    # finished vertex's imbalance is pinned to 0, so few states survive.
+    arcs = sorted(d.arcs, key=lambda a: (min(a), max(a), a))
+    # remaining[v] = number of not-yet-decided arcs incident to v.  A
+    # state packs the imbalance vector (out - in per vertex) into one
+    # int, vertex v in the field at width * v biased by `bias`, and
+    # maps it to (even_count, odd_count) weights.  A field stays within
+    # [0, 2 * bias] even one step past the bound, so it never borrows
+    # from or carries into its neighbour.
     remaining = [0] * d.n
     for u, v in arcs:
         remaining[u] += 1
         remaining[v] += 1
-    states = {(0,) * d.n: (1, 0)}
+    bias = max(remaining, default=0) + 1
+    width = (2 * bias).bit_length()
+    field = (1 << width) - 1
+    zero = sum(bias << (width * v) for v in range(d.n))
+    states = {zero: (1, 0)}
     for u, v in arcs:
         remaining[u] -= 1
         remaining[v] -= 1
+        ou, ov = width * u, width * v
+        mu, mv = field << ou, field << ov
+        # |imbalance| <= remaining, as bounds on the biased fields
+        lo_u, hi_u = (bias - remaining[u]) << ou, (bias + remaining[u]) << ou
+        lo_v, hi_v = (bias - remaining[v]) << ov, (bias + remaining[v]) << ov
+        step = (1 << ou) - (1 << ov)  # take the arc: out(u) += 1, in(v) += 1
         nxt = {}
+        get = nxt.get
         for imb, (ev, od) in states.items():
-            # skip the arc
-            if abs(imb[u]) <= remaining[u] and abs(imb[v]) <= remaining[v]:
-                e0, o0 = nxt.get(imb, (0, 0))
+            if lo_u <= imb & mu <= hi_u and lo_v <= imb & mv <= hi_v:
+                e0, o0 = get(imb, (0, 0))
                 nxt[imb] = (e0 + ev, o0 + od)
-            # take the arc: out(u) += 1, in(v) += 1
-            lst = list(imb)
-            lst[u] += 1
-            lst[v] -= 1
-            if abs(lst[u]) <= remaining[u] and abs(lst[v]) <= remaining[v]:
-                key = tuple(lst)
-                e0, o0 = nxt.get(key, (0, 0))
-                nxt[key] = (e0 + od, o0 + ev)
+            imb += step
+            if lo_u <= imb & mu <= hi_u and lo_v <= imb & mv <= hi_v:
+                e0, o0 = get(imb, (0, 0))
+                nxt[imb] = (e0 + od, o0 + ev)
         states = nxt
-    return states.get((0,) * d.n, (0, 0))
+    return states.get(zero, (0, 0))
 
 
 def verify_catalog_entry(entry):
@@ -63,40 +75,17 @@ def verify_catalog_entry(entry):
 # ---------------------------------------------------------------------------
 # graph polynomial coefficients
 
-class CoefficientQuery:
-    """A single coefficient request: graph + exponent vector."""
-
-    def __init__(self, graph, exponents):
-        if len(exponents) != graph.n:
-            raise ValueError("exponent vector length mismatch")
-        if sum(exponents) != len(graph.edges):
-            raise ValueError("exponents must sum to the edge count")
-        self.graph = graph
-        self.exponents = tuple(exponents)
-
-
-def poly_coefficient_expand(g, exponents, caps=None):
+def poly_coefficient_expand(g, exponents):
     """Coefficient of prod x_i^{e_i} in prod_{ij in E, i<j} (x_i - x_j).
 
-    Expands edge by edge, keeping only monomials whose per-vertex
-    exponent stays within `caps` (defaults to the target exponents).
-    Exact integer result under the fixed vertex order 0..n-1.
+    A lookup in the capped expansion with caps equal to the target
+    exponents.  Exact integer result under the fixed vertex order
+    0..n-1; 0 when the exponents do not sum to the edge count.
     """
     exponents = tuple(exponents)
-    if caps is None:
-        caps = exponents
-    monos = {(0,) * g.n: 1}
-    for i, j in g.edge_list():
-        nxt = {}
-        for mono, coef in monos.items():
-            if mono[i] < caps[i]:
-                key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                nxt[key] = nxt.get(key, 0) + coef
-            if mono[j] < caps[j]:
-                key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                nxt[key] = nxt.get(key, 0) - coef
-        monos = nxt
-    return monos.get(exponents, 0)
+    if sum(exponents) != len(g.edges):
+        return 0
+    return _capped_coefficients(g, exponents).get(exponents, 0)
 
 
 def poly_coefficient_schauz(g, exponents):
@@ -127,33 +116,108 @@ def poly_coefficient_schauz(g, exponents):
                 if dv != ci:
                     denom *= ci - dv
         total += Fraction(val, denom)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise RuntimeError(f"interpolation gave a non-integral coefficient {total}")
     return int(total)
 
 
 def _capped_coefficients(g, caps):
-    """All nonzero coefficients with exponents bounded by caps."""
-    m = len(g.edges)
-    monos = {(0,) * g.n: 1}
-    for i, j in g.edge_list():
+    """All nonzero coefficients with exponents e_i <= caps[i].
+
+    Returns {exponent tuple: coefficient} of prod_{ij in E, i<j}
+    (x_i - x_j); see `_capped_expansion`.
+    """
+    monos, decode = _capped_expansion(g, caps)
+    return {decode(k): c for k, c in monos.items()}
+
+
+def _capped_expansion(g, caps):
+    """The capped coefficients on packed keys: (monos, decode).
+
+    prod_{ij in E, i<j} (x_i - x_j) is expanded edge by edge.  An
+    exponent vector is packed into one int of fixed-width fields,
+    vertex 0 in the most significant one, so int order is tuple order;
+    `monos` maps keys to nonzero coefficients and `decode(key)` gives
+    the exponent tuple.  The edges go in `_edge_order`; the product,
+    and so the result, does not depend on their order.
+
+    Every monomial has degree m, so each final exponent is at least
+    caps[i] - slack with slack = sum(caps) - m.  A partial monomial
+    whose vertex can no longer reach that floor with the edges left at
+    it is dropped; such a state reaches no monomial within the caps, so
+    the result is exact.
+    """
+    n = g.n
+    remaining = g.degrees()
+    # an exponent never exceeds the degree, and a negative cap bounds
+    # like 0
+    caps = [max(0, min(c, dv)) for c, dv in zip(caps, remaining)]
+    width = max(caps, default=0).bit_length()
+    field = (1 << width) - 1
+    off = [width * (n - 1 - v) for v in range(n)]
+
+    def decode(key):
+        return tuple((key >> o) & field for o in off)
+
+    slack = sum(caps) - len(g.edges)
+    if slack < 0:
+        return {}, decode
+    monos = {0: 1}
+    for i, j in _edge_order(g):
+        remaining[i] -= 1
+        remaining[j] -= 1
+        oi, oj = off[i], off[j]
+        mi, mj = field << oi, field << oj
+        cap_i, cap_j = caps[i] << oi, caps[j] << oj
+        # the endpoint left without this edge must still reach its floor
+        floor_i = max(caps[i] - slack - remaining[i], 0) << oi
+        floor_j = max(caps[j] - slack - remaining[j], 0) << oj
+        step_i, step_j = 1 << oi, 1 << oj
         nxt = {}
-        for mono, coef in monos.items():
-            if mono[i] < caps[i]:
-                key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
-                c = nxt.get(key, 0) + coef
+        get = nxt.get
+        # stored coefficients are nonzero, so a zero sum means the key
+        # was already there and is dropped again
+        for key, coef in monos.items():
+            ki, kj = key & mi, key & mj
+            if ki < cap_i and kj >= floor_j:
+                k = key + step_i
+                c = get(k, 0) + coef
                 if c:
-                    nxt[key] = c
-                elif key in nxt:
-                    del nxt[key]
-            if mono[j] < caps[j]:
-                key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
-                c = nxt.get(key, 0) - coef
+                    nxt[k] = c
+                else:
+                    del nxt[k]
+            if kj < cap_j and ki >= floor_i:
+                k = key + step_j
+                c = get(k, 0) - coef
                 if c:
-                    nxt[key] = c
-                elif key in nxt:
-                    del nxt[key]
+                    nxt[k] = c
+                else:
+                    del nxt[k]
         monos = nxt
-    return {k: v for k, v in monos.items() if sum(k) == m and v}
+    return monos, decode
+
+
+def _edge_order(g):
+    """The edges (i, j), i < j, in an order that keeps few fields open.
+
+    Vertices are taken by maximum cardinality search: next is the one
+    with the most neighbours already taken, then the higher degree,
+    then the lower label.  Each brings its edges to the vertices taken
+    before it, in the order those were taken.
+    """
+    adj = g.adjacency_masks()
+    deg = g.degrees()
+    left = set(range(g.n))
+    taken = []
+    edges = []
+    mask = 0
+    while left:
+        v = max(left, key=lambda u: ((adj[u] & mask).bit_count(), deg[u], -u))
+        edges.extend((min(u, v), max(u, v)) for u in taken if adj[v] >> u & 1)
+        left.remove(v)
+        taken.append(v)
+        mask |= 1 << v
+    return edges
 
 
 def orientation_with_outdegrees(g, target):
@@ -247,21 +311,20 @@ def is_f_AT(g, f):
     lexicographically least qualifying exponent vector and the
     lexicographically first orientation realizing it.
     """
-    if sum(f(v) - 1 for v in range(g.n)) < len(g.edges):
-        return False, None
     caps = tuple(f(v) - 1 for v in range(g.n))
-    coeffs = _capped_coefficients(g, caps)
-    if not coeffs:
+    monos, decode = _capped_expansion(g, caps)
+    if not monos:
         return False, None
-    target = min(coeffs)
+    key = min(monos)
+    target = decode(key)
     d = orientation_with_outdegrees(g, target)
     if d is None:
         raise RuntimeError(f"no orientation has out-degrees {target}")
     ee, eo = eulerian_counts(d)
-    if abs(ee - eo) != abs(coeffs[target]):
+    if abs(ee - eo) != abs(monos[key]):
         raise RuntimeError(
             f"|EE - EO| = {abs(ee - eo)} differs from the coefficient "
-            f"{coeffs[target]} at {target}")
+            f"{monos[key]} at {target}")
     return True, ATCertificate(g, f, d, ee, eo)
 
 

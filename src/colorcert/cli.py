@@ -257,11 +257,14 @@ def cmd_at(args):
         report.add_input(args.graph)
         g = load_graph_file(args.graph)
         exps = tuple(int(x) for x in args.exponents.split(","))
-        q = alon_tarsi.CoefficientQuery(g, exps)
+        if len(exps) != g.n:
+            raise ValueError("exponent vector length mismatch")
+        if sum(exps) != len(g.edges):
+            raise ValueError("exponents must sum to the edge count")
         if args.method == "schauz":
-            c = alon_tarsi.poly_coefficient_schauz(g, q.exponents)
+            c = alon_tarsi.poly_coefficient_schauz(g, exps)
         else:
-            c = alon_tarsi.poly_coefficient_expand(g, q.exponents)
+            c = alon_tarsi.poly_coefficient_expand(g, exps)
         report.add("coefficient", True, {"exponents": list(exps), "value": c})
     elif args.at_cmd == "catalog":
         for entry in catalog.catalog():
@@ -424,12 +427,6 @@ def cmd_discharge(args):
 
 def _add_global_flags(p, suppress=False):
     d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--threads", type=int,
-                   default=d if suppress else 1,
-                   help="worker cap (execution is sequential; results are "
-                        "merged in input order regardless)")
-    p.add_argument("--seed", type=int, default=d if suppress else 0,
-                   help="seed for randomized sweeps")
     p.add_argument("--json", metavar="PATH", default=d,
                    help="write the machine-readable report here")
     p.add_argument("--cap-vertices", type=int, default=d if suppress else 0)

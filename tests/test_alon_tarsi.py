@@ -5,7 +5,7 @@ import pytest
 from colorcert import alon_tarsi, catalog
 from colorcert.graphs import (
     Digraph, ListSizeFn, SimpleGraph, complete_bipartite, complete_graph,
-    complete_multipartite_2t, cycle_graph, line_graph, MultiGraph,
+    complete_multipartite_2t, cycle_graph, join, line_graph, MultiGraph,
 )
 from conftest import random_simple_graph
 
@@ -193,3 +193,205 @@ def test_is_f_AT_raises_when_its_identity_breaks(monkeypatch):
         m.setattr(alon_tarsi, "eulerian_counts", lambda d: (0, 0))
         with pytest.raises(RuntimeError, match="differs from the coefficient"):
             alon_tarsi.is_f_AT(g, f)
+
+
+def test_schauz_raises_on_a_non_integral_total(monkeypatch):
+    # no small graph gives a non-integral interpolation sum, so cut the
+    # grid down to one point whose term is 1/2; the check must survive
+    # python -O, so it raises instead of asserting
+    g = SimpleGraph.from_edges(2, [(0, 1)])
+    assert alon_tarsi.poly_coefficient_schauz(g, (2, 1)) == 0
+    with monkeypatch.context() as m:
+        m.setattr(alon_tarsi, "product", lambda *grids: [(2, 1)])
+        with pytest.raises(RuntimeError, match="non-integral"):
+            alon_tarsi.poly_coefficient_schauz(g, (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# slow oracles for the packed dynamic programs: the tuple-based versions,
+# kept verbatim
+
+def _capped_coefficients_oracle(g, caps):
+    """All nonzero coefficients with exponents bounded by caps."""
+    m = len(g.edges)
+    monos = {(0,) * g.n: 1}
+    for i, j in g.edge_list():
+        nxt = {}
+        for mono, coef in monos.items():
+            if mono[i] < caps[i]:
+                key = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                c = nxt.get(key, 0) + coef
+                if c:
+                    nxt[key] = c
+                elif key in nxt:
+                    del nxt[key]
+            if mono[j] < caps[j]:
+                key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                c = nxt.get(key, 0) - coef
+                if c:
+                    nxt[key] = c
+                elif key in nxt:
+                    del nxt[key]
+        monos = nxt
+    return {k: v for k, v in monos.items() if sum(k) == m and v}
+
+
+def _eulerian_counts_oracle(d):
+    """Return (even, odd) counts of spanning Eulerian sub-digraphs.
+
+    A sub-digraph qualifies when every vertex has equal in- and
+    out-degree within it; parity is the parity of its arc count.  Exact
+    integers; the empty sub-digraph counts as even.
+    """
+    arcs = sorted(d.arcs)
+    # remaining[v] = number of not-yet-decided arcs incident to v;
+    # states map imbalance vectors (out - in per vertex) to
+    # (even_count, odd_count) weights.
+    remaining = [0] * d.n
+    for u, v in arcs:
+        remaining[u] += 1
+        remaining[v] += 1
+    states = {(0,) * d.n: (1, 0)}
+    for u, v in arcs:
+        remaining[u] -= 1
+        remaining[v] -= 1
+        nxt = {}
+        for imb, (ev, od) in states.items():
+            # skip the arc
+            if abs(imb[u]) <= remaining[u] and abs(imb[v]) <= remaining[v]:
+                e0, o0 = nxt.get(imb, (0, 0))
+                nxt[imb] = (e0 + ev, o0 + od)
+            # take the arc: out(u) += 1, in(v) += 1
+            lst = list(imb)
+            lst[u] += 1
+            lst[v] -= 1
+            if abs(lst[u]) <= remaining[u] and abs(lst[v]) <= remaining[v]:
+                key = tuple(lst)
+                e0, o0 = nxt.get(key, (0, 0))
+                nxt[key] = (e0 + od, o0 + ev)
+        states = nxt
+    return states.get((0,) * d.n, (0, 0))
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+
+
+def _outdegree_vector(g, rng):
+    """Out-degrees of a random orientation: a cap vector with slack 0."""
+    outs = [0] * g.n
+    for u, v in g.edge_list():
+        outs[rng.choice((u, v))] += 1
+    return outs
+
+
+def _families():
+    """The hard families at their AT budgets: (graph, f)."""
+    lk33, _ = line_graph(MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list()))
+    return [
+        (complete_multipartite_2t(3), 3),
+        (complete_multipartite_2t(4), 4),
+        (join(complete_graph(1), complete_multipartite_2t(3)), 4),
+        (join(complete_graph(2), complete_multipartite_2t(3)), 5),
+        (lk33, 3),
+    ]
+
+
+def test_capped_coefficients_match_oracle_random(rng):
+    # slack 0 (an out-degree vector), small slack, negative slack, and
+    # caps drawn freely around the degrees (some negative)
+    slacks = {"zero": 0, "small": 0, "negative": 0, "free": 0}
+    graphs = 0
+    while graphs < 400:
+        n = rng.randint(1, 7)
+        g = random_simple_graph(rng, n, p=rng.uniform(0.2, 0.9))
+        deg = g.degrees()
+        outs = _outdegree_vector(g, rng)
+        small = list(outs)
+        for _ in range(rng.randint(1, 3)):
+            small[rng.randrange(n)] += 1
+        negative = list(outs)
+        if g.edges:
+            negative[rng.choice([v for v in range(n) if outs[v]])] -= 1
+        free = [rng.randint(-1, d + 1) for d in deg]
+        for name, caps in (("zero", outs), ("small", small),
+                           ("negative", negative), ("free", free)):
+            got = alon_tarsi._capped_coefficients(g, caps)
+            assert got == _capped_coefficients_oracle(g, caps), (g.edge_list(), caps)
+            slacks[name] += bool(got) and bool(g.edges)
+        graphs += 1
+    # the slack-0 and small-slack caps reach nonzero coefficients often;
+    # below the edge count nothing is left
+    assert slacks["zero"] > 100 and slacks["small"] > 100 and slacks["free"] > 50
+    assert slacks["negative"] == 0
+
+
+def test_capped_coefficients_match_oracle_on_families(rng):
+    for g0, k in _families():
+        for _ in range(2):
+            g = _relabel(g0, rng)
+            for caps in ([k - 1] * g.n, [k] * g.n, _outdegree_vector(g, rng)):
+                assert alon_tarsi._capped_coefficients(g, caps) == \
+                    _capped_coefficients_oracle(g, caps), (g.edge_list(), caps)
+
+
+def test_is_f_AT_matches_the_oracle_expansion(rng):
+    # same verdict, lex-least target, orientation and (EE, EO) as the
+    # tuple-based expansion would give
+    cases = [(_relabel(g, rng), k) for g, k in _families() for _ in range(2)]
+    cases += [(g, k) for g, k in
+              ((random_simple_graph(rng, rng.randint(4, 7), p=0.6), rng.randint(2, 4))
+               for _ in range(60))]
+    for g, k in cases:
+        f = ListSizeFn.constant(g.n, k)
+        coeffs = _capped_coefficients_oracle(g, [k - 1] * g.n)
+        ok, cert = alon_tarsi.is_f_AT(g, f)
+        assert ok == bool(coeffs)
+        if ok:
+            target = min(coeffs)
+            assert tuple(cert.digraph.out_degrees()) == target
+            assert cert.digraph == alon_tarsi.orientation_with_outdegrees(g, target)
+            assert (cert.ee, cert.eo) == _eulerian_counts_oracle(cert.digraph)
+            assert abs(cert.ee - cert.eo) == abs(coeffs[target])
+
+
+def test_poly_coefficient_expand_is_a_lookup(rng):
+    g = complete_multipartite_2t(3)
+    coeffs = _capped_coefficients_oracle(g, [3] * g.n)
+    for e, c in coeffs.items():
+        assert alon_tarsi.poly_coefficient_expand(g, e) == c
+    assert alon_tarsi.poly_coefficient_expand(g, (2,) * 6) == coeffs.get((2,) * 6, 0)
+    # exponents that do not sum to the edge count name no coefficient
+    assert alon_tarsi.poly_coefficient_expand(g, (1,) * 6) == 0
+    assert alon_tarsi.poly_coefficient_expand(g, (3,) * 6) == 0
+
+
+def test_eulerian_counts_match_oracle_random(rng):
+    # random digraphs, about a quarter of the pairs bidirected
+    bidirected = 0
+    for _ in range(300):
+        g = random_simple_graph(rng, rng.randint(1, 7), p=rng.uniform(0.2, 0.9))
+        arcs = []
+        for u, v in g.edge_list():
+            r = rng.random()
+            if r < 0.25:
+                arcs += [(u, v), (v, u)]
+                bidirected += 1
+            else:
+                arcs.append((u, v) if r < 0.625 else (v, u))
+        d = Digraph.from_arcs(g.n, arcs)
+        assert alon_tarsi.eulerian_counts(d) == _eulerian_counts_oracle(d), arcs
+    assert bidirected > 100
+
+
+def test_eulerian_counts_match_oracle_on_shuffled_catalog(rng):
+    for entry in catalog.catalog():
+        d = entry.digraph
+        for _ in range(2):
+            perm = list(range(d.n))
+            rng.shuffle(perm)
+            e = Digraph.from_arcs(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+            assert alon_tarsi.eulerian_counts(e) == _eulerian_counts_oracle(e) \
+                == (entry.ee, entry.eo), entry.tag

@@ -8,8 +8,9 @@ import pytest
 
 from colorcert import cli
 from colorcert.graphs import (
-    Digraph, MultiGraph, complete_bipartite, cycle_graph, digraph_to_json,
-    emit_edge_list, emit_graph6,
+    Digraph, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
+    complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
+    join,
 )
 
 
@@ -81,6 +82,36 @@ def test_at_coeff_methods_agree(c5_file, tmp_path, capsys):
     va = json.loads(open(ra).read())["results"][0]["payload"]["value"]
     vb = json.loads(open(rb).read())["results"][0]["payload"]["value"]
     assert va == vb
+
+
+def test_at_coeff_rejects_bad_exponents(c5_file, capsys):
+    # C5 has five vertices and five edges
+    assert run(["at", "coeff", c5_file, "--exponents", "1,1,1,2"]) == 2
+    assert "length mismatch" in capsys.readouterr().err
+    assert run(["at", "coeff", c5_file, "--exponents", "1,1,1,1,2"]) == 2
+    assert "sum to the edge count" in capsys.readouterr().err
+    assert run(["at", "coeff", c5_file, "--exponents", "2,1,1,1,0"]) == 0
+
+
+def _relabel(g, perm):
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+
+
+@pytest.mark.parametrize("name, graph, f, digest", [
+    ("k2x4.g6", _relabel(complete_multipartite_2t(4), [5, 2, 7, 0, 3, 6, 1, 4]), "const:4",
+     "9de7dc796658c3525293d81e95e16427ce67150d7b530001d9cd5082d8a6304c"),
+    ("k2_join_k2x3.g6",
+     _relabel(join(complete_graph(2), complete_multipartite_2t(3)), [3, 6, 0, 7, 4, 1, 5, 2]),
+     "const:5", "b902acd5dbcfba6dee61332ab3af482807376a7c3e8513608710bad782ca43da"),
+])
+def test_at_check_report_bytes(name, graph, f, digest, tmp_path, monkeypatch, capsys):
+    # pins the lexicographically least target, its orientation and the
+    # Eulerian counts; the report names its input by the path given
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    assert run(["at", "check", name, "--f", f, "--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_kp_subcommands(tmp_path, capsys):
