@@ -172,7 +172,7 @@ def cmd_pipeline_linegraph(args):
             "catalog entries 3a-3c"
         )
     report.add("multiplicity screen", mu <= 3 and not triple_on_triangle, payload)
-    a, b = discharging.maxcut_partition(h) if h.n <= 16 else discharging.maxcut_partition(h, cap=0)
+    a, b = discharging.maxcut_partition(h)
     report.add("partition", True, {"A": list(a), "B": list(b)})
     k, order = discharging.degeneracy(h)
     report.add("degeneracy", True, {"degeneracy": k, "order": order})

@@ -63,13 +63,18 @@ class BipartiteWitness:
         }
 
 
-def maxcut_partition(h, cap=16):
+MAXCUT_EXHAUSTIVE_VERTICES = 16
+
+
+def maxcut_partition(h):
     """Best vertex bipartition under (max crossing edges, min crossing
     sum of squared multiplicities), lexicographically.
 
-    Exhaustive below the cap; single-vertex-move local search beyond,
-    which still guarantees every vertex keeps at least half its degree
-    across the cut.
+    Exhaustive up to MAXCUT_EXHAUSTIVE_VERTICES vertices, where ties go
+    to the lexicographically least side-A indicator tuple with vertex 0
+    on side A; single-vertex-move local search beyond, which still
+    guarantees every vertex keeps at least half its degree across the
+    cut.
     """
     if h.n == 0:
         return (), ()
@@ -83,17 +88,9 @@ def maxcut_partition(h, cap=16):
                 sq += m * m
         return cut, sq
 
-    if h.n <= cap:
-        best = None
-        best_obj = None
-        for bits in range(1 << (h.n - 1)):
-            in_a = [True] + [bool(bits >> i & 1) for i in range(h.n - 1)]
-            cut, sq = objective(in_a)
-            obj = (-cut, sq, tuple(in_a))
-            if best_obj is None or obj < best_obj:
-                best_obj = obj
-                best = in_a
-        in_a = best
+    if h.n <= MAXCUT_EXHAUSTIVE_VERTICES:
+        side = _exhaustive_maxcut(h)
+        in_a = [bool(side >> (h.n - 1 - v) & 1) for v in range(h.n)]
     else:
         in_a = [v % 2 == 0 for v in range(h.n)]
         improved = True
@@ -111,6 +108,42 @@ def maxcut_partition(h, cap=16):
     a = tuple(v for v in range(h.n) if in_a[v])
     b = tuple(v for v in range(h.n) if not in_a[v])
     return a, b
+
+
+def _exhaustive_maxcut(h):
+    """Side-A mask of the best bipartition with vertex 0 on side A.
+
+    Vertex v is bit n-1-v, so vertex 0 is the most significant bit and
+    numeric order on masks is lexicographic order on indicator tuples;
+    the minimum of (-cut, sq, mask) is the exhaustive objective with its
+    tie-break.  The 2^(n-1) masks are walked in Gray-code order: step i
+    flips vertex n-1-ctz(i), and the cut and squared-multiplicity sums
+    change by the flipped vertex's neighbours on each side, counted per
+    multiplicity class from neighbour bitmasks.
+    """
+    n = h.n
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    by_mult = [{} for _ in range(n)]
+    for u, v, m in h.edges:
+        by_mult[u][m] = by_mult[u].get(m, 0) | bit[v]
+        by_mult[v][m] = by_mult[v].get(m, 0) | bit[u]
+    classes = [tuple(c.items()) for c in by_mult]
+    full = (1 << n) - 1
+    side = full  # every vertex on side A: nothing crosses
+    cut = sq = 0
+    best_cut, best_sq, best_side = 0, 0, side
+    for i in range(1, 1 << (n - 1)):
+        v = n - (i & -i).bit_length()
+        same = side if side & bit[v] else full ^ side
+        for m, mask in classes[v]:
+            gain = (mask & same).bit_count() - (mask & ~same).bit_count()
+            cut += m * gain
+            sq += m * m * gain
+        side ^= bit[v]
+        if cut > best_cut or cut == best_cut and (
+                sq < best_sq or sq == best_sq and side < best_side):
+            best_cut, best_sq, best_side = cut, sq, side
+    return best_side
 
 
 def degeneracy(h):

@@ -162,6 +162,13 @@ def kp_line_characterization(d, root, origin=None):
     is kernel-perfect iff every clique's one-way arcs are acyclic (so
     every clique is oriented transitively, up to bidirected pairs) and
     no chordless directed odd cycle of one-way arcs exists.
+
+    The odd-cycle search runs only when the root is not bipartite.  An
+    induced cycle of length >= 4 in the line graph is a cycle of the
+    same length in the root's support: parallel copies are adjacent
+    twins, so two of them on one induced cycle would give it a chord.
+    A bipartite root has no odd cycle, so its line graph has no odd hole
+    and the search could only come back empty.
     """
     if origin is None:
         lg, _ = line_graph(root)
@@ -171,7 +178,7 @@ def kp_line_characterization(d, root, origin=None):
         raise ValueError("digraph support is not the line graph of the root")
     if _cyclic_clique(d, lg) is not None:
         return False
-    if _chordless_strict_odd_cycle(d) is not None:
+    if bipartition(root) is None and _chordless_strict_odd_cycle(d) is not None:
         return False
     return True
 
@@ -438,7 +445,10 @@ def galvin_orientation(b, parts=None):
     and orders each star by color, ascending on one side and descending
     on the other; if that misses the per-edge bound (possible on
     irregular inputs), a backtracking search over per-vertex star
-    orders takes over.
+    orders takes over (`_search_star_orders`, pruned to the subtrees
+    that can still meet every rank-sum bound).  Either orientation is
+    re-checked through the line-graph characterization, which skips its
+    odd-hole search here because the root is bipartite.
     """
     if parts is None:
         parts = bipartition(b)
@@ -494,38 +504,69 @@ def _search_star_orders(b, origin, f):
     """Backtracking over per-vertex star orders meeting the budget.
 
     With positions p_v(e) counted from the absorbing end, the out-degree
-    of a copy e = uv is p_u(e) + p_v(e), so the bound becomes a rank-sum
-    constraint per edge copy.
+    of a copy e = uv is at most p_u(e) + p_v(e), and the search demands
+    the rank-sum constraint p_u(e) + p_v(e) <= f(e) - 1 per edge copy.
+    Vertices are taken by decreasing degree, and each vertex's star
+    orders in `itertools.permutations` order over its incident copies;
+    the first assignment meeting every constraint is returned.
+
+    Pruning cuts only subtrees without a solution, so that first
+    assignment is unchanged.  A copy's cap at v is f(e) - 1 minus its
+    position at the other endpoint (minus 0 while that endpoint is
+    unplaced).  Copies with sorted caps c_(0) <= c_(1) <= ... fit into
+    distinct positions k, k + 1, ... exactly when c_(j) >= k + j for
+    every j.  A star order is built one position at a time, and a
+    prefix is dropped when the copies not yet placed cannot fit behind
+    it (so each copy placed is within its cap).  A completed order is
+    dropped when some unplaced neighbour's copies no longer fit from
+    position 0.
     """
-    n = len(origin)
     incident = {v: [i for i, e in enumerate(origin) if v in e] for v in range(b.n)}
+    limit = [f(i) - 1 for i in range(len(origin))]
     order_pos = {}
     verts = sorted(range(b.n), key=lambda v: -len(incident[v]))
 
-    def feasible(v, pos):
-        for i, p in pos.items():
-            u, w = origin[i]
-            other = w if v == u else u
-            if other in order_pos:
-                if p + order_pos[other][i] > f(i) - 1:
-                    return False
-            else:
-                if p > f(i) - 1:
-                    return False
+    def other(v, i):
+        u, w = origin[i]
+        return w if v == u else u
+
+    def cap(v, i):
+        o = other(v, i)
+        return limit[i] - order_pos[o][i] if o in order_pos else limit[i]
+
+    def fits(caps, start):
+        return all(c >= start + j for j, c in enumerate(sorted(caps)))
+
+    def star_orders(v):
+        caps = {i: cap(v, i) for i in incident[v]}
+        pos = {}
+
+        def extend(rest, k):
+            if not rest:
+                yield dict(pos)
+                return
+            if not fits([caps[i] for i in rest], k):
+                return
+            for idx, i in enumerate(rest):
+                pos[i] = k
+                yield from extend(rest[:idx] + rest[idx + 1:], k + 1)
+                del pos[i]
+
+        return extend(incident[v], 0)
+
+    def neighbours_fit(v):
+        for w in {other(v, i) for i in incident[v]}:
+            if w not in order_pos and not fits([cap(w, i) for i in incident[w]], 0):
+                return False
         return True
 
     def place(k):
         if k == len(verts):
             return True
         v = verts[k]
-        from itertools import permutations
-
-        for perm in permutations(incident[v]):
-            pos = {i: p for p, i in enumerate(perm)}
-            if not feasible(v, pos):
-                continue
+        for pos in star_orders(v):
             order_pos[v] = pos
-            if place(k + 1):
+            if neighbours_fit(v) and place(k + 1):
                 return True
             del order_pos[v]
         return False

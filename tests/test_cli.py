@@ -114,6 +114,31 @@ def test_at_check_report_bytes(name, graph, f, digest, tmp_path, monkeypatch, ca
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, host, argv, digest", [
+    # the colour-order construction
+    ("k55.txt", MultiGraph.from_edges(10, _relabel(
+        complete_bipartite(5, 5), [7, 2, 9, 4, 0, 5, 1, 8, 3, 6]).edge_list()),
+     ["kp", "galvin"], "3994e775ab91e990059661b770232f4fe6fba1092187d4274ce4fe9f9c5699b8"),
+    # the star-order fallback
+    ("irregular.txt", MultiGraph.from_edges(7, [
+        (0, 2, 1), (0, 4, 2), (0, 6, 1), (1, 5, 1), (1, 6, 2), (2, 3, 1), (3, 4, 1),
+        (3, 5, 2), (3, 6, 1)]),
+     ["kp", "galvin"], "b1d5f7d0e5c1eb8a135f697618b79bf4bdcbecfcc933d2623eda6f0547aade4c"),
+    # 40 bipartitions share the best (cut, squares); the least one wins
+    ("tied14.txt", MultiGraph.from_edges(14, [
+        (0, 7, 1), (0, 9, 1), (1, 5, 1), (1, 7, 2), (2, 4, 1), (2, 8, 1), (3, 9, 2),
+        (3, 12, 1), (4, 11, 1), (5, 12, 1), (6, 10, 2), (6, 13, 1), (8, 11, 1), (10, 13, 1)]),
+     ["discharge", "partition"],
+     "8641f5f0f3a682132f19c439caa0c04e145f66bc81267cf0e61c1174bc2c0c2b"),
+])
+def test_multigraph_report_bytes(name, host, argv, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_edge_list(host))
+    assert run(argv + [name, "--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_kp_subcommands(tmp_path, capsys):
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
     path = write(tmp_path, "k33.txt", emit_edge_list(b))

@@ -117,3 +117,110 @@ def test_witness_to_kp_rejects_bad_delta():
     outcome = discharging.discharge(k77)
     with pytest.raises(ValueError):
         discharging.witness_to_kp(k77, outcome, delta=7)
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive max cut against the earlier per-bipartition scan
+
+def _maxcut_oracle(h, cap=16):
+    """Best vertex bipartition under (max crossing edges, min crossing
+    sum of squared multiplicities), lexicographically.
+
+    Exhaustive below the cap; single-vertex-move local search beyond,
+    which still guarantees every vertex keeps at least half its degree
+    across the cut.
+    """
+    if h.n == 0:
+        return (), ()
+
+    def objective(in_a):
+        cut = 0
+        sq = 0
+        for u, v, m in h.edges:
+            if in_a[u] != in_a[v]:
+                cut += m
+                sq += m * m
+        return cut, sq
+
+    if h.n <= cap:
+        best = None
+        best_obj = None
+        for bits in range(1 << (h.n - 1)):
+            in_a = [True] + [bool(bits >> i & 1) for i in range(h.n - 1)]
+            cut, sq = objective(in_a)
+            obj = (-cut, sq, tuple(in_a))
+            if best_obj is None or obj < best_obj:
+                best_obj = obj
+                best = in_a
+        in_a = best
+    else:
+        in_a = [v % 2 == 0 for v in range(h.n)]
+        improved = True
+        while improved:
+            improved = False
+            cur = objective(in_a)
+            for v in range(h.n):
+                in_a[v] = not in_a[v]
+                new = objective(in_a)
+                if (-new[0], new[1]) < (-cur[0], cur[1]):
+                    cur = new
+                    improved = True
+                else:
+                    in_a[v] = not in_a[v]
+    a = tuple(v for v in range(h.n) if in_a[v])
+    b = tuple(v for v in range(h.n) if not in_a[v])
+    return a, b
+
+
+def _relabelled(rng, n, records):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MultiGraph.from_edges(n, [(perm[u], perm[v], m) for u, v, m in records])
+
+
+def _tie_heavy_hosts(rng):
+    """Hosts with many optimal cuts, so the tie-breaks decide."""
+    hosts = [MultiGraph.from_edges(1, []), MultiGraph.from_edges(5, [])]
+    for n in range(3, 12):
+        cycle = [(i, (i + 1) % n, 1) for i in range(n)]
+        hosts.append(MultiGraph.from_edges(n, cycle))
+        hosts.append(_relabelled(rng, n, cycle))
+        # one doubled edge makes the crossing squares differ between cuts
+        hosts.append(_relabelled(rng, n, [(0, 1, 2)] + cycle[1:]))
+    for t in range(1, 6):
+        k2t = [(u, v, 1) for u, v in combinations(range(2 * t), 2)]
+        hosts.append(MultiGraph.from_edges(2 * t, k2t))
+        hosts.append(_relabelled(rng, 2 * t, [(u, v, 1 + (u + v) % 3) for u, v, _ in k2t]))
+    for n, k in ((6, 2), (8, 3), (10, 4), (12, 3)):
+        # circulant k-regular multigraphs with multiplicities 1-3
+        records = [(i, (i + s) % n, 1 + (i + s) % 3) for i in range(n) for s in range(1, k // 2 + 1)]
+        if k % 2:
+            records += [(i, i + n // 2, 2) for i in range(n // 2)]
+        hosts.append(_relabelled(rng, n, records))
+    for _ in range(10):
+        # isolated vertices and twin classes tie many bipartitions
+        n = rng.randint(6, 12)
+        h = random_multigraph(rng, n // 2, rng.randint(1, n), max_mult=3)
+        hosts.append(_relabelled(rng, n, h.edges))
+    return hosts
+
+
+def test_maxcut_matches_the_per_bipartition_scan(rng):
+    hosts = [random_multigraph(rng, n, rng.randint(0, n * (n - 1) // 2), max_mult=3)
+             for n in range(1, 13) for _ in range(8)]
+    hosts += _tie_heavy_hosts(rng)
+    for n, pairs in ((14, 28), (14, 40), (16, 30), (16, 24)):
+        hosts.append(random_multigraph(rng, n, pairs, max_mult=3))
+    for h in hosts:
+        assert discharging.maxcut_partition(h) == _maxcut_oracle(h), h.edges
+
+
+def test_maxcut_local_search_beyond_the_exhaustive_size(rng):
+    n = discharging.MAXCUT_EXHAUSTIVE_VERTICES + 2
+    h = random_multigraph(rng, n, 40, max_mult=3)
+    a, b = discharging.maxcut_partition(h)
+    assert (a, b) == _maxcut_oracle(h)
+    side = set(a)
+    for v in range(n):
+        crossing = sum(m for x, y, m in h.edges if v in (x, y) and (x in side) != (y in side))
+        assert 2 * crossing >= h.degree(v)

@@ -165,3 +165,173 @@ def test_galvin_orientation_raises_when_its_checks_fail(monkeypatch):
         m.setattr(kernel.KPCertificate, "check", lambda self: False)
         with pytest.raises(RuntimeError, match="failed its certificate check"):
             kernel.galvin_orientation(b)
+
+
+# ---------------------------------------------------------------------------
+# the pruned star-order search against the earlier unpruned one
+
+_order_orientation = kernel._order_orientation
+
+
+def _star_orders_oracle(b, origin, f):
+    """Backtracking over per-vertex star orders meeting the budget.
+
+    With positions p_v(e) counted from the absorbing end, the out-degree
+    of a copy e = uv is p_u(e) + p_v(e), so the bound becomes a rank-sum
+    constraint per edge copy.
+    """
+    n = len(origin)
+    incident = {v: [i for i, e in enumerate(origin) if v in e] for v in range(b.n)}
+    order_pos = {}
+    verts = sorted(range(b.n), key=lambda v: -len(incident[v]))
+
+    def feasible(v, pos):
+        for i, p in pos.items():
+            u, w = origin[i]
+            other = w if v == u else u
+            if other in order_pos:
+                if p + order_pos[other][i] > f(i) - 1:
+                    return False
+            else:
+                if p > f(i) - 1:
+                    return False
+        return True
+
+    def place(k):
+        if k == len(verts):
+            return True
+        v = verts[k]
+        from itertools import permutations
+
+        for perm in permutations(incident[v]):
+            pos = {i: p for p, i in enumerate(perm)}
+            if not feasible(v, pos):
+                continue
+            order_pos[v] = pos
+            if place(k + 1):
+                return True
+            del order_pos[v]
+        return False
+
+    if not place(0):
+        return None
+    return _order_orientation(b, origin, order_pos)
+
+
+def _irregular_bipartite(rng, left, right):
+    """Random bipartite multigraph, multiplicities 1-2, labels shuffled."""
+    n = left + right
+    records = [(u, v, 1 + (rng.random() < 0.25)) for u in range(left) for v in range(left, n)
+               if rng.random() < 0.7]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MultiGraph.from_edges(n, [(perm[u], perm[v], m) for u, v, m in records or [(0, left, 1)]])
+
+
+def _galvin_budget(b, origin):
+    degs = b.degrees()
+    return ListSizeFn(tuple(max(degs[u], degs[v]) for u, v in origin))
+
+
+def test_star_order_search_matches_the_unpruned_search(rng):
+    # the oracle runs for seconds on about 1 input in 1000; these seeded
+    # inputs are not among them
+    found = 0
+    for _ in range(150):
+        b = _irregular_bipartite(rng, rng.randint(2, 3), rng.randint(3, 4))
+        _, origin = line_graph(b)
+        f = _galvin_budget(b, origin)
+        got = kernel._search_star_orders(b, origin, f)
+        want = _star_orders_oracle(b, origin, f)
+        assert (got is None) == (want is None), b.edges
+        if got is not None:
+            assert got == want, b.edges
+            found += 1
+    assert found > 100
+    # budgets below Galvin's on some copies leave some inputs without a
+    # solution
+    none = tried = 0
+    while tried < 60:
+        b = _irregular_bipartite(rng, 2, 3)
+        _, origin = line_graph(b)
+        if len(origin) > 9:
+            continue  # the oracle exhausts larger inputs slowly
+        tried += 1
+        f = ListSizeFn(tuple(x - (rng.random() < 0.3) for x in _galvin_budget(b, origin).values))
+        got = kernel._search_star_orders(b, origin, f)
+        assert got == _star_orders_oracle(b, origin, f), b.edges
+        none += got is None
+    assert 0 < none < 60
+
+
+@pytest.mark.parametrize("records", [
+    [(0, 1, 2), (0, 4, 1), (0, 5, 1), (0, 6, 2), (2, 4, 2), (2, 5, 2), (2, 6, 1),
+     (3, 4, 1), (3, 5, 2), (3, 6, 2)],
+    [(0, 1, 1), (0, 3, 2), (0, 4, 1), (0, 6, 2), (1, 2, 1), (1, 5, 2), (2, 3, 2),
+     (2, 4, 1), (2, 6, 1), (3, 5, 1), (4, 5, 1), (5, 6, 1)],
+])
+def test_galvin_star_order_fallback_finishes(records):
+    # the unpruned search took seconds on each of these
+    b = MultiGraph.from_edges(7, records)
+    cert = kernel.galvin_orientation(b)
+    assert cert.check()
+    assert all(o < k for o, k in zip(cert.digraph.out_degrees(), cert.f.values))
+
+
+# ---------------------------------------------------------------------------
+# bipartite roots: the characterization needs no odd-hole search
+
+def _random_line_orientation(rng, b):
+    g, origin = line_graph(b)
+    if rng.random() < 0.5:
+        arcs = []
+        for u, v in g.edge_list():
+            r = rng.random()
+            arcs += [(u, v)] if r < 0.45 else [(v, u)] if r < 0.9 else [(u, v), (v, u)]
+    else:
+        # star orders orient every clique transitively; then reverse a
+        # few arcs and double a few pairs
+        order_pos = {}
+        for v in range(b.n):
+            star = [i for i, e in enumerate(origin) if v in e]
+            rng.shuffle(star)
+            order_pos[v] = {i: p for p, i in enumerate(star)}
+        arcs = set(kernel._order_orientation(b, origin, order_pos).arcs)
+        for u, v in sorted(arcs):
+            r = rng.random()
+            if r < 0.05:
+                arcs.discard((u, v))
+                arcs.add((v, u))
+            elif r < 0.1:
+                arcs.add((v, u))
+    return Digraph.from_arcs(g.n, arcs), origin
+
+
+def test_characterization_on_bipartite_roots_matches_exhaustive(rng):
+    checked = kp = 0
+    while checked < 300:
+        b = _irregular_bipartite(rng, rng.randint(1, 3), rng.randint(2, 4))
+        if not 2 <= sum(m for _, _, m in b.edges) <= 10:
+            continue
+        d, origin = _random_line_orientation(rng, b)
+        fast = kernel.kp_line_characterization(d, b, origin=origin)
+        slow, _ = kernel.is_kernel_perfect(d)
+        assert fast == slow, (b.edges, sorted(d.arcs))
+        checked += 1
+        kp += slow
+    assert 50 < kp < 250
+
+
+def test_odd_hole_search_runs_only_on_non_bipartite_roots(monkeypatch):
+    calls = []
+    search = kernel._chordless_strict_odd_cycle
+    monkeypatch.setattr(kernel, "_chordless_strict_odd_cycle",
+                        lambda d: calls.append(d.n) or search(d))
+    b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
+    assert kernel.galvin_orientation(b).check()
+    assert calls == []
+    c5 = MultiGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    g, origin = line_graph(c5)
+    d = Digraph.from_arcs(5, g.edge_list())
+    kernel.kp_line_characterization(d, c5, origin=origin)
+    assert calls == [5]
