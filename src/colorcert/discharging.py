@@ -9,10 +9,10 @@ valuable output: it satisfies a local degree condition strong enough to
 yield a kernel certificate on its line graph.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import ListSizeFn, MultiGraph
+from .graphs import ListSizeFn, MultiGraph, edge_copies
 
 
 @dataclass
@@ -23,6 +23,12 @@ class ChargeLedger:
 
     def conserved(self):
         return sum(self.final.values()) == sum(self.initial.values())
+
+    def settled(self):
+        """Conserved, and every vertex of degree at most 11 ends at 12."""
+        return self.conserved() and all(
+            self.final[v] == 12 for v, d in self.initial.items() if d <= 11
+        )
 
     def to_json(self):
         return {
@@ -40,17 +46,19 @@ class ChargeLedger:
 class BipartiteWitness:
     b: MultiGraph  # stalled subgraph
     parts: tuple  # (low-degree side, donor side) as sorted tuples
-    round_index: int = 0
+    round_index: int
+    original_vertices: tuple  # host vertex behind each vertex of b
 
     def is_valid(self, h):
         """Both endpoints accounted: on every edge, some endpoint of
         minimum degree inside b has all of its h-incident edges in b."""
         degs_b = self.b.degrees()
         degs_h = h.degrees()
+        back = self.original_vertices
         for u, v, _ in self.b.edges:
             x, y = (u, v) if degs_b[u] <= degs_b[v] else (v, u)
             candidates = [x] if degs_b[x] < degs_b[y] else [x, y]
-            if not any(degs_b[z] == degs_h[z] for z in candidates):
+            if not any(degs_b[z] == degs_h[back[z]] for z in candidates):
                 return False
         return True
 
@@ -60,6 +68,7 @@ class BipartiteWitness:
             "edges": [list(e) for e in self.b.edges],
             "parts": [list(self.parts[0]), list(self.parts[1])],
             "round": self.round_index,
+            "original_vertices": list(self.original_vertices),
         }
 
 
@@ -229,9 +238,7 @@ def peel_witness(h, i):
                 tuple(index[v] for v in verts if v in low),
                 tuple(index[v] for v in verts if v not in low),
             )
-            w = BipartiteWitness(sub, parts, i)
-            w.original_vertices = verts
-            return "witness", w
+            return "witness", BipartiteWitness(sub, parts, i, tuple(verts))
         donor = donors[0]
         nbrs = {x if y == donor else y for (x, y) in b_edges if donor in (x, y)}
         for w in sorted(nbrs):
@@ -280,19 +287,16 @@ def witness_to_kp(h, w, delta):
     from .kernel import KPCertificate, galvin_orientation
 
     b = w.b
-    back = getattr(w, "original_vertices", list(range(b.n)))
+    back = w.original_vertices
     degs_b = b.degrees()
     degs_h = h.degrees()
     base = galvin_orientation(b)
-    origin = []
-    for u, v, m in b.edges:
-        origin.extend([(u, v)] * m)
     mult_h = {
         tuple(sorted((u, v))): h.multiplicity(back[u], back[v]) for u, v, _ in b.edges
     }
     mult_b = {tuple(sorted((u, v))): m for u, v, m in b.edges}
     fvals = []
-    for idx, (u, v) in enumerate(origin):
+    for u, v in edge_copies(b):
         key = tuple(sorted((u, v)))
         d_lb = degs_b[u] + degs_b[v] - mult_b[key] - 1
         d_lh = degs_h[back[u]] + degs_h[back[v]] - mult_h[key] - 1

@@ -7,7 +7,7 @@ cheap, so they can be shared freely between workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -101,7 +101,6 @@ class SimpleGraph:
 
     def clique_number(self):
         best = 1 if self.n else 0
-        order = sorted(range(self.n), key=self.degree, reverse=True)
         adj = self.adjacency_masks()
 
         def extend(clique, cand):
@@ -116,7 +115,6 @@ class SimpleGraph:
                 extend(clique + [v], cand & adj[v])
 
         extend([], (1 << self.n) - 1)
-        del order
         return best
 
     def is_connected(self):
@@ -330,22 +328,43 @@ def complete_multipartite_2t(t):
     return SimpleGraph.from_edges(n, edges)
 
 
-def line_graph(h):
+def edge_copies(h):
+    """One (u, v) per edge copy of a multigraph, in line-graph vertex order.
+
+    Copies follow the records of `h.edges`; parallel copies are
+    consecutive.
+    """
+    return [(a, b) for a, b, m in h.edges for _ in range(m)]
+
+
+def copy_stars(n, origin):
+    """Per root vertex 0..n-1, the ascending indices of its edge copies."""
+    stars = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(origin):
+        stars[a].append(i)
+        stars[b].append(i)
+    return stars
+
+
+def line_graph(h, origin=None):
     """Line graph of a multigraph, plus the map vertex -> root edge.
 
     Each copy of a multi-edge becomes its own vertex.  Two line-graph
     vertices are adjacent iff the corresponding edge copies share an
-    endpoint (parallel copies share both).
+    endpoint (parallel copies share both), so each root vertex's star
+    of copies is a clique.  Vertices follow `edge_copies(h)` unless
+    `origin` relabels them by giving the root edge of each; it must be
+    a relabelling of the edge copies, else ValueError.
     """
-    origin = []
-    for a, b, m in h.edges:
-        origin.extend((a, b) for _ in range(m))
-    n = len(origin)
-    edges = []
-    for i, j in combinations(range(n), 2):
-        if set(origin[i]) & set(origin[j]):
-            edges.append((i, j))
-    return SimpleGraph.from_edges(n, edges), tuple(origin)
+    copies = edge_copies(h)
+    if origin is None:
+        origin = copies
+    elif sorted(copies) != sorted(tuple(sorted(e)) for e in origin):
+        raise ValueError("origin does not match the root's edge copies")
+    edges = set()
+    for star in copy_stars(h.n, origin):
+        edges.update(map(frozenset, combinations(star, 2)))
+    return SimpleGraph(len(origin), frozenset(edges)), tuple(origin)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ online game version of it.
 
 from itertools import combinations
 
-from .graphs import Digraph, ListSizeFn, line_graph
+from .graphs import Digraph, ListSizeFn, copy_stars, edge_copies, line_graph
 
 
 def find_kernel(d, s=None):
@@ -170,10 +170,7 @@ def kp_line_characterization(d, root, origin=None):
     A bipartite root has no odd cycle, so its line graph has no odd hole
     and the search could only come back empty.
     """
-    if origin is None:
-        lg, _ = line_graph(root)
-    else:
-        lg = _line_graph_from_origin(root, origin)
+    lg, _ = line_graph(root, origin)
     if d.support().edges != lg.edges or d.n != lg.n:
         raise ValueError("digraph support is not the line graph of the root")
     if _cyclic_clique(d, lg) is not None:
@@ -181,29 +178,6 @@ def kp_line_characterization(d, root, origin=None):
     if bipartition(root) is None and _chordless_strict_odd_cycle(d) is not None:
         return False
     return True
-
-
-def _line_graph_from_origin(root, origin):
-    """Line graph of `root` with vertices in the order given by origin.
-
-    Raises when origin is not a relabeling of the root's edge copies.
-    """
-    from itertools import combinations as _comb
-
-    from .graphs import SimpleGraph
-
-    copies = []
-    for a, b, m in root.edges:
-        copies.extend([(a, b)] * m)
-    wanted = sorted(tuple(sorted(e)) for e in origin)
-    if sorted(copies) != wanted:
-        raise ValueError("origin does not match the root's edge copies")
-    edges = [
-        (i, j)
-        for i, j in _comb(range(len(origin)), 2)
-        if set(origin[i]) & set(origin[j])
-    ]
-    return SimpleGraph.from_edges(len(origin), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +334,7 @@ def bipartition(b):
     return x, y
 
 
-def bipartite_edge_coloring(b, parts):
+def bipartite_edge_coloring(b):
     """Proper edge coloring of a bipartite multigraph with Delta colors.
 
     Standard augmenting-path coloring: insert edge copies one at a
@@ -368,9 +342,7 @@ def bipartite_edge_coloring(b, parts):
     alternating chain.  Returns a list of colors (1-based), one per
     edge copy in line-graph vertex order.
     """
-    copies = []
-    for a, c, m in b.edges:
-        copies.extend((a, c) for _ in range(m))
+    copies = edge_copies(b)
     delta = max(b.degrees()) if b.edges else 0
     used = [dict() for _ in range(b.n)]  # vertex -> color -> copy index
     colors = [None] * len(copies)
@@ -412,28 +384,7 @@ def bipartite_edge_coloring(b, parts):
         for j, new in zip(chain, swapped):
             assign(j, new)
         assign(idx, a)
-    return copies, colors
-
-
-def _order_orientation(b, copies, order_pos):
-    """Orient the line graph from per-root-vertex priority positions.
-
-    order_pos[v] maps edge-copy index -> position in v's linear order;
-    arcs run from later positions toward earlier ones, so the common
-    sink of each clique order absorbs its clique.
-    """
-    arcs = set()
-    n = len(copies)
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = set(copies[i]) & set(copies[j])
-            for v in shared:
-                pi, pj = order_pos[v][i], order_pos[v][j]
-                if pi < pj:
-                    arcs.add((j, i))
-                else:
-                    arcs.add((i, j))
-    return Digraph.from_arcs(n, arcs)
+    return colors
 
 
 def galvin_orientation(b, parts=None):
@@ -464,21 +415,16 @@ def galvin_orientation(b, parts=None):
     f = ListSizeFn(tuple(max(degs[u], degs[v]) for u, v in origin))
     xset = set(parts[0])
 
-    copies, colors = bipartite_edge_coloring(b, parts)
-    if tuple(copies) != tuple(origin):
-        raise RuntimeError("edge coloring lists the edges out of line-graph order")
-    # positions: at an X-vertex later colors come later; at a Y-vertex
-    # later colors come earlier.  Parallel copies tie-break by index so
-    # no bidirected pairs arise.
-    order_pos = {}
-    for v in range(b.n):
-        incident = [i for i, e in enumerate(origin) if v in e]
-        if v in xset:
-            incident.sort(key=lambda i: (colors[i], i))
-        else:
-            incident.sort(key=lambda i: (-colors[i], i))
-        order_pos[v] = {i: p for p, i in enumerate(incident)}
-    d = _order_orientation(b, origin, order_pos)
+    colors = bipartite_edge_coloring(b)
+    # star positions: at an X-vertex later colors come later; at a
+    # Y-vertex later colors come earlier.  Parallel copies tie-break by
+    # index so no bidirected pairs arise.  Arcs run from later positions
+    # toward earlier ones, so each star is listed from its last position.
+    d = orientation_from_clique_orders(lg.n, [
+        sorted(star, key=lambda i: (colors[i] if v in xset else -colors[i], i),
+               reverse=True)
+        for v, star in enumerate(copy_stars(b.n, origin))
+    ])
     outs = d.out_degrees()
     if all(outs[i] <= f(i) - 1 for i in range(lg.n)):
         cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b,
@@ -521,7 +467,7 @@ def _search_star_orders(b, origin, f):
     dropped when some unplaced neighbour's copies no longer fit from
     position 0.
     """
-    incident = {v: [i for i, e in enumerate(origin) if v in e] for v in range(b.n)}
+    incident = copy_stars(b.n, origin)
     limit = [f(i) - 1 for i in range(len(origin))]
     order_pos = {}
     verts = sorted(range(b.n), key=lambda v: -len(incident[v]))
@@ -573,7 +519,10 @@ def _search_star_orders(b, origin, f):
 
     if not place(0):
         return None
-    return _order_orientation(b, origin, order_pos)
+    # arcs run toward earlier positions, so list each star from its last
+    return orientation_from_clique_orders(len(origin), [
+        sorted(pos, key=pos.get, reverse=True) for pos in order_pos.values()
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +555,7 @@ def mu3_kp_certificates():
 
     certs = []
     for entry in clique_order_catalog():
-        lg = _line_graph_from_origin(entry.root, entry.edge_origin)
+        lg, _ = line_graph(entry.root, entry.edge_origin)
         d = orientation_from_clique_orders(lg.n, entry.clique_orders)
         degs = tuple(lg.degrees())
         if degs != entry.expected_degrees:

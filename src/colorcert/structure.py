@@ -7,7 +7,7 @@ compositions over a hub multigraph, and the reducibility scanner that
 hunts induced subgraphs carrying orientation or kernel certificates.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .graphs import ListSizeFn, MultiGraph, SimpleGraph, line_graph
@@ -65,8 +65,8 @@ def recognize_line_graph(g, cap=12):
     Searches for an edge-clique partition in which every vertex lies in
     at most two parts; each part becomes a root vertex and each graph
     vertex becomes a root edge between its (one or two) parts.  Returns
-    a MultiGraph whose line graph is g up to the construction's vertex
-    order (verified before returning), or None.
+    a MultiGraph whose line graph, with vertex v as the root edge built
+    for v, is g exactly (verified before returning), or None.
     """
     if g.n > cap:
         raise ValueError(f"recognition capped at {cap} vertices")
@@ -114,33 +114,17 @@ def recognize_line_graph(g, cap=12):
     # get private pendant parts
     membership = {v: [i for i, cl in enumerate(parts) if v in cl] for v in range(g.n)}
     extra = len(parts)
-    root_edges = []
+    origin = []
     for v in range(g.n):
         ms = membership[v]
         while len(ms) < 2:
             ms.append(extra)
             extra += 1
-        root_edges.append((min(ms), max(ms), 1))
-    root = MultiGraph.from_edges(extra, root_edges)
-    lg, origin = line_graph(root)
-    if not _isomorphic(lg, g):
+        origin.append((min(ms), max(ms)))
+    root = MultiGraph.from_edges(extra, origin)
+    if line_graph(root, origin)[0].edges != g.edges:
         return None
     return root
-
-
-def _isomorphic(g1, g2, return_map=False):
-    """Brute-force isomorphism test for small graphs."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return (False, None) if return_map else False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return (False, None) if return_map else False
-    d1, d2 = g1.degrees(), g2.degrees()
-    for perm in permutations(range(g1.n)):
-        if any(d1[v] != d2[perm[v]] for v in range(g1.n)):
-            continue
-        if all(g2.has_edge(perm[u], perm[v]) for u, v in g1.edge_list()):
-            return (True, perm) if return_map else True
-    return (False, None) if return_map else False
 
 
 # ---------------------------------------------------------------------------

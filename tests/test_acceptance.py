@@ -49,7 +49,7 @@ def test_criterion_02_clique_order_tables():
     certs = kernel.mu3_kp_certificates()
     ok = len(certs) == 3
     for cert, e in zip(certs, entries):
-        g = kernel._line_graph_from_origin(e.root, e.edge_origin)
+        g, _ = line_graph(e.root, e.edge_origin)
         ok = ok and g.degrees() == list(e.expected_degrees)
         if e.expected_outdegrees is not None:
             ok = ok and cert.digraph.out_degrees() == list(e.expected_outdegrees)

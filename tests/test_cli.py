@@ -10,7 +10,7 @@ from colorcert import cli
 from colorcert.graphs import (
     Digraph, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
-    join,
+    join, line_graph,
 )
 
 
@@ -137,6 +137,19 @@ def test_multigraph_report_bytes(name, host, argv, digest, tmp_path, monkeypatch
     assert run(argv + [name, "--json", "rep.json"]) == 0
     data = (tmp_path / "rep.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_structure_linegraph_report_bytes(tmp_path, monkeypatch, capsys):
+    # a vertex-shuffled line graph of a multigraph with a double edge
+    h = MultiGraph.from_edges(5, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1),
+                                  (2, 4, 1), (3, 4, 1)])
+    g = _relabel(line_graph(h)[0], [5, 2, 7, 0, 3, 6, 1, 4])
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "line8.g6", emit_graph6(g))
+    assert run(["structure", "linegraph", "line8.g6", "--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "90c881a063604301a21ea06780cbabc10d2554d91dffb4c29822e90873675b28")
 
 
 def test_kp_subcommands(tmp_path, capsys):

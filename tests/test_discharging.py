@@ -112,6 +112,26 @@ def test_k77_witness_to_certificate():
         assert cert.digraph.out_degree(v) < cert.f(v)
 
 
+@pytest.mark.parametrize("k77_first", [True, False])
+def test_witness_checks_host_degrees_by_host_ids(k77_first):
+    # K_14 plus a disjoint K_{7,7}: the witness is the K_{7,7}, and its
+    # local ids 0-13 name K_14 vertices unless the K_{7,7} comes first
+    k14 = complete_graph(14).edge_list()
+    k77 = complete_bipartite(7, 7).edge_list()
+    if k77_first:
+        edges = k77 + [(u + 14, v + 14) for u, v in k14]
+    else:
+        edges = k14 + [(u + 14, v + 14) for u, v in k77]
+    h = MultiGraph.from_edges(28, edges)
+    outcome = discharging.discharge(h)
+    assert isinstance(outcome, discharging.BipartiteWitness)
+    assert outcome.original_vertices == tuple(range(14) if k77_first else range(14, 28))
+    assert outcome.to_json()["original_vertices"] == list(outcome.original_vertices)
+    assert outcome.is_valid(h)
+    cert = discharging.witness_to_kp(h, outcome, delta=14)
+    assert cert.check()
+
+
 def test_witness_to_kp_rejects_bad_delta():
     k77 = MultiGraph.from_edges(14, complete_bipartite(7, 7).edge_list())
     outcome = discharging.discharge(k77)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,78 @@ def test_line_graph_degree_formula(rng):
         degs = h.degrees()
         for i, (u, v) in enumerate(origin):
             assert g.degree(i) == degs[u] + degs[v] - h.multiplicity(u, v) - 1
+
+
+# ---------------------------------------------------------------------------
+# the star-by-star line-graph builder against the earlier all-pairs scans
+
+def _line_graph_oracle(h):
+    """Line graph of a multigraph, plus the map vertex -> root edge.
+
+    Each copy of a multi-edge becomes its own vertex.  Two line-graph
+    vertices are adjacent iff the corresponding edge copies share an
+    endpoint (parallel copies share both).
+    """
+    origin = []
+    for a, b, m in h.edges:
+        origin.extend((a, b) for _ in range(m))
+    n = len(origin)
+    edges = []
+    for i, j in combinations(range(n), 2):
+        if set(origin[i]) & set(origin[j]):
+            edges.append((i, j))
+    return SimpleGraph.from_edges(n, edges), tuple(origin)
+
+
+def _line_graph_from_origin(root, origin):
+    """Line graph of `root` with vertices in the order given by origin.
+
+    Raises when origin is not a relabeling of the root's edge copies.
+    """
+    from itertools import combinations as _comb
+
+    from colorcert.graphs import SimpleGraph
+
+    copies = []
+    for a, b, m in root.edges:
+        copies.extend([(a, b)] * m)
+    wanted = sorted(tuple(sorted(e)) for e in origin)
+    if sorted(copies) != wanted:
+        raise ValueError("origin does not match the root's edge copies")
+    edges = [
+        (i, j)
+        for i, j in _comb(range(len(origin)), 2)
+        if set(origin[i]) & set(origin[j])
+    ]
+    return SimpleGraph.from_edges(len(origin), edges)
+
+
+def test_line_graph_matches_the_all_pairs_scans(rng):
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        h = random_multigraph(rng, n, rng.randint(0, n * (n - 1) // 2), max_mult=3)
+        got = line_graph(h)
+        assert got == _line_graph_oracle(h), h.edges
+        # a shuffled relabelling, some copies written endpoint-reversed
+        origin = [(b, a) if rng.random() < 0.3 else (a, b) for a, b in got[1]]
+        rng.shuffle(origin)
+        g, back = line_graph(h, origin)
+        assert g == _line_graph_from_origin(h, origin), h.edges
+        assert back == tuple(origin)
+
+
+def test_line_graph_rejects_an_origin_off_the_copies():
+    h = MultiGraph.from_edges(4, [(0, 1, 2), (1, 2, 1), (2, 3, 1)])
+    for origin in (
+        [(0, 1), (1, 2), (2, 3)],  # a parallel copy missing
+        [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3)],  # one copy too many
+        [(0, 1), (0, 1), (1, 2), (1, 3)],  # an edge not in the root
+        [(0, 1), (0, 1), (1, 2), (2, 3), (0, 3)],
+    ):
+        with pytest.raises(ValueError, match="origin does not match"):
+            line_graph(h, origin)
+        with pytest.raises(ValueError, match="origin does not match"):
+            _line_graph_from_origin(h, origin)
 
 
 def test_line_graph_matches_networkx():

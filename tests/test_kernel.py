@@ -134,7 +134,7 @@ def test_clique_order_certificates_match_tables():
 
     for cert, entry in zip(certs, clique_order_catalog()):
         assert cert.check()
-        g = kernel._line_graph_from_origin(entry.root, entry.edge_origin)
+        g, _ = line_graph(entry.root, entry.edge_origin)
         assert g.degrees() == list(entry.expected_degrees)
         if entry.expected_outdegrees is not None:
             assert cert.digraph.out_degrees() == list(entry.expected_outdegrees)
@@ -153,12 +153,6 @@ def test_kp_certificate_roundtrip():
 def test_galvin_orientation_raises_when_its_checks_fail(monkeypatch):
     # these checks must survive python -O, so they raise instead of asserting
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
-    coloring = kernel.bipartite_edge_coloring
-    with monkeypatch.context() as m:
-        m.setattr(kernel, "bipartite_edge_coloring",
-                  lambda b, parts: tuple(x[::-1] for x in coloring(b, parts)))
-        with pytest.raises(RuntimeError, match="out of line-graph order"):
-            kernel.galvin_orientation(b)
     with monkeypatch.context() as m:
         # the color-order construction fails its check, and so does the
         # star-order fallback
@@ -170,7 +164,25 @@ def test_galvin_orientation_raises_when_its_checks_fail(monkeypatch):
 # ---------------------------------------------------------------------------
 # the pruned star-order search against the earlier unpruned one
 
-_order_orientation = kernel._order_orientation
+def _order_orientation(b, copies, order_pos):
+    """Orient the line graph from per-root-vertex priority positions.
+
+    order_pos[v] maps edge-copy index -> position in v's linear order;
+    arcs run from later positions toward earlier ones, so the common
+    sink of each clique order absorbs its clique.
+    """
+    arcs = set()
+    n = len(copies)
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = set(copies[i]) & set(copies[j])
+            for v in shared:
+                pi, pj = order_pos[v][i], order_pos[v][j]
+                if pi < pj:
+                    arcs.add((j, i))
+                else:
+                    arcs.add((i, j))
+    return Digraph.from_arcs(n, arcs)
 
 
 def _star_orders_oracle(b, origin, f):
@@ -296,7 +308,7 @@ def _random_line_orientation(rng, b):
             star = [i for i, e in enumerate(origin) if v in e]
             rng.shuffle(star)
             order_pos[v] = {i: p for p, i in enumerate(star)}
-        arcs = set(kernel._order_orientation(b, origin, order_pos).arcs)
+        arcs = set(_order_orientation(b, origin, order_pos).arcs)
         for u, v in sorted(arcs):
             r = rng.random()
             if r < 0.05:

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,6 +11,21 @@ from colorcert.graphs import (
     complete_multipartite_2t, cycle_graph, join, line_graph, path_graph,
 )
 from conftest import random_multigraph, random_simple_graph
+
+
+def _isomorphic(g1, g2, return_map=False):
+    """Brute-force isomorphism test for small graphs."""
+    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+        return (False, None) if return_map else False
+    if sorted(g1.degrees()) != sorted(g2.degrees()):
+        return (False, None) if return_map else False
+    d1, d2 = g1.degrees(), g2.degrees()
+    for perm in permutations(range(g1.n)):
+        if any(d1[v] != d2[perm[v]] for v in range(g1.n)):
+            continue
+        if all(g2.has_edge(perm[u], perm[v]) for u, v in g1.edge_list()):
+            return (True, perm) if return_map else True
+    return (False, None) if return_map else False
 
 
 def test_claw_free_recognizer():
@@ -49,8 +65,23 @@ def test_recognize_line_graph_roundtrip(rng):
         root = structure.recognize_line_graph(g)
         assert root is not None
         g2, _ = line_graph(root)
-        assert structure._isomorphic(g, g2)
+        assert _isomorphic(g, g2)
         checked += 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recognize_line_graph_shuffled_k34(seed):
+    # 12 vertices, all of degree 5: an isomorphism search over the line
+    # graphs does not finish, so the oracle compares the 7-vertex roots;
+    # isomorphic roots have isomorphic line graphs
+    k34 = complete_bipartite(3, 4)
+    base, _ = line_graph(MultiGraph.from_edges(7, k34.edge_list()))
+    perm = list(range(base.n))
+    random.Random(seed).shuffle(perm)
+    g = SimpleGraph.from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edge_list()])
+    root = structure.recognize_line_graph(g)
+    assert root is not None and root.max_multiplicity() == 1
+    assert _isomorphic(root.support(), k34)
 
 
 def test_recognize_line_graph_negative():
@@ -159,7 +190,7 @@ def test_compose_matches_line_graph_of_replicated_hub():
                      for _ in range(2)))
     g = structure.compose(spec)
     expect, _ = line_graph(MultiGraph.from_edges(2, [(0, 1, 4)]))
-    assert structure._isomorphic(g, expect)
+    assert _isomorphic(g, expect)
 
 
 def test_compositions_are_quasi_line(rng):
