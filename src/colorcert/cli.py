@@ -10,6 +10,7 @@ byte-identical across runs.
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -192,8 +193,6 @@ def cmd_pipeline_linegraph(args):
 
 
 def cmd_corpus(args):
-    import os
-
     report = RunReport(f"corpus {args.task}")
     try:
         names = sorted(os.listdir(args.dir))
@@ -412,12 +411,10 @@ def cmd_discharge(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_global_flags(p, suppress=False):
-    d = argparse.SUPPRESS if suppress else None
-    p.add_argument("--json", metavar="PATH", default=d,
+def _add_json_flag(p, suppress=False):
+    p.add_argument("--json", metavar="PATH",
+                   default=argparse.SUPPRESS if suppress else None,
                    help="write the machine-readable report here")
-    p.add_argument("--cap-vertices", type=int, default=d if suppress else 0)
-    p.add_argument("--cap-edges", type=int, default=d if suppress else 0)
 
 
 def build_parser():
@@ -426,11 +423,11 @@ def build_parser():
         description="certificates for list-coloring bounds: orientations, "
                     "kernels, game solvers, structure recognizers",
     )
-    _add_global_flags(p)
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
+    _add_json_flag(p)
+    # --json is accepted after the subcommand too; SUPPRESS keeps the
     # inner copy from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    _add_json_flag(common, suppress=True)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     at = sub.add_parser("at", help="orientation certificates")
@@ -528,14 +525,23 @@ def build_parser():
     co.add_argument("--double", action="store_true")
     co.add_argument("--delta", type=int, default=None)
     co.add_argument("--max-sub", type=int, default=None)
+    co.add_argument("--cap-vertices", type=int, default=0)
+    co.add_argument("--cap-edges", type=int, default=0)
     co.set_defaults(func=cmd_corpus)
 
     return p
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built on the first call, not at import: importing stays cheap, and
+    # every later call in the process reuses it
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (FormatError, FileNotFoundError, OSError, json.JSONDecodeError) as exc:

@@ -10,7 +10,9 @@ hunts induced subgraphs carrying orientation or kernel certificates.
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
+from .alon_tarsi import is_f_AT
 from .graphs import ListSizeFn, MultiGraph, SimpleGraph, line_graph
+from .kernel import is_f_KP
 
 
 def is_claw_free(g):
@@ -207,41 +209,69 @@ def is_linear_interval(g, cap=10):
 
 
 def is_circular_interval(g, cap=9):
-    """A circular vertex order with contiguous arc neighborhoods, or None."""
+    """A circular vertex order with contiguous arc neighborhoods, or None.
+
+    The answer is the first order, in the sequence of
+    permutations(range(1, n)) after vertex 0, that puts one of each
+    reflected pair first (order[1] < order[-1]) and the closed
+    neighborhood of every non-isolated vertex on an arc of the circle.
+
+    A depth-first search places the vertices in that sequence and drops
+    a prefix that no valid order extends.  An arc meets the segment of
+    placed positions in one run, unless it wraps through the unplaced
+    positions; then it holds all of them and meets the segment in two
+    runs, one at each end.  So each placed non-isolated vertex v needs
+    the placed part of N[v] to be one run, or its complement in the
+    prefix to be one run while v is adjacent to every unplaced vertex.
+    On a full order this is the arc test itself.  Only subtrees without
+    a valid order are cut, so the first order found is the scan's.
+    """
     if g.n > cap:
         raise ValueError(f"search capped at {cap} vertices")
-    if g.n <= 2:
-        return list(range(g.n))
     n = g.n
-    for perm in permutations(range(1, n)):
-        order = [0] + list(perm)
-        if order[1] > order[-1]:
-            continue  # skip reflections
-        pos = {v: i for i, v in enumerate(order)}
-        ok = True
-        for v in order:
-            nbrs = {pos[w] for w in g.neighbors(v)}
-            if not nbrs:
-                continue
-            # the closed neighborhood must form a circular arc
-            block = nbrs | {pos[v]}
-            if not _is_circular_arc(block, n):
-                ok = False
-                break
-        if ok:
-            return order
-    return None
+    if n <= 2:
+        return list(range(n))
+    adj = g.adjacency_masks()
+
+    def extend(order, at, rest):
+        # at[v]: the prefix positions of the placed members of N[v]
+        if not rest:
+            return order if order[1] < order[-1] else None
+        bit = 1 << len(order)
+        todo = rest
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            grown = at[:]
+            grown[u] = bit
+            for i, v in enumerate(order):
+                if adj[u] >> v & 1:
+                    grown[v] |= bit
+                    grown[u] |= 1 << i
+            placed = order + [u]
+            if _arcs_fit(adj, grown, placed, 2 * bit - 1, rest ^ low):
+                found = extend(placed, grown, rest ^ low)
+                if found:
+                    return found
+        return None
+
+    return extend([0], [1] + [0] * (n - 1), (1 << n) - 2)
 
 
-def _is_circular_arc(posset, n):
-    """A position set is an arc iff it or its complement is contiguous."""
-    if len(posset) >= n:
-        return True
-    ps = sorted(posset)
-    if ps[-1] - ps[0] == len(ps) - 1:
-        return True
-    comp = sorted(set(range(n)) - posset)
-    return comp[-1] - comp[0] == len(comp) - 1
+def _arcs_fit(adj, at, placed, full, rest):
+    """The prefix test of is_circular_interval; `full` masks the prefix."""
+    for v in placed:
+        if adj[v]:
+            m = at[v]
+            if not (_is_run(m) or (_is_run(full ^ m) and adj[v] & rest == rest)):
+                return False
+    return True
+
+
+def _is_run(m):
+    """The set bits of m are consecutive (or there are none)."""
+    return m & (m + (m & -m)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +510,11 @@ def bk_free_scan(g, delta=None, max_sub=None, high_low=None, kp_cap=8):
             if not ok:
                 continue
             f = ListSizeFn(tuple(fvals))
-            from .alon_tarsi import is_f_AT
-
             at_ok, cert = is_f_AT(sub, f)
             if at_ok:
                 found.append((vs, "orientation", cert))
                 continue
             if sub.n <= kp_cap:
-                kp = None
-                from .kernel import is_f_KP
-
                 kp = is_f_KP(sub, f, allow_doubling=True, cap=kp_cap)
                 if kp is not None:
                     found.append((vs, "kernel", kp))

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +154,26 @@ def test_structure_linegraph_report_bytes(tmp_path, monkeypatch, capsys):
         "90c881a063604301a21ea06780cbabc10d2554d91dffb4c29822e90873675b28")
 
 
+@pytest.mark.parametrize("name, graph, code, digest", [
+    # C_8^2 shuffled: the report pins the first order found
+    ("c8sq.g6", _relabel(SimpleGraph.from_edges(8, [
+        (u, v) for u in range(8) for v in range(u + 1, 8) if min(v - u, 8 - v + u) <= 2]),
+        [5, 2, 7, 0, 3, 6, 1, 4]), 0,
+     "fff0d49031897849e3cd7c0949173f50b8a75db0ee8ac319cfc788f203848d48"),
+    # quasi-line, but not a circular interval graph
+    ("quasi7.g6", SimpleGraph.from_edges(7, [
+        (0, 6), (1, 2), (1, 3), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6), (3, 5), (5, 6)]), 1,
+     "98641c96c493ecfebf9ba7ab5151b46db724b92b8879e27e78830edb99315f5e"),
+])
+def test_structure_circular_report_bytes(name, graph, code, digest, tmp_path, monkeypatch,
+                                         capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    assert run(["structure", "circular", name, "--json", "rep.json"]) == code
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_kp_subcommands(tmp_path, capsys):
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
     path = write(tmp_path, "k33.txt", emit_edge_list(b))
@@ -222,6 +244,27 @@ def test_corpus_empty_dir(tmp_path, capsys):
     assert run(["corpus", str(d), "--task", "at"]) == 0
 
 
+def test_corpus_cap_vertices(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    (d / "c4.g6").write_text(emit_graph6(cycle_graph(4)))
+    rep = str(tmp_path / "corpus.json")
+    assert run(["corpus", str(d), "--task", "at", "--cap-vertices", "4",
+                "--json", rep]) == 1
+    byname = {r["item"]: r for r in json.loads(open(rep).read())["results"]}
+    assert byname["c4.g6"]["pass"]
+    assert byname["c5.g6"]["payload"] == {"error": "over --cap-vertices (5)"}
+
+
+def test_cap_flags_belong_to_corpus(c5_file, capsys):
+    for argv in (["structure", "clawfree", c5_file, "--cap-vertices", "3"],
+                 ["--cap-edges", "3", "structure", "clawfree", c5_file]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+
 def test_f_spec_lowset(c5_file, tmp_path, capsys):
     rep = str(tmp_path / "r.json")
     # lows get full degree (2), others degree-1: C5 fails at that budget
@@ -248,6 +291,44 @@ def test_readme_cli_examples_parse():
     parser = cli.build_parser()
     for argv in examples:
         parser.parse_args(argv)  # a rejected example exits with status 2
+
+
+def _fresh_process(argv, cwd):
+    """Exit code of the same command in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "colorcert.cli"] + argv, cwd=cwd, env=env,
+                          capture_output=True).returncode
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # cli.main builds its parser on its first call and reuses it; no parse
+    # may leak into the next one
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "c5.g6", emit_graph6(cycle_graph(5)))
+    assert run(["catalog", "verify", "--entry", "1f"]) == 0
+    assert run(["catalog", "verify", "--json", "all.json"]) == 0
+    assert len(json.loads((tmp_path / "all.json").read_text())["results"]) == 24
+    assert run(["--json", "before.json", "structure", "clawfree", "c5.g6"]) == 0
+    assert run(["structure", "clawfree", "c5.g6", "--json", "after.json"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["structure", "clawfree"])
+    assert exc.value.code == 2
+    assert run(["structure", "quasiline", "c5.g6", "--json", "valid.json"]) == 0
+    assert len(built) == 1
+    assert (tmp_path / "before.json").read_bytes() == (tmp_path / "after.json").read_bytes()
+    for argv, report in (
+            (["catalog", "verify", "--json", "fresh_all.json"], "all"),
+            (["--json", "fresh_before.json", "structure", "clawfree", "c5.g6"], "before"),
+            (["structure", "clawfree", "c5.g6", "--json", "fresh_after.json"], "after"),
+            (["structure", "quasiline", "c5.g6", "--json", "fresh_valid.json"], "valid")):
+        assert _fresh_process(argv, tmp_path) == 0
+        assert ((tmp_path / f"{report}.json").read_bytes()
+                == (tmp_path / f"fresh_{report}.json").read_bytes())
 
 
 @pytest.mark.parametrize("name, graph, failing, digest", [

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -106,6 +106,122 @@ def test_linear_and_circular_interval():
     assert structure.is_circular_interval(complete_graph(4)) is not None
     claw = complete_bipartite(1, 3)
     assert structure.is_circular_interval(claw) is None
+
+
+def is_circular_interval(g, cap=9):
+    """A circular vertex order with contiguous arc neighborhoods, or None."""
+    if g.n > cap:
+        raise ValueError(f"search capped at {cap} vertices")
+    if g.n <= 2:
+        return list(range(g.n))
+    n = g.n
+    for perm in permutations(range(1, n)):
+        order = [0] + list(perm)
+        if order[1] > order[-1]:
+            continue  # skip reflections
+        pos = {v: i for i, v in enumerate(order)}
+        ok = True
+        for v in order:
+            nbrs = {pos[w] for w in g.neighbors(v)}
+            if not nbrs:
+                continue
+            # the closed neighborhood must form a circular arc
+            block = nbrs | {pos[v]}
+            if not _is_circular_arc(block, n):
+                ok = False
+                break
+        if ok:
+            return order
+    return None
+
+
+def _is_circular_arc(posset, n):
+    """A position set is an arc iff it or its complement is contiguous."""
+    if len(posset) >= n:
+        return True
+    ps = sorted(posset)
+    if ps[-1] - ps[0] == len(ps) - 1:
+        return True
+    comp = sorted(set(range(n)) - posset)
+    return comp[-1] - comp[0] == len(comp) - 1
+
+
+def _cycle_power(n, k):
+    return [(u, v) for u, v in combinations(range(n), 2) if min(v - u, n - v + u) <= k]
+
+
+def _path_power(n, k):
+    return [(u, v) for u, v in combinations(range(n), 2) if v - u <= k]
+
+
+def _shuffled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _circular_hard_cases(rng):
+    """Graphs where the prune's wrap-around case and its limits matter.
+
+    The oracle takes about 0.15 s on a 9-vertex graph that is not
+    circular, so only some families reach the cap.
+    """
+    for n in range(5, 10):
+        for k in (1, 2, 3):
+            cyc = _cycle_power(n, k)
+            yield _shuffled(rng, n, cyc)
+            yield _shuffled(rng, n, _path_power(n, k))
+            if n == 9 and k != 2:
+                continue
+            # near misses: C_n^k with one edge removed or one added
+            gone = rng.choice(cyc)
+            yield _shuffled(rng, n, [e for e in cyc if e != gone])
+            others = [e for e in combinations(range(n), 2) if e not in cyc]
+            if others:
+                yield _shuffled(rng, n, cyc + [rng.choice(others)])
+            if n <= 8:
+                # an isolated vertex, then a vertex adjacent to all others
+                yield _shuffled(rng, n + 1, cyc)
+                yield _shuffled(rng, n + 1, cyc + [(v, n) for v in range(n)])
+        yield _shuffled(rng, n, cycle_graph(n).complement().edge_list())
+    for i in range(60):
+        n = 9 if i % 15 == 0 else rng.randint(3, 8)
+        yield random_simple_graph(rng, n, rng.uniform(0.2, 0.9))
+
+
+def test_circular_interval_matches_brute_force(rng):
+    answers = []
+    for g in _circular_hard_cases(rng):
+        answer = structure.is_circular_interval(g)
+        assert answer == is_circular_interval(g), g.edge_list()
+        answers.append(answer)
+    # both answers occur often
+    assert sum(a is None for a in answers) >= 30
+    assert sum(a is not None for a in answers) >= 60
+
+
+def test_circular_search_cuts_by_its_rule(monkeypatch):
+    # prefixes tested on the complements of C5..C9; a search that lets an
+    # arc wrap past an unplaced non-neighbour tests 26, 193, 179, 2775
+    # and 1782 of them
+    fit = structure._arcs_fit
+    tested = []
+
+    def counting(*a):
+        tested.append(1)
+        return fit(*a)
+
+    monkeypatch.setattr(structure, "_arcs_fit", counting)
+    for n, most in zip(range(5, 10), (14, 79, 39, 477, 125)):
+        tested.clear()
+        structure.is_circular_interval(cycle_graph(n).complement())
+        assert len(tested) <= most, n
+
+
+def test_circular_interval_cap():
+    with pytest.raises(ValueError):
+        structure.is_circular_interval(cycle_graph(10))
+    assert structure.is_circular_interval(complete_graph(2)) == [0, 1]
 
 
 def test_builtin_strip_instances_verify():
