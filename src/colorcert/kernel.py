@@ -45,138 +45,78 @@ def is_kernel_perfect(d, cap=12):
 
     Returns (True, None) or (False, first failing induced vertex set),
     scanning induced sets by increasing size then lexicographically.
+
+    An independent set K is a kernel of S exactly when K <= S <= K | In(K),
+    In(K) being the vertices with an arc into K.  So one pass over the
+    independent sets marks every vertex set that has a kernel.
     """
     if d.n > cap:
         raise ValueError(f"exhaustive check capped at {cap} vertices")
-    for size in range(1, d.n + 1):
-        for sub in combinations(range(d.n), size):
-            if find_kernel(d, sub) is None:
-                return False, set(sub)
-    return True, None
+    n = d.n
+    support = [0] * n
+    into = [0] * n
+    for u, v in d.arcs:
+        support[u] |= 1 << v
+        support[v] |= 1 << u
+        into[v] |= 1 << u
+    has_kernel = bytearray(1 << n)
+    # (K, In(K), vertices above max(K) with no support edge to K)
+    stack = [(0, 0, (1 << n) - 1)]
+    while stack:
+        k, reach, free = stack.pop()
+        s = reach
+        while True:
+            has_kernel[k | s] = 1
+            if not s:
+                break
+            s = (s - 1) & reach
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            stack.append((k | low, reach | into[v], free & ~support[v]))
+    failing = [s for s in range(1, 1 << n) if not has_kernel[s]]
+    if not failing:
+        return True, None
+    members = [[v for v in range(n) if s >> v & 1] for s in failing]
+    return False, set(min(members, key=lambda m: (len(m), m)))
 
 
 # ---------------------------------------------------------------------------
 # the line-graph characterization
-
-def _cyclic_clique(d, g):
-    """A maximal clique whose one-way arcs contain a directed cycle.
-
-    A clique is transitively orientable up to bidirected pairs exactly
-    when its one-way arcs are acyclic (they then extend to a linear
-    order).  A one-way directed cycle inside a clique -- a directed
-    triangle, or a longer cycle whose chords are all bidirected --
-    leaves some induced subdigraph without a kernel.
-    """
-    strict = d.strict_arcs()
-    for clique in _maximal_cliques(g):
-        cl = set(clique)
-        arcs = [(u, v) for u, v in strict if u in cl and v in cl]
-        out = {v: [] for v in cl}
-        for u, v in arcs:
-            out[u].append(v)
-        # cycle detection by iterated sink removal
-        indeg = {v: 0 for v in cl}
-        for u, v in arcs:
-            indeg[v] += 1
-        queue = [v for v in cl if indeg[v] == 0]
-        removed = 0
-        while queue:
-            v = queue.pop()
-            removed += 1
-            for w in out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if removed != len(cl):
-            return tuple(sorted(cl))
-    return None
-
-
-def _maximal_cliques(g):
-    """Bron-Kerbosch over adjacency bitmasks."""
-    masks = g.adjacency_masks()
-
-    def expand(r, p, x):
-        if not p and not x:
-            yield [v for v in range(g.n) if r >> v & 1]
-            return
-        # pivot on a vertex covering the most of p
-        cand = p
-        pool = [v for v in range(g.n) if (p | x) >> v & 1]
-        if pool:
-            piv = max(pool, key=lambda v: bin(p & masks[v]).count("1"))
-            cand = p & ~masks[piv]
-        for v in [v for v in range(g.n) if cand >> v & 1]:
-            yield from expand(r | 1 << v, p & masks[v], x & masks[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    yield from expand(0, (1 << g.n) - 1, 0)
-
-
-def _chordless_strict_odd_cycle(d, max_len=9):
-    """An induced directed odd cycle of length >= 5 using one-way arcs.
-
-    Cycles through a bidirected pair always have a kernel available on
-    the pair, and cycles with a chord are not minimal obstructions, so
-    only chordless all-strict cycles are reported.
-    """
-    g = d.support()
-    adj = g.adjacency_masks()
-    strict = d.strict_arcs()
-    strict_out = {v: set() for v in range(d.n)}
-    for u, v in strict:
-        strict_out[u].add(v)
-
-    def extend(path, blocked):
-        # blocked: support neighbors of internal path vertices (chords)
-        start = path[0]
-        last = path[-1]
-        if len(path) >= 5 and len(path) % 2 == 1 and start in strict_out[last]:
-            return list(path)
-        if len(path) >= max_len:
-            return None
-        for w in sorted(strict_out[last]):
-            if w <= start or w in path:
-                continue
-            if (blocked >> w) & 1:
-                continue
-            res = extend(path + [w], blocked | (adj[last] & ~(1 << w)))
-            if res:
-                return res
-        return None
-
-    for v in range(d.n):
-        res = extend([v], 0)
-        if res:
-            return res
-    return None
-
 
 def kp_line_characterization(d, root, origin=None):
     """Decide kernel-perfection for an orientation of a line graph.
 
     The orientation must cover the line graph of `root` exactly (every
     edge gets one or both arc directions); `origin` may relabel the
-    line-graph vertices by giving the root edge of each.  The digraph
-    is kernel-perfect iff every clique's one-way arcs are acyclic (so
-    every clique is oriented transitively, up to bidirected pairs) and
-    no chordless directed odd cycle of one-way arcs exists.
+    line-graph vertices by giving the root edge of each.
 
-    The odd-cycle search runs only when the root is not bipartite.  An
-    induced cycle of length >= 4 in the line graph is a cycle of the
-    same length in the root's support: parallel copies are adjacent
-    twins, so two of them on one induced cycle would give it a chord.
-    A bipartite root has no odd cycle, so its line graph has no odd hole
-    and the search could only come back empty.
+    For a bipartite root B, L(B) and all its induced subgraphs are
+    perfect (König).  By Boros and Gurvich ("Perfect graphs are kernel
+    solvable", 1996) an orientation of a perfect graph, bidirected pairs
+    allowed, is then kernel-perfect iff the one-way arcs inside every
+    clique are acyclic; a one-way cycle in a clique leaves that clique
+    without a kernel.  B has no triangle, so the maximal cliques of L(B)
+    are its stars, and the test runs star by star.  Any other root gets
+    the exhaustive `is_kernel_perfect`, which raises above its cap.
     """
-    lg, _ = line_graph(root, origin)
+    lg, origin = line_graph(root, origin)
     if d.support().edges != lg.edges or d.n != lg.n:
         raise ValueError("digraph support is not the line graph of the root")
-    if _cyclic_clique(d, lg) is not None:
-        return False
-    if bipartition(root) is None and _chordless_strict_odd_cycle(d) is not None:
-        return False
+    if bipartition(root) is None:
+        return is_kernel_perfect(d)[0]
+    one_way = [0] * d.n
+    for u, v in d.strict_arcs():
+        one_way[u] |= 1 << v
+    for star in copy_stars(root.n, origin):
+        # peel off sinks of the one-way arcs until the star is empty
+        rest = sum(1 << i for i in star)
+        while rest:
+            sink = next((i for i in star if rest >> i & 1 and not one_way[i] & rest), None)
+            if sink is None:
+                return False
+            rest ^= 1 << sink
     return True
 
 
@@ -189,7 +129,9 @@ class KPCertificate:
     `digraph` may contain bidirected pairs, which model doubled edges
     of a supergraph of `graph`; `supergraph_edges` records the doubled
     pairs.  `root` (optional) is a multigraph whose line graph is the
-    underlying graph, enabling the fast kernel-perfection check.
+    underlying graph; `check()` then goes through
+    `kp_line_characterization`, which tests stars when the root is
+    bipartite and runs the exhaustive check otherwise.
     """
 
     def __init__(self, graph, f, digraph, supergraph_edges=(), root=None,
@@ -202,7 +144,7 @@ class KPCertificate:
         self.origin = tuple(origin) if origin is not None else None
         self.verified_by = verified_by
 
-    def check(self, cap=12):
+    def check(self):
         """Re-verify all claims: support, out-degree bound, kernel-perfection."""
         if self.digraph.support().edges != self.graph.edges:
             return False
@@ -218,7 +160,7 @@ class KPCertificate:
             return False
         if self.root is not None:
             return kp_line_characterization(self.digraph, self.root, origin=self.origin)
-        ok, _ = is_kernel_perfect(self.digraph, cap=cap)
+        ok, _ = is_kernel_perfect(self.digraph)
         return ok
 
     def to_json(self):
@@ -303,8 +245,7 @@ def is_f_KP(g, f, allow_doubling=False, cap=8):
         return None
     arcs = [a for group in chosen for a in group]
     d = Digraph.from_arcs(g.n, arcs)
-    doubled = [e for e in edges if (e[0], e[1]) in d.arcs and (e[1], e[0]) in d.arcs]
-    return KPCertificate(g, f, d, doubled, verified_by="exhaustive")
+    return KPCertificate(g, f, d, _doubled_pairs(d), verified_by="exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +339,8 @@ def galvin_orientation(b, parts=None):
     irregular inputs), a backtracking search over per-vertex star
     orders takes over (`_search_star_orders`, pruned to the subtrees
     that can still meet every rank-sum bound).  Either orientation is
-    re-checked through the line-graph characterization, which skips its
-    odd-hole search here because the root is bipartite.
+    re-checked through the line-graph characterization, which needs only
+    its star test here because the root is bipartite.
     """
     if parts is None:
         parts = bipartition(b)
@@ -570,10 +511,7 @@ def mu3_kp_certificates():
         ))
         if any(outs[v] > f(v) - 1 for v in range(lg.n)):
             raise AssertionError(f"{entry.name}: out-degree exceeds budget")
-        doubled = [
-            tuple(sorted((u, v))) for u, v in d.arcs if u < v and d.is_bidirected(u, v)
-        ]
-        certs.append(KPCertificate(lg, f, d, doubled, root=entry.root,
+        certs.append(KPCertificate(lg, f, d, _doubled_pairs(d), root=entry.root,
                                    origin=entry.edge_origin,
                                    verified_by="characterization"))
     return certs

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -37,6 +38,14 @@ def test_is_kernel_perfect_classics():
     trans = Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
     ok, bad = kernel.is_kernel_perfect(trans)
     assert ok and bad is None
+    assert kernel.is_kernel_perfect(Digraph.from_arcs(0, [])) == (True, None)
+    # a bidirected pair is an edge: each end alone is a kernel
+    assert kernel.is_kernel_perfect(Digraph.from_arcs(2, [(0, 1), (1, 0)])) == (True, None)
+    # the first failing set is the least by size, then lexicographically
+    two = Digraph.from_arcs(6, [(3, 4), (4, 5), (5, 3), (0, 1), (1, 2), (2, 0)])
+    assert kernel.is_kernel_perfect(two) == (False, {0, 1, 2})
+    with pytest.raises(ValueError, match="capped"):
+        kernel.is_kernel_perfect(Digraph.from_arcs(13, []))
 
 
 def test_characterization_matches_exhaustive_300(rng):
@@ -291,7 +300,104 @@ def test_galvin_star_order_fallback_finishes(records):
 
 
 # ---------------------------------------------------------------------------
-# bipartite roots: the characterization needs no odd-hole search
+# the subset-marking is_kernel_perfect against the earlier per-subset search
+
+def _is_kernel_perfect_oracle(d, cap=12):
+    """Exhaustive kernel-perfection check.
+
+    Returns (True, None) or (False, first failing induced vertex set),
+    scanning induced sets by increasing size then lexicographically.
+    """
+    if d.n > cap:
+        raise ValueError(f"exhaustive check capped at {cap} vertices")
+    for size in range(1, d.n + 1):
+        for sub in combinations(range(d.n), size):
+            if kernel.find_kernel(d, sub) is None:
+                return False, set(sub)
+    return True, None
+
+
+def _random_arcs(rng, edges, both):
+    """Each edge one way at random, or both ways with probability `both`."""
+    arcs = []
+    for u, v in edges:
+        r = rng.random()
+        arcs += [(u, v), (v, u)] if r < both else [(u, v)] if r < (1 + both) / 2 else [(v, u)]
+    return arcs
+
+
+def _random_digraph(rng, n):
+    p = rng.uniform(0.2, 0.8)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Digraph.from_arcs(n, _random_arcs(rng, edges, rng.choice((0, 0.15, 0.4))))
+
+
+def _one_way_odd_cycle_digraph(rng, n):
+    """A one-way odd cycle through some of n vertices, other pairs at random."""
+    k = rng.choice([k for k in (3, 5, 7, 9) if k <= n])
+    ring = rng.sample(range(n), k)
+    cycle = {(ring[i], ring[(i + 1) % k]) for i in range(k)}
+    p = rng.uniform(0.1, 0.6)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u, v) not in cycle and (v, u) not in cycle and rng.random() < p]
+    return Digraph.from_arcs(n, sorted(cycle) + _random_arcs(rng, edges, 0.15))
+
+
+def _odd_cycle_line_orientation(rng, k):
+    """L(C_k plus pendant edges, 9 edges in all at most), labels shuffled,
+    oriented at random.
+
+    Some pairs are bidirected; half the time the copies of the cycle
+    edges point one way around the cycle, an induced one-way odd cycle.
+    """
+    extra = rng.randint(0, 9 - k)
+    n = k + extra
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ring = [tuple(sorted((perm[i], perm[(i + 1) % k]))) for i in range(k)]
+    pendants = [(perm[rng.randrange(k)], perm[k + i]) for i in range(extra)]
+    b = MultiGraph.from_edges(n, ring + pendants)
+    g, origin = line_graph(b)
+    forced = set()
+    if rng.random() < 0.5:
+        cyc = [origin.index(e) for e in ring]
+        forced = {(cyc[i], cyc[(i + 1) % k]) for i in range(k)}
+    free = [(u, v) for u, v in g.edge_list() if (u, v) not in forced and (v, u) not in forced]
+    return b, Digraph.from_arcs(g.n, sorted(forced) + _random_arcs(rng, free, 0.15)), origin
+
+
+def _non_bipartite_line_orientation(rng):
+    """A random orientation, bidirected pairs included, of L(B) for a
+    random multigraph B with an odd cycle and at most 9 edge copies."""
+    while True:
+        b = random_multigraph(rng, rng.randint(3, 6), rng.randint(3, 7), max_mult=2)
+        g, origin = line_graph(b)
+        if g.n <= 9 and kernel.bipartition(b) is None:
+            return b, Digraph.from_arcs(g.n, _random_arcs(rng, g.edge_list(), 0.2)), origin
+
+
+def test_is_kernel_perfect_matches_the_per_subset_search(rng):
+    kp = 0
+    for i in range(520):
+        n = rng.randint(1, 9)
+        kind = i % 4
+        if kind == 0:
+            d = _random_digraph(rng, n)
+        elif kind == 1:
+            d = _one_way_odd_cycle_digraph(rng, max(n, 3))
+        elif kind == 2:
+            _, d, _ = _odd_cycle_line_orientation(rng, rng.choice((3, 5, 7, 9)))
+        else:
+            _, d, _ = _non_bipartite_line_orientation(rng)
+        want = _is_kernel_perfect_oracle(d)
+        assert kernel.is_kernel_perfect(d) == want, sorted(d.arcs)
+        kp += want[0]
+    assert 100 < kp < 460
+
+
+# ---------------------------------------------------------------------------
+# the line-graph characterization: a star test on bipartite roots (König,
+# Boros-Gurvich), the exhaustive check on any other root
 
 def _random_line_orientation(rng, b):
     g, origin = line_graph(b)
@@ -334,16 +440,66 @@ def test_characterization_on_bipartite_roots_matches_exhaustive(rng):
     assert 50 < kp < 250
 
 
-def test_odd_hole_search_runs_only_on_non_bipartite_roots(monkeypatch):
+def test_exhaustive_check_runs_only_on_non_bipartite_roots(monkeypatch):
     calls = []
-    search = kernel._chordless_strict_odd_cycle
-    monkeypatch.setattr(kernel, "_chordless_strict_odd_cycle",
-                        lambda d: calls.append(d.n) or search(d))
+    exhaustive = kernel.is_kernel_perfect
+    monkeypatch.setattr(kernel, "is_kernel_perfect",
+                        lambda d: calls.append(d.n) or exhaustive(d))
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
-    assert kernel.galvin_orientation(b).check()
+    cert = kernel.galvin_orientation(b)
+    assert cert.check()
     assert calls == []
-    c5 = MultiGraph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    c5 = MultiGraph.from_edges(5, cycle_graph(5).edge_list())
     g, origin = line_graph(c5)
     d = Digraph.from_arcs(5, g.edge_list())
     kernel.kp_line_characterization(d, c5, origin=origin)
     assert calls == [5]
+
+
+def _directed_line_cycle(k):
+    """L(C_k) with each copy pointing to the next one around the cycle."""
+    c = MultiGraph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
+    _, origin = line_graph(c)
+    index = {e: i for i, e in enumerate(origin)}
+    ring = [index[tuple(sorted((i, (i + 1) % k)))] for i in range(k)]
+    d = Digraph.from_arcs(k, [(ring[i], ring[(i + 1) % k]) for i in range(k)])
+    return c, d, origin
+
+
+@pytest.mark.parametrize("k", [5, 7, 9])
+def test_directed_line_odd_cycle_is_not_kernel_perfect(k):
+    c, d, origin = _directed_line_cycle(k)
+    assert not kernel.kp_line_characterization(d, c, origin=origin)
+    assert not _is_kernel_perfect_oracle(d)[0]
+
+
+def test_directed_line_c5_certificate_fails_its_check():
+    # every out-degree is 1 = f - 1, so only kernel-perfection can fail
+    c, d, origin = _directed_line_cycle(5)
+    g, _ = line_graph(c, origin)
+    cert = kernel.KPCertificate(g, ListSizeFn.constant(5, 2), d, root=c, origin=origin,
+                                verified_by="characterization")
+    assert not cert.check()
+
+
+def test_characterization_on_non_bipartite_roots_matches_the_oracle(rng):
+    kp = 0
+    for i in range(120):
+        if i % 2:
+            b, d, origin = _odd_cycle_line_orientation(rng, rng.choice((5, 7, 9)))
+        else:
+            b, d, origin = _non_bipartite_line_orientation(rng)
+        want = _is_kernel_perfect_oracle(d)[0]
+        assert kernel.kp_line_characterization(d, b, origin=origin) == want, b.edges
+        kp += want
+    assert 20 < kp < 100
+
+
+def test_characterization_above_the_cap_raises_on_non_bipartite_roots():
+    # a transitive orientation of L(C_13) is kernel-perfect, but the
+    # exhaustive check is capped at 12 vertices, so no verdict is given
+    c = MultiGraph.from_edges(13, [(i, (i + 1) % 13) for i in range(13)])
+    g, origin = line_graph(c)
+    d = Digraph.from_arcs(g.n, g.edge_list())
+    with pytest.raises(ValueError, match="capped"):
+        kernel.kp_line_characterization(d, c, origin=origin)

@@ -1,4 +1,6 @@
-"""Every name a colorcert module imports is used by that module."""
+"""Every name a colorcert module imports is used by that module, and
+every module-level private function or class is used somewhere in the
+package; brute force kept only for cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -49,3 +51,57 @@ def test_the_check_sees_unused_imports():
         "    return dumps\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "parse"), (7, "chain")]
+
+
+def _unreferenced_private_defs(trees):
+    """(module, name) of each module-level `_private` function or class
+    that no module reads outside the definition itself.
+
+    A read is a name, an attribute or an imported name; a recursive
+    call inside the definition's own body does not count.
+    """
+    defs = []
+    reads = set()  # (name, module, top-level statement it sits in)
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defs.append((module, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    reads.add((node.id, module, owner))
+                elif isinstance(node, ast.Attribute):
+                    reads.add((node.attr, module, owner))
+                elif isinstance(node, ast.alias):
+                    reads.add((node.name, module, owner))
+    return [(module, name) for module, name in defs
+            if not any(r == name and (m, o) != (module, name) for r, m, o in reads)]
+
+
+def test_no_unreferenced_private_defs():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_private_defs(trees) == []
+
+
+def test_the_check_sees_unreferenced_private_defs():
+    trees = {
+        "a.py": ast.parse(
+            "def _used(): pass\n"
+            "def _imported(): pass\n"
+            "def _by_attribute(): pass\n"
+            "def _recursive(k):\n"
+            "    return _recursive(k - 1)\n"
+            "class _Unused: pass\n"
+            "def __dunder__(): pass\n"
+            "def public():\n"
+            "    def _nested(): pass\n"
+            "    return _used()\n"
+        ),
+        "b.py": ast.parse(
+            "from . import a\n"
+            "from .a import _imported\n"
+            "x = a._by_attribute\n"
+        ),
+    }
+    assert _unreferenced_private_defs(trees) == [("a.py", "_recursive"), ("a.py", "_Unused")]
