@@ -24,9 +24,9 @@ TOOL_VERSION = "0.1.0"
 
 
 class RunReport:
-    def __init__(self, command, inputs=()):
+    def __init__(self, command):
         self.command = command
-        self.inputs = list(inputs)
+        self.inputs = []
         self.results = []
         self.started = time.time()
 
@@ -70,7 +70,7 @@ class RunReport:
         return 0 if self.all_pass else 1
 
 
-def parse_f_spec(spec, g, lows_from=None):
+def parse_f_spec(spec, g):
     """Budget specifiers: d1, const:<k>, file:<path>, lowset:<ids>.
 
     d1 gives every vertex degree minus one; lowset gives the listed

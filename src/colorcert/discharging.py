@@ -308,10 +308,7 @@ def witness_to_kp(h, w, delta):
             )
         fvals.append(fv)
     f = ListSizeFn(tuple(fvals))
-    cert = KPCertificate(
-        base.graph, f, base.digraph, base.supergraph_edges,
-        root=b, verified_by="characterization",
-    )
+    cert = KPCertificate(base.graph, f, base.digraph, base.supergraph_edges, root=b)
     if not cert.check():
         raise RuntimeError("orientation failed verification")
     return cert

@@ -99,39 +99,26 @@ class SimpleGraph:
         vs = list(vertices)
         return all(self.has_edge(u, v) for u, v in combinations(vs, 2))
 
-    def clique_number(self):
-        best = 1 if self.n else 0
+    def cliques(self):
+        """Every nonempty clique as an ascending tuple, by size and then
+        lexicographically."""
         adj = self.adjacency_masks()
+        found = []
 
         def extend(clique, cand):
-            nonlocal best
-            if len(clique) > best:
-                best = len(clique)
+            # cand: the common neighbours of `clique` above its last vertex
+            found.append(clique)
             while cand:
-                v = cand.bit_length() - 1
-                cand &= ~(1 << v)
-                if len(clique) + 1 + bin(cand).count("1") <= best:
-                    return
-                extend(clique + [v], cand & adj[v])
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                extend(clique + (v,), cand & adj[v])
 
-        extend([], (1 << self.n) - 1)
-        return best
-
-    def is_connected(self):
-        if self.n <= 1:
-            return True
-        adj = self.adjacency_masks()
-        seen = 1
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            m = adj[v] & ~seen
-            while m:
-                w = m.bit_length() - 1
-                m &= ~(1 << w)
-                seen |= 1 << w
-                frontier.append(w)
-        return seen == (1 << self.n) - 1
+        # the search meets cliques in lexicographic order, which a stable
+        # sort by size keeps within each size
+        extend((), (1 << self.n) - 1)
+        found.sort(key=len)
+        return found[1:]
 
 
 @dataclass(frozen=True)

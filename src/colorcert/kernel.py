@@ -131,18 +131,17 @@ class KPCertificate:
     pairs.  `root` (optional) is a multigraph whose line graph is the
     underlying graph; `check()` then goes through
     `kp_line_characterization`, which tests stars when the root is
-    bipartite and runs the exhaustive check otherwise.
+    bipartite and runs the exhaustive check otherwise.  `to_json` names
+    the route `check()` takes.
     """
 
-    def __init__(self, graph, f, digraph, supergraph_edges=(), root=None,
-                 origin=None, verified_by="exhaustive"):
+    def __init__(self, graph, f, digraph, supergraph_edges=(), root=None, origin=None):
         self.graph = graph
         self.f = f
         self.digraph = digraph
         self.supergraph_edges = tuple(sorted(tuple(sorted(e)) for e in supergraph_edges))
         self.root = root
         self.origin = tuple(origin) if origin is not None else None
-        self.verified_by = verified_by
 
     def check(self):
         """Re-verify all claims: support, out-degree bound, kernel-perfection."""
@@ -172,7 +171,8 @@ class KPCertificate:
             "f": list(self.f.values),
             "orientation": digraph_to_json(self.digraph),
             "doubled": [list(e) for e in self.supergraph_edges],
-            "verified_by": self.verified_by,
+            "verified_by": ("characterization" if self.root is not None
+                            and bipartition(self.root) is not None else "exhaustive"),
         }
         if self.root is not None:
             doc["root"] = {"n": self.root.n, "edges": [list(e) for e in self.root.edges]}
@@ -196,7 +196,6 @@ class KPCertificate:
         return KPCertificate(
             g, f, d, [tuple(e) for e in doc.get("doubled", [])],
             root=root, origin=origin,
-            verified_by=doc.get("verified_by", "exhaustive"),
         )
 
 
@@ -245,7 +244,7 @@ def is_f_KP(g, f, allow_doubling=False, cap=8):
         return None
     arcs = [a for group in chosen for a in group]
     d = Digraph.from_arcs(g.n, arcs)
-    return KPCertificate(g, f, d, _doubled_pairs(d), verified_by="exhaustive")
+    return KPCertificate(g, f, d, _doubled_pairs(d))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ def bipartite_edge_coloring(b):
     return colors
 
 
-def galvin_orientation(b, parts=None):
+def galvin_orientation(b):
     """Kernel-perfect orientation of the line graph of bipartite b.
 
     The certificate budget is f(e) = max of the endpoint degrees of the
@@ -342,15 +341,9 @@ def galvin_orientation(b, parts=None):
     re-checked through the line-graph characterization, which needs only
     its star test here because the root is bipartite.
     """
+    parts = bipartition(b)
     if parts is None:
-        parts = bipartition(b)
-        if parts is None:
-            raise ValueError("input multigraph is not bipartite")
-    else:
-        xset, yset = set(parts[0]), set(parts[1])
-        for u, v, _ in b.edges:
-            if not ((u in xset and v in yset) or (u in yset and v in xset)):
-                raise ValueError("edge not across the given parts")
+        raise ValueError("input multigraph is not bipartite")
     lg, origin = line_graph(b)
     degs = b.degrees()
     f = ListSizeFn(tuple(max(degs[u], degs[v]) for u, v in origin))
@@ -368,16 +361,14 @@ def galvin_orientation(b, parts=None):
     ])
     outs = d.out_degrees()
     if all(outs[i] <= f(i) - 1 for i in range(lg.n)):
-        cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b,
-                             verified_by="characterization")
+        cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b)
         if cert.check():
             return cert
 
     d = _search_star_orders(b, origin, f)
     if d is None:
         raise RuntimeError("no orientation met the degree bound")
-    cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b,
-                         verified_by="characterization")
+    cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b)
     if not cert.check():
         raise RuntimeError("star-order orientation failed its certificate check")
     return cert
@@ -512,6 +503,5 @@ def mu3_kp_certificates():
         if any(outs[v] > f(v) - 1 for v in range(lg.n)):
             raise AssertionError(f"{entry.name}: out-degree exceeds budget")
         certs.append(KPCertificate(lg, f, d, _doubled_pairs(d), root=entry.root,
-                                   origin=entry.edge_origin,
-                                   verified_by="characterization"))
+                                   origin=entry.edge_origin))
     return certs

@@ -15,6 +15,8 @@ from itertools import combinations
 
 from .kernel import find_kernel
 
+RANDOM_GAMES = 1000
+
 
 @dataclass
 class GameTranscript:
@@ -105,7 +107,7 @@ def _greedy_reduce(adj, mask, budget):
     return mask
 
 
-def is_f_paintable(g, f, cap=9, prune=True):
+def is_f_paintable(g, f, cap=9):
     """Exact value of the online game, with a sample winning line.
 
     Returns (paintable, transcript).  The transcript follows one
@@ -125,8 +127,7 @@ def is_f_paintable(g, f, cap=9, prune=True):
         return answers[listed]
 
     def painter_wins(mask, tokens):
-        if prune:
-            mask = _greedy_reduce(adj, mask, tokens)
+        mask = _greedy_reduce(adj, mask, tokens)
         if mask == 0:
             return True
         left = [tokens[v] for v in verts[mask]]
@@ -282,14 +283,14 @@ def paintable_implies_choosable_check(g, f):
 # ---------------------------------------------------------------------------
 # strategy play from certificates
 
-def kernel_painter_play(g, f, cert, adversary="exhaustive", games=1000):
+def kernel_painter_play(g, f, cert, adversary="exhaustive"):
     """Play the online game with the kernel strategy for the painter.
 
     The painter always colors a kernel of the certificate digraph
     induced on the listed set (restricted to uncolored vertices).
     `adversary` is "exhaustive" (sweep every lister line; returns the
     first transcript, raising if any line is lost) or "random:<seed>"
-    (play `games` random games).  Returns a painter-winning transcript.
+    (play RANDOM_GAMES random games).  Returns a painter-winning transcript.
     """
     d = cert.digraph
     if d.n != g.n:
@@ -346,15 +347,15 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive", games=1000):
 
         sweep(set(range(g.n)), [f(v) for v in range(g.n)])
         # reconstruct one full line for the transcript
-        return play_line(lambda unc, tok: sorted(unc))
+        return play_line(lambda unc, _tokens: sorted(unc))
 
     if adversary.startswith("random:"):
         seed = int(adversary.split(":", 1)[1])
         rng = random.Random(seed)
         last = None
-        for _ in range(games):
+        for _ in range(RANDOM_GAMES):
 
-            def moves(unc, tok):
+            def moves(unc, _tokens):
                 verts = sorted(unc)
                 k = rng.randint(1, len(verts))
                 return rng.sample(verts, k)

@@ -8,7 +8,7 @@ hunts induced subgraphs carrying orientation or kernel certificates.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .alon_tarsi import is_f_AT
 from .graphs import ListSizeFn, MultiGraph, SimpleGraph, line_graph
@@ -77,12 +77,7 @@ def recognize_line_graph(g, cap=12):
         # n isolated vertices: root is a matching of n edges
         return MultiGraph.from_edges(2 * g.n, [(2 * i, 2 * i + 1) for i in range(g.n)]) if g.n else MultiGraph.from_edges(0, [])
 
-    all_cliques = []
-    for size in range(2, g.n + 1):
-        for vs in combinations(range(g.n), size):
-            if g.is_clique(vs):
-                all_cliques.append(frozenset(vs))
-    all_cliques.sort(key=lambda c: (len(c), sorted(c)))
+    all_cliques = [frozenset(c) for c in g.cliques() if len(c) >= 2]
 
     def cover(remaining, used, load):
         # edge-clique cover with every vertex in at most two parts;
@@ -147,18 +142,14 @@ def find_homogeneous_pairs(g, nonlinear_only=False, cap=12):
     """
     if g.n > cap:
         raise ValueError(f"search capped at {cap} vertices")
-    cliques = []
-    for size in range(1, g.n + 1):
-        for vs in combinations(range(g.n), size):
-            if g.is_clique(vs):
-                cliques.append(frozenset(vs))
+    adj = g.adjacency_masks()
     found = []
-    for a1, a2 in combinations(cliques, 2):
+    for a1, a2 in combinations(map(frozenset, g.cliques()), 2):
         if a1 & a2 or len(a1) + len(a2) < 3:
             continue
         if not _homogeneous(g, a1, other=a2) or not _homogeneous(g, a2, other=a1):
             continue
-        if nonlinear_only and not _contains_induced_c4(g, a1 | a2):
+        if nonlinear_only and not _contains_induced_c4(adj, a1 | a2):
             continue
         found.append(HomogeneousPair(a1, a2))
     return found
@@ -173,10 +164,11 @@ def _homogeneous(g, aset, other=frozenset()):
     return True
 
 
-def _contains_induced_c4(g, verts):
+def _contains_induced_c4(adj, verts):
+    # the only 2-regular graph on 4 vertices is C4
     for quad in combinations(sorted(verts), 4):
-        sub, _ = g.induced(quad)
-        if sorted(sub.degrees()) == [2, 2, 2, 2] and len(sub.edges) == 4 and sub.is_connected():
+        m = sum(1 << v for v in quad)
+        if all((adj[v] & m).bit_count() == 2 for v in quad):
             return True
     return False
 
@@ -184,28 +176,19 @@ def _contains_induced_c4(g, verts):
 # ---------------------------------------------------------------------------
 # linear / circular interval orders
 
-def _is_linear_interval_order(g, order):
-    """Every closed neighborhood is contiguous in the order."""
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        ps = sorted([pos[v]] + [pos[w] for w in g.neighbors(v) if w in pos])
-        if ps[-1] - ps[0] != len(ps) - 1:
-            return False
-    return True
-
-
 def is_linear_interval(g, cap=10):
-    """A vertex order with contiguous neighborhoods, or None."""
+    """A vertex order with contiguous neighborhoods, or None.
+
+    The answer is the first order in the sequence of permutations that
+    puts one of each reversed pair first (order[0] < order[-1]).
+    """
     if g.n > cap:
         raise ValueError(f"search capped at {cap} vertices")
     if g.n <= 1:
         return list(range(g.n))
-    for perm in permutations(range(g.n)):
-        if perm[0] > perm[-1]:
-            continue  # skip reversals
-        if _is_linear_interval_order(g, list(perm)):
-            return list(perm)
-    return None
+    adj = g.adjacency_masks()
+    return _first_order(adj, [], [0] * g.n, (1 << g.n) - 1, lambda adj, at, placed, rest: (
+        (rest or placed[0] < placed[-1]) and _runs_fit(adj, at, placed, rest)))
 
 
 def is_circular_interval(g, cap=9):
@@ -215,16 +198,6 @@ def is_circular_interval(g, cap=9):
     permutations(range(1, n)) after vertex 0, that puts one of each
     reflected pair first (order[1] < order[-1]) and the closed
     neighborhood of every non-isolated vertex on an arc of the circle.
-
-    A depth-first search places the vertices in that sequence and drops
-    a prefix that no valid order extends.  An arc meets the segment of
-    placed positions in one run, unless it wraps through the unplaced
-    positions; then it holds all of them and meets the segment in two
-    runs, one at each end.  So each placed non-isolated vertex v needs
-    the placed part of N[v] to be one run, or its complement in the
-    prefix to be one run while v is adjacent to every unplaced vertex.
-    On a full order this is the arc test itself.  Only subtrees without
-    a valid order are cut, so the first order found is the scan's.
     """
     if g.n > cap:
         raise ValueError(f"search capped at {cap} vertices")
@@ -232,35 +205,71 @@ def is_circular_interval(g, cap=9):
     if n <= 2:
         return list(range(n))
     adj = g.adjacency_masks()
-
-    def extend(order, at, rest):
-        # at[v]: the prefix positions of the placed members of N[v]
-        if not rest:
-            return order if order[1] < order[-1] else None
-        bit = 1 << len(order)
-        todo = rest
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            u = low.bit_length() - 1
-            grown = at[:]
-            grown[u] = bit
-            for i, v in enumerate(order):
-                if adj[u] >> v & 1:
-                    grown[v] |= bit
-                    grown[u] |= 1 << i
-            placed = order + [u]
-            if _arcs_fit(adj, grown, placed, 2 * bit - 1, rest ^ low):
-                found = extend(placed, grown, rest ^ low)
-                if found:
-                    return found
-        return None
-
-    return extend([0], [1] + [0] * (n - 1), (1 << n) - 2)
+    return _first_order(adj, [0], [1] + [0] * (n - 1), (1 << n) - 2, _arcs_fit)
 
 
-def _arcs_fit(adj, at, placed, full, rest):
-    """The prefix test of is_circular_interval; `full` masks the prefix."""
+def _first_order(adj, order, at, rest, fits):
+    """The first completion of `order` whose every prefix passes `fits`.
+
+    A depth-first search places the unplaced vertices (the mask `rest`)
+    in ascending order at each position, so completions come in the
+    order of a scan over their permutations.  at[v] masks the prefix
+    positions of the placed members of N[v].  fits(adj, at, placed, rest)
+    sees each grown prefix, the full order (rest == 0) included; it may
+    reject only prefixes that no accepted order extends, so the first
+    order found is the scan's.  Returns None when no order is accepted.
+    """
+    if not rest:
+        return order
+    bit = 1 << len(order)
+    todo = rest
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
+        grown = at[:]
+        grown[u] = bit
+        for i, v in enumerate(order):
+            if adj[u] >> v & 1:
+                grown[v] |= bit
+                grown[u] |= 1 << i
+        placed = order + [u]
+        if fits(adj, grown, placed, rest ^ low):
+            found = _first_order(adj, placed, grown, rest ^ low, fits)
+            if found is not None:
+                return found
+    return None
+
+
+def _runs_fit(adj, at, placed, rest):
+    """The prefix test of a linear interval order.
+
+    N[v] fills one run of positions, so its placed part is one run, and
+    that run ends at the last placed position while N[v] has unplaced
+    vertices.  On a full order this is the contiguity test itself.
+    """
+    last = 1 << (len(placed) - 1)
+    for v in placed:
+        m = at[v]
+        if not _is_run(m) or (adj[v] & rest and not m & last):
+            return False
+    return True
+
+
+def _arcs_fit(adj, at, placed, rest):
+    """The prefix test of is_circular_interval.
+
+    An arc meets the segment of placed positions in one run, unless it
+    wraps through the unplaced positions; then it holds all of them and
+    meets the segment in two runs, one at each end.  So each placed
+    non-isolated vertex v needs the placed part of N[v] to be one run,
+    or its complement in the prefix to be one run while v is adjacent
+    to every unplaced vertex.  On a full order this is the arc test
+    itself, and the reflection of an earlier order is rejected.
+    """
+    if not rest and placed[1] > placed[-1]:
+        return False
+    full = (1 << len(placed)) - 1
     for v in placed:
         if adj[v]:
             m = at[v]
@@ -345,15 +354,15 @@ def verify_2join(g, tj, cap=10):
 def _interval_order_with_ends(sub, a1_idx, a2_idx):
     """Linear interval order placing A1 first and A2 last, or None."""
     n = sub.n
-    for perm in permutations(range(n)):
-        order = list(perm)
-        if set(order[: len(a1_idx)]) != a1_idx:
-            continue
-        if a2_idx and set(order[-len(a2_idx):]) != a2_idx:
-            continue
-        if _is_linear_interval_order(sub, order):
-            return order
-    return None
+    adj = sub.adjacency_masks()
+    tail = n - len(a2_idx)
+
+    def fits(adj, at, placed, rest):
+        p, u = len(placed) - 1, placed[-1]
+        return ((p >= len(a1_idx) or u in a1_idx) and (p < tail or u in a2_idx)
+                and _runs_fit(adj, at, placed, rest))
+
+    return _first_order(adj, [], [0] * n, (1 << n) - 1, fits)
 
 
 def reduce_2join(g, tj):
@@ -381,7 +390,7 @@ def reduce_2join(g, tj):
         sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2}
     )
 
-    def try_side(end_vertex, near, far, near_b, far_b):
+    def try_side(end_vertex, near, far, far_b):
         c = {w for w in tj.h if g.has_edge(end_vertex, w)} - near
         n_near = set()
         for a in near:
@@ -400,9 +409,9 @@ def reduce_2join(g, tj):
 
     v1 = order_map[order[0]]
     vt = order_map[order[-1]]
-    res = try_side(v1, tj.a1, tj.a2, tj.b1, tj.b2)
+    res = try_side(v1, tj.a1, tj.a2, tj.b2)
     if res is None:
-        mirrored = try_side(vt, tj.a2, tj.a1, tj.b2, tj.b1)
+        mirrored = try_side(vt, tj.a2, tj.a1, tj.b1)
         if mirrored is None:
             raise ValueError("strip is not reducible")
         res = TwoJoin(mirrored.h, mirrored.a2, mirrored.a1, mirrored.b2, mirrored.b1)
@@ -478,15 +487,14 @@ def compose(spec):
 # ---------------------------------------------------------------------------
 # reducibility scanner
 
-def bk_free_scan(g, delta=None, max_sub=None, high_low=None, kp_cap=8):
+def bk_free_scan(g, delta=None, max_sub=None):
     """Hunt induced subgraphs carrying a certificate under the f_H budget.
 
     f_H(v) = d_H(v) - 1 + delta - d_G(v) for each vertex v of an
-    induced subgraph H.  `delta` defaults to the maximum degree of g;
-    `high_low`, when given, maps each vertex to its intended degree in
-    a hypothetical host (overriding d_G).  For every induced subgraph
-    up to max_sub vertices, tests the orientation certificate first and
-    the kernel route (with doubling) second.  Returns a list of
+    induced subgraph H.  `delta` defaults to the maximum degree of g.
+    For every induced subgraph up to max_sub vertices, tests the
+    orientation certificate first and the kernel route (with doubling,
+    within is_f_KP's vertex cap) second.  Returns a list of
     (vertex tuple, kind, certificate); empty means no reducible piece
     was found within the caps.
     """
@@ -494,7 +502,7 @@ def bk_free_scan(g, delta=None, max_sub=None, high_low=None, kp_cap=8):
         delta = g.max_degree()
     if max_sub is None:
         max_sub = g.n
-    degs = list(g.degrees()) if high_low is None else [high_low[v] for v in range(g.n)]
+    degs = g.degrees()
     found = []
     for size in range(1, min(max_sub, g.n) + 1):
         for vs in combinations(range(g.n), size):
@@ -514,8 +522,10 @@ def bk_free_scan(g, delta=None, max_sub=None, high_low=None, kp_cap=8):
             if at_ok:
                 found.append((vs, "orientation", cert))
                 continue
-            if sub.n <= kp_cap:
-                kp = is_f_KP(sub, f, allow_doubling=True, cap=kp_cap)
-                if kp is not None:
-                    found.append((vs, "kernel", kp))
+            try:
+                kp = is_f_KP(sub, f, allow_doubling=True)
+            except ValueError:
+                continue  # over is_f_KP's cap
+            if kp is not None:
+                found.append((vs, "kernel", kp))
     return found

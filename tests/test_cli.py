@@ -174,6 +174,43 @@ def test_structure_circular_report_bytes(name, graph, code, digest, tmp_path, mo
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_structure_homopairs_report_bytes(tmp_path, monkeypatch, capsys):
+    # two triangles joined by a perfect matching, with outside vertices
+    # complete to one side, both or neither; four nonlinear pairs of two
+    # sizes pin the clique enumeration order
+    g = _relabel(SimpleGraph.from_edges(11, [
+        (0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5),
+        (6, 0), (6, 1), (6, 2), (7, 3), (7, 4), (7, 5), (6, 8), (7, 8), (6, 9), (7, 9),
+        (9, 0), (9, 1), (9, 2), (9, 3), (9, 4), (9, 5), (9, 8), (10, 8), (10, 9)]),
+        [5, 2, 7, 0, 3, 6, 1, 4, 10, 8, 9])
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "pairs11.g6", emit_graph6(g))
+    assert run(["structure", "homopairs", "pairs11.g6", "--nonlinear",
+                "--json", "rep.json"]) == 0
+    doc = json.loads((tmp_path / "rep.json").read_bytes())
+    assert len(doc["results"][0]["payload"]["pairs"]) == 4
+    assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
+        "f2745c5f5970d731b1c250a8d2bc63479766df6f3fe4bbe953640eb042e4d289")
+
+
+def test_structure_2join_reduce_report_bytes(tmp_path, monkeypatch, capsys):
+    # a shuffled path-square strip whose A1 side is not reducible, so the
+    # mirrored step on the A2 side runs
+    perm = [5, 2, 7, 0, 3, 6, 1, 4, 9, 8]
+    g = _relabel(SimpleGraph.from_edges(10, [
+        (i, j) for i in range(6) for j in range(i + 1, 6) if j - i <= 2] + [
+        (6, 7), (6, 0), (6, 1), (7, 0), (7, 1), (8, 5), (7, 9), (8, 9)]), perm)
+    tj = {name: sorted(perm[v] for v in part) for name, part in (
+        ("H", range(6)), ("A1", (0, 1)), ("A2", (5,)), ("B1", (6, 7)), ("B2", (8,)))}
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "strip10.g6", emit_graph6(g))
+    write(tmp_path, "tj.json", json.dumps(tj))
+    assert run(["structure", "2join", "reduce", "strip10.g6", "tj.json",
+                "--json", "rep.json"]) == 0
+    assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
+        "d85c8ae760056ee558b2c5e87ba7a5c5098529fa96a06666af4a967d462c3028")
+
+
 def test_kp_subcommands(tmp_path, capsys):
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
     path = write(tmp_path, "k33.txt", emit_edge_list(b))

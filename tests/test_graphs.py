@@ -11,7 +11,9 @@ from colorcert.graphs import (
     emit_graph6, join, line_graph, parse_edge_list, parse_graph6,
     path_graph,
 )
-from conftest import random_multigraph, random_simple_graph
+from conftest import (
+    path_power, random_interval_graph, random_multigraph, random_simple_graph, shuffled,
+)
 
 
 def test_simple_graph_basics():
@@ -19,7 +21,6 @@ def test_simple_graph_basics():
     assert g.degrees() == [2, 2, 2, 2]
     assert sorted(g.neighbors(0)) == [1, 3]
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-    assert g.is_connected()
     assert not g.is_clique([0, 1, 2])
     assert g.is_clique([0, 1])
 
@@ -38,6 +39,32 @@ def test_complement_and_induced():
     sub, order = g.induced({1, 2, 3})
     assert sub.n == 3 and len(sub.edges) == 2
     assert list(order) == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the clique enumerator against the earlier scan over all vertex subsets
+
+def _cliques_oracle(g):
+    cliques = []
+    for size in range(1, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            if g.is_clique(vs):
+                cliques.append(frozenset(vs))
+    return cliques
+
+
+def test_cliques_match_the_subset_scan(rng):
+    graphs = [SimpleGraph.from_edges(0, []), complete_graph(6), cycle_graph(7)]
+    for n in range(1, 10):
+        for k in (1, 2, 3):
+            graphs.append(shuffled(rng, n, path_power(n, k)))
+        graphs.append(random_interval_graph(rng, n))
+        graphs.append(random_simple_graph(rng, n, rng.uniform(0.2, 0.9)))
+    for _ in range(60):
+        graphs.append(random_simple_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.95)))
+    for g in graphs:
+        want = [tuple(sorted(c)) for c in _cliques_oracle(g)]
+        assert g.cliques() == want, g.edge_list()
 
 
 def test_multigraph_basics():

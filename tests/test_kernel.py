@@ -477,9 +477,20 @@ def test_directed_line_c5_certificate_fails_its_check():
     # every out-degree is 1 = f - 1, so only kernel-perfection can fail
     c, d, origin = _directed_line_cycle(5)
     g, _ = line_graph(c, origin)
-    cert = kernel.KPCertificate(g, ListSizeFn.constant(5, 2), d, root=c, origin=origin,
-                                verified_by="characterization")
+    cert = kernel.KPCertificate(g, ListSizeFn.constant(5, 2), d, root=c, origin=origin)
     assert not cert.check()
+
+
+def test_certificate_json_names_the_route_its_check_takes():
+    # a C5 root is not bipartite, so check() runs the exhaustive test
+    c, d, origin = _directed_line_cycle(5)
+    g, _ = line_graph(c, origin)
+    cert = kernel.KPCertificate(g, ListSizeFn.constant(5, 2), d, root=c, origin=origin)
+    assert cert.to_json()["verified_by"] == "exhaustive"
+    b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
+    assert kernel.galvin_orientation(b).to_json()["verified_by"] == "characterization"
+    searched = kernel.is_f_KP(cycle_graph(4), ListSizeFn.constant(4, 2))
+    assert searched.to_json()["verified_by"] == "exhaustive"
 
 
 def test_characterization_on_non_bipartite_roots_matches_the_oracle(rng):

@@ -1,6 +1,7 @@
-"""Every name a colorcert module imports is used by that module, and
-every module-level private function or class is used somewhere in the
-package; brute force kept only for cross-checking lives in the tests."""
+"""Every name a colorcert module imports is used by that module, every
+module-level private function or class is used somewhere in the
+package, and every function reads each of its parameters; brute force
+kept only for cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,48 @@ def test_the_check_sees_unreferenced_private_defs():
         ),
     }
     assert _unreferenced_private_defs(trees) == [("a.py", "_recursive"), ("a.py", "_Unused")]
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) of each parameter its function never reads.
+
+    A read anywhere in the function counts, nested functions included.
+    `self` and names that start with `_` are exempt, for callbacks whose
+    signature a caller fixes.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.lineno, getattr(node, "name", "<lambda>"), p.arg) for p in params
+                  if p.arg != "self" and not p.arg.startswith("_") and p.arg not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unread_parameters(tree) == []
+
+
+def test_the_check_sees_unread_parameters():
+    tree = ast.parse(
+        "class A:\n"
+        "    def m(self, used, unused, *rest, key=None, **extra):\n"
+        "        return used, key\n"
+        "def outer(a, b, _callback_arg):\n"
+        "    def inner(c):\n"
+        "        return a\n"
+        "    b = 1\n"
+        "    return inner, lambda x, _y, z: x\n"
+    )
+    assert _unread_parameters(tree) == [
+        (2, "m", "extra"), (2, "m", "rest"), (2, "m", "unused"),
+        (4, "outer", "b"), (5, "inner", "c"), (8, "<lambda>", "z"),
+    ]

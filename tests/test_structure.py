@@ -10,7 +10,9 @@ from colorcert.graphs import (
     MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, join, line_graph, path_graph,
 )
-from conftest import random_multigraph, random_simple_graph
+from conftest import (
+    path_power, random_interval_graph, random_multigraph, random_simple_graph, shuffled,
+)
 
 
 def _isomorphic(g1, g2, return_map=False):
@@ -108,6 +110,253 @@ def test_linear_and_circular_interval():
     assert structure.is_circular_interval(claw) is None
 
 
+# ---------------------------------------------------------------------------
+# the clique and vertex-order searches against the earlier scans over all
+# vertex subsets and all permutations
+
+def recognize_line_graph(g, cap=12):
+    """Find a root multigraph whose line graph equals g exactly."""
+    if g.n > cap:
+        raise ValueError(f"recognition capped at {cap} vertices")
+    edges = g.edge_list()
+    if not edges:
+        # n isolated vertices: root is a matching of n edges
+        return MultiGraph.from_edges(2 * g.n, [(2 * i, 2 * i + 1) for i in range(g.n)]) if g.n else MultiGraph.from_edges(0, [])
+
+    all_cliques = []
+    for size in range(2, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            if g.is_clique(vs):
+                all_cliques.append(frozenset(vs))
+    all_cliques.sort(key=lambda c: (len(c), sorted(c)))
+
+    def cover(remaining, used, load):
+        # edge-clique cover with every vertex in at most two parts;
+        # overlap on edges is allowed (parallel root edges share both
+        # of their cliques)
+        if not remaining:
+            return list(used)
+        pivot = min(remaining, key=lambda e: tuple(sorted(e)))
+        for cl in all_cliques:
+            if not pivot <= cl:
+                continue
+            if any(load[v] >= 2 for v in cl):
+                continue
+            inside = {frozenset(p) for p in combinations(sorted(cl), 2)}
+            for v in cl:
+                load[v] += 1
+            used.append(cl)
+            res = cover(remaining - inside, used, load)
+            if res is not None:
+                return res
+            used.pop()
+            for v in cl:
+                load[v] -= 1
+        return None
+
+    load = [0] * g.n
+    parts = cover(set(g.edges), [], load)
+    if parts is None:
+        return None
+    # every vertex must end in exactly two parts; vertices in fewer
+    # get private pendant parts
+    membership = {v: [i for i, cl in enumerate(parts) if v in cl] for v in range(g.n)}
+    extra = len(parts)
+    origin = []
+    for v in range(g.n):
+        ms = membership[v]
+        while len(ms) < 2:
+            ms.append(extra)
+            extra += 1
+        origin.append((min(ms), max(ms)))
+    root = MultiGraph.from_edges(extra, origin)
+    if line_graph(root, origin)[0].edges != g.edges:
+        return None
+    return root
+
+
+def find_homogeneous_pairs(g, nonlinear_only=False, cap=12):
+    """All homogeneous pairs of cliques (|A1| + |A2| >= 3)."""
+    if g.n > cap:
+        raise ValueError(f"search capped at {cap} vertices")
+    cliques = []
+    for size in range(1, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            if g.is_clique(vs):
+                cliques.append(frozenset(vs))
+    found = []
+    for a1, a2 in combinations(cliques, 2):
+        if a1 & a2 or len(a1) + len(a2) < 3:
+            continue
+        if not _homogeneous(g, a1, other=a2) or not _homogeneous(g, a2, other=a1):
+            continue
+        if nonlinear_only and not _contains_induced_c4(g, a1 | a2):
+            continue
+        found.append(structure.HomogeneousPair(a1, a2))
+    return found
+
+
+def _homogeneous(g, aset, other=frozenset()):
+    outside = set(range(g.n)) - aset - other
+    for v in outside:
+        hits = sum(1 for a in aset if g.has_edge(v, a))
+        if hits not in (0, len(aset)):
+            return False
+    return True
+
+
+def _contains_induced_c4(g, verts):
+    for quad in combinations(sorted(verts), 4):
+        sub, _ = g.induced(quad)
+        if sorted(sub.degrees()) == [2, 2, 2, 2] and len(sub.edges) == 4 and _connected(sub):
+            return True
+    return False
+
+
+def _connected(g):
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in g.neighbors(stack.pop()) - seen:
+            seen.add(w)
+            stack.append(w)
+    return len(seen) == g.n
+
+
+def _is_linear_interval_order(g, order):
+    """Every closed neighborhood is contiguous in the order."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        ps = sorted([pos[v]] + [pos[w] for w in g.neighbors(v) if w in pos])
+        if ps[-1] - ps[0] != len(ps) - 1:
+            return False
+    return True
+
+
+def is_linear_interval(g, cap=10):
+    """A vertex order with contiguous neighborhoods, or None."""
+    if g.n > cap:
+        raise ValueError(f"search capped at {cap} vertices")
+    if g.n <= 1:
+        return list(range(g.n))
+    for perm in permutations(range(g.n)):
+        if perm[0] > perm[-1]:
+            continue  # skip reversals
+        if _is_linear_interval_order(g, list(perm)):
+            return list(perm)
+    return None
+
+
+def _interval_order_with_ends(sub, a1_idx, a2_idx):
+    """Linear interval order placing A1 first and A2 last, or None."""
+    n = sub.n
+    for perm in permutations(range(n)):
+        order = list(perm)
+        if set(order[: len(a1_idx)]) != a1_idx:
+            continue
+        if a2_idx and set(order[-len(a2_idx):]) != a2_idx:
+            continue
+        if _is_linear_interval_order(sub, order):
+            return order
+    return None
+
+
+def _interval_hard_cases(rng, most=8):
+    """Path powers, interval graphs and near misses, labels shuffled.
+
+    The permutation oracles take about 0.1 s on an 8-vertex graph with no
+    accepted order, so graphs stop at `most` vertices.
+    """
+    for n in range(1, most + 1):
+        for k in (1, 2, 3):
+            path = path_power(n, k)
+            yield shuffled(rng, n, path)
+            if len(path) > 1:
+                gone = rng.choice(path)
+                yield shuffled(rng, n, [e for e in path if e != gone])
+            others = [e for e in combinations(range(n), 2) if e not in path]
+            if others:
+                yield shuffled(rng, n, path + [rng.choice(others)])
+        yield random_interval_graph(rng, n)
+        yield shuffled(rng, n, cycle_graph(n).edge_list() if n >= 3 else [])
+    for _ in range(40):
+        yield random_simple_graph(rng, rng.randint(2, most), rng.uniform(0.2, 0.9))
+
+
+def test_recognize_line_graph_matches_the_subset_scan(rng):
+    graphs = [line_graph(random_multigraph(rng, rng.randint(2, 5), rng.randint(1, 5)))[0]
+              for _ in range(40)]
+    graphs += [random_simple_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.9))
+               for _ in range(40)]
+    graphs += [shuffled(rng, g.n, g.edge_list()) for g in graphs[:40]]
+    graphs += list(_interval_hard_cases(rng, most=7))
+    for g in graphs:
+        if g.n <= 10:
+            assert structure.recognize_line_graph(g) == recognize_line_graph(g), g.edge_list()
+
+
+def test_homogeneous_pairs_match_the_subset_scan(rng):
+    graphs = list(_interval_hard_cases(rng, most=7))
+    graphs += [line_graph(random_multigraph(rng, 4, rng.randint(2, 5)))[0] for _ in range(20)]
+    nonlinear = 0
+    for g in graphs:
+        if g.n > 9:
+            continue
+        for only in (False, True):
+            got = structure.find_homogeneous_pairs(g, nonlinear_only=only)
+            assert got == find_homogeneous_pairs(g, nonlinear_only=only), g.edge_list()
+            nonlinear += only and len(got)
+    assert nonlinear >= 10
+
+
+def test_linear_interval_matches_the_permutation_scan(rng):
+    answers = []
+    for g in _interval_hard_cases(rng):
+        answer = structure.is_linear_interval(g)
+        assert answer == is_linear_interval(g), g.edge_list()
+        answers.append(answer)
+    assert sum(a is None for a in answers) >= 30
+    assert sum(a is not None for a in answers) >= 30
+
+
+def test_interval_order_with_ends_matches_the_permutation_scan(rng):
+    # end cliques from the ends of a found order, from other cliques of
+    # the graph, and empty
+    found = 0
+    for g in _interval_hard_cases(rng, most=7):
+        order = is_linear_interval(g)
+        cliques = [frozenset(c) for c in g.cliques()]
+        ends = [(frozenset(), frozenset())]
+        ends += [(rng.choice(cliques), rng.choice(cliques)) for _ in range(2)]
+        ends.append((rng.choice(cliques), frozenset()))
+        if order:
+            ends.append((frozenset(order[:1]), frozenset(order[-2:])
+                         if g.is_clique(order[-2:]) else frozenset(order[-1:])))
+        for a1, a2 in ends:
+            want = _interval_order_with_ends(g, set(a1), set(a2))
+            assert structure._interval_order_with_ends(g, set(a1), set(a2)) == want, (
+                g.edge_list(), a1, a2)
+            found += want is not None
+    assert found >= 60
+
+
+def test_linear_search_cuts_by_its_rule(monkeypatch):
+    # the permutation scan tries all 10! orders of C10; a search that
+    # does not end an open neighbourhood's run at the last placed
+    # position tests 66710 prefixes
+    fit = structure._runs_fit
+    tested = []
+
+    def counting(*a):
+        tested.append(1)
+        return fit(*a)
+
+    monkeypatch.setattr(structure, "_runs_fit", counting)
+    assert structure.is_linear_interval(cycle_graph(10)) is None
+    assert len(tested) <= 260
+    assert structure.is_linear_interval(shuffled(random.Random(1), 10, path_power(10, 3)))
+
+
 def is_circular_interval(g, cap=9):
     """A circular vertex order with contiguous arc neighborhoods, or None."""
     if g.n > cap:
@@ -150,16 +399,6 @@ def _cycle_power(n, k):
     return [(u, v) for u, v in combinations(range(n), 2) if min(v - u, n - v + u) <= k]
 
 
-def _path_power(n, k):
-    return [(u, v) for u, v in combinations(range(n), 2) if v - u <= k]
-
-
-def _shuffled(rng, n, edges):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
-
-
 def _circular_hard_cases(rng):
     """Graphs where the prune's wrap-around case and its limits matter.
 
@@ -169,21 +408,21 @@ def _circular_hard_cases(rng):
     for n in range(5, 10):
         for k in (1, 2, 3):
             cyc = _cycle_power(n, k)
-            yield _shuffled(rng, n, cyc)
-            yield _shuffled(rng, n, _path_power(n, k))
+            yield shuffled(rng, n, cyc)
+            yield shuffled(rng, n, path_power(n, k))
             if n == 9 and k != 2:
                 continue
             # near misses: C_n^k with one edge removed or one added
             gone = rng.choice(cyc)
-            yield _shuffled(rng, n, [e for e in cyc if e != gone])
+            yield shuffled(rng, n, [e for e in cyc if e != gone])
             others = [e for e in combinations(range(n), 2) if e not in cyc]
             if others:
-                yield _shuffled(rng, n, cyc + [rng.choice(others)])
+                yield shuffled(rng, n, cyc + [rng.choice(others)])
             if n <= 8:
                 # an isolated vertex, then a vertex adjacent to all others
-                yield _shuffled(rng, n + 1, cyc)
-                yield _shuffled(rng, n + 1, cyc + [(v, n) for v in range(n)])
-        yield _shuffled(rng, n, cycle_graph(n).complement().edge_list())
+                yield shuffled(rng, n + 1, cyc)
+                yield shuffled(rng, n + 1, cyc + [(v, n) for v in range(n)])
+        yield shuffled(rng, n, cycle_graph(n).complement().edge_list())
     for i in range(60):
         n = 9 if i % 15 == 0 else rng.randint(3, 8)
         yield random_simple_graph(rng, n, rng.uniform(0.2, 0.9))
