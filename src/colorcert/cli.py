@@ -8,7 +8,6 @@ byte-identical across runs.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -31,6 +30,10 @@ class RunReport:
         self.started = time.time()
 
     def add_input(self, path):
+        # imported on first use: hashlib loads the OpenSSL library, about
+        # 3 MB of resident memory that library callers never need
+        import hashlib
+
         try:
             with open(path, "rb") as fh:
                 digest = hashlib.sha256(fh.read()).hexdigest()

@@ -79,11 +79,14 @@ def maxcut_partition(h):
     """Best vertex bipartition under (max crossing edges, min crossing
     sum of squared multiplicities), lexicographically.
 
-    Exhaustive up to MAXCUT_EXHAUSTIVE_VERTICES vertices, where ties go
-    to the lexicographically least side-A indicator tuple with vertex 0
-    on side A; single-vertex-move local search beyond, which still
-    guarantees every vertex keeps at least half its degree across the
-    cut.
+    Exact up to MAXCUT_EXHAUSTIVE_VERTICES vertices, where ties go to
+    the lexicographically least side-A indicator tuple with vertex 0 on
+    side A: a branch and bound places vertices in index order, side B
+    first, and drops a partial bipartition once its cut plus the
+    heavier side of each unplaced vertex plus the edges among unplaced
+    vertices cannot beat the best (cut, squares) so far.  Beyond that,
+    single-vertex-move local search, which still guarantees every
+    vertex keeps at least half its degree across the cut.
     """
     if h.n == 0:
         return (), ()
@@ -124,35 +127,69 @@ def _exhaustive_maxcut(h):
 
     Vertex v is bit n-1-v, so vertex 0 is the most significant bit and
     numeric order on masks is lexicographic order on indicator tuples;
-    the minimum of (-cut, sq, mask) is the exhaustive objective with its
-    tie-break.  The 2^(n-1) masks are walked in Gray-code order: step i
-    flips vertex n-1-ctz(i), and the cut and squared-multiplicity sums
-    change by the flipped vertex's neighbours on each side, counted per
-    multiplicity class from neighbour bitmasks.
+    the answer is the minimum of (-cut, sq, mask) over the 2^(n-1)
+    masks.
+
+    A depth-first branch and bound finds it.  Vertices 1..n-1 are
+    placed in index order, side B before side A, so leaves are reached
+    in increasing mask order.  The bound on the cut of every leaf below
+    a node is the cut among placed vertices, plus max(w_A(u), w_B(u))
+    for each unplaced u, where w_X(u) is u's edge weight to the placed
+    vertices on side X, plus the weight of the edges among unplaced
+    vertices.  A node is pruned when its bound is below the best cut,
+    or equal to it while its crossing squares already reach the best
+    squares: squares only grow as vertices are placed, and every leaf
+    below comes after the incumbent in mask order, so it could at best
+    tie the incumbent and lose the tie-break.  A leaf that survives is
+    therefore strictly better in (cut, sq) and becomes the incumbent.
     """
     n = h.n
-    bit = [1 << (n - 1 - v) for v in range(n)]
-    by_mult = [{} for _ in range(n)]
+    later = [[] for _ in range(n)]  # (u, m) for each neighbour u > v
+    inside = [0] * (n + 1)  # inside[v]: edge weight among vertices v..n-1
     for u, v, m in h.edges:
-        by_mult[u][m] = by_mult[u].get(m, 0) | bit[v]
-        by_mult[v][m] = by_mult[v].get(m, 0) | bit[u]
-    classes = [tuple(c.items()) for c in by_mult]
-    full = (1 << n) - 1
-    side = full  # every vertex on side A: nothing crosses
-    cut = sq = 0
-    best_cut, best_sq, best_side = 0, 0, side
-    for i in range(1, 1 << (n - 1)):
-        v = n - (i & -i).bit_length()
-        same = side if side & bit[v] else full ^ side
-        for m, mask in classes[v]:
-            gain = (mask & same).bit_count() - (mask & ~same).bit_count()
-            cut += m * gain
-            sq += m * m * gain
-        side ^= bit[v]
-        if cut > best_cut or cut == best_cut and (
-                sq < best_sq or sq == best_sq and side < best_side):
-            best_cut, best_sq, best_side = cut, sq, side
-    return best_side
+        later[u].append((v, m))
+        inside[u] += m
+    for v in range(n - 2, -1, -1):
+        inside[v] += inside[v + 1]
+    best = (-1, 0, 0)  # (cut, sq, mask) of the incumbent
+    zero = [0] * n
+    root = _place((0, 0, 0, (zero, zero), (zero, zero)), 0, 1, later[0])
+    stack = [(1, 1 << (n - 1), root)]  # (next vertex, mask so far, state)
+    while stack:
+        v, mask, state = stack.pop()
+        cut, sq, free = state[:3]
+        bound = cut + free + inside[v]
+        if bound < best[0] or bound == best[0] and sq >= best[1]:
+            continue
+        if v == n:
+            best = cut, sq, mask
+            continue
+        for s in (1, 0):  # side B is popped, and searched, first
+            stack.append((v + 1, mask | s << (n - 1 - v), _place(state, v, s, later[v])))
+    return best[2]
+
+
+def _place(state, v, s, later_v):
+    """The search state after vertex v goes to side s (1 is side A).
+
+    A state is (cut, sq, free, w, q): the cut weight and the crossing
+    squared multiplicities among placed vertices; the sum of
+    max(w[0][u], w[1][u]) over unplaced vertices u; and w[t][u] and
+    q[t][u], the edge weight and the squared multiplicities from u to
+    the placed vertices on side t.  Only the lists of side s are
+    copied; later_v holds (u, m) for each neighbour u > v.
+    """
+    cut, sq, free, w, q = state
+    ws, qs, wo, qo = list(w[s]), list(q[s]), w[1 - s], q[1 - s]
+    free -= max(ws[v], wo[v])
+    for u, m in later_v:
+        old = max(ws[u], wo[u])
+        ws[u] += m
+        qs[u] += m * m
+        free += max(ws[u], wo[u]) - old
+    if s:
+        return cut + wo[v], sq + qo[v], free, (wo, ws), (qo, qs)
+    return cut + wo[v], sq + qo[v], free, (ws, wo), (qs, qo)
 
 
 def degeneracy(h):

@@ -383,3 +383,14 @@ def test_choose_solve_report_bytes(name, graph, failing, digest, tmp_path, monke
     data = (tmp_path / "rep.json").read_bytes()
     assert json.loads(data)["results"][0]["payload"]["failing_lists"] == failing
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_importing_the_package_loads_no_hashing_library():
+    # hashlib maps the OpenSSL library (about 3 MB resident); only a
+    # command that reads an input file needs it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys, colorcert, colorcert.cli, colorcert.discharging; "
+            "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

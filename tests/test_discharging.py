@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,13 +30,18 @@ def test_maxcut_matches_brute_force(rng):
 
 
 def test_maxcut_tiebreak_minimizes_squared_multiplicity():
-    # two ways to cut the triangle with a double edge: the best cut
-    # weight is 3 either way, the tie-break avoids crossing the double
-    # edge twice ... here both optimal cuts cross it once; sanity only
     h = _mg(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)])
     a, b = discharging.maxcut_partition(h)
     aset = set(a)
     assert sum(m for u, v, m in h.edges if (u in aset) != (v in aset)) == 3
+    # the best cut 6 is reached by {0, 3} | {1, 2} with squares 10 and
+    # by {0, 1, 3} | {2} with squares 12
+    h = _mg(4, [(0, 1, 1), (0, 2, 2), (1, 2, 2), (1, 3, 1), (2, 3, 2)])
+    assert discharging.maxcut_partition(h) == ((0, 3), (1, 2))
+    # relabelled so that the squares-12 cut has the least side-A tuple:
+    # only the squares can make {0, 2} | {1, 3} win
+    h = _mg(4, [(0, 1, 2), (0, 2, 2), (0, 3, 2), (1, 2, 1), (2, 3, 1)])
+    assert discharging.maxcut_partition(h) == ((0, 2), (1, 3))
 
 
 def test_degeneracy_values():
@@ -244,3 +250,87 @@ def test_maxcut_local_search_beyond_the_exhaustive_size(rng):
     for v in range(n):
         crossing = sum(m for x, y, m in h.edges if v in (x, y) and (x in side) != (y in side))
         assert 2 * crossing >= h.degree(v)
+
+
+# ---------------------------------------------------------------------------
+# the branch-and-bound max cut against the earlier Gray-code walk
+
+def _gray_code_maxcut(h):
+    """Side-A mask of the best bipartition with vertex 0 on side A.
+
+    Vertex v is bit n-1-v, so vertex 0 is the most significant bit and
+    numeric order on masks is lexicographic order on indicator tuples;
+    the minimum of (-cut, sq, mask) is the exhaustive objective with its
+    tie-break.  The 2^(n-1) masks are walked in Gray-code order: step i
+    flips vertex n-1-ctz(i), and the cut and squared-multiplicity sums
+    change by the flipped vertex's neighbours on each side, counted per
+    multiplicity class from neighbour bitmasks.
+    """
+    n = h.n
+    bit = [1 << (n - 1 - v) for v in range(n)]
+    by_mult = [{} for _ in range(n)]
+    for u, v, m in h.edges:
+        by_mult[u][m] = by_mult[u].get(m, 0) | bit[v]
+        by_mult[v][m] = by_mult[v].get(m, 0) | bit[u]
+    classes = [tuple(c.items()) for c in by_mult]
+    full = (1 << n) - 1
+    side = full  # every vertex on side A: nothing crosses
+    cut = sq = 0
+    best_cut, best_sq, best_side = 0, 0, side
+    for i in range(1, 1 << (n - 1)):
+        v = n - (i & -i).bit_length()
+        same = side if side & bit[v] else full ^ side
+        for m, mask in classes[v]:
+            gain = (mask & same).bit_count() - (mask & ~same).bit_count()
+            cut += m * gain
+            sq += m * m * gain
+        side ^= bit[v]
+        if cut > best_cut or cut == best_cut and (
+                sq < best_sq or sq == best_sq and side < best_side):
+            best_cut, best_sq, best_side = cut, sq, side
+    return best_side
+
+
+# the pinned `discharge partition` host of tests/test_cli.py: 40
+# bipartitions share the best (cut, squares)
+_TIED14 = MultiGraph.from_edges(14, [
+    (0, 7, 1), (0, 9, 1), (1, 5, 1), (1, 7, 2), (2, 4, 1), (2, 8, 1), (3, 9, 2),
+    (3, 12, 1), (4, 11, 1), (5, 12, 1), (6, 10, 2), (6, 13, 1), (8, 11, 1), (10, 13, 1)])
+
+
+def _benchmark_shaped_hosts():
+    """20 fixed hosts shaped like the benchmark's partition hosts:
+    14 vertices, exactly 28 adjacent pairs, multiplicity 1-3."""
+    rng = random.Random(1428)
+    return [_relabelled(rng, 14, random_multigraph(rng, 14, 28, max_mult=3).edges)
+            for _ in range(20)]
+
+
+def test_branch_and_bound_matches_the_gray_code_walk(rng):
+    hosts = [random_multigraph(rng, n, rng.randint(0, n * (n - 1) // 2), max_mult=3)
+             for n in range(1, 13) for _ in range(8)]
+    hosts += _tie_heavy_hosts(rng)
+    hosts += [_TIED14] + _benchmark_shaped_hosts()
+    for n, pairs in ((15, 28), (15, 45), (16, 32)):
+        hosts.append(random_multigraph(rng, n, pairs, max_mult=3))
+    for h in hosts:
+        assert discharging._exhaustive_maxcut(h) == _gray_code_maxcut(h), h.edges
+    for h in hosts[-24:]:
+        assert discharging.maxcut_partition(h) == _maxcut_oracle(h), h.edges
+
+
+def test_branch_and_bound_prunes_by_its_bound(monkeypatch):
+    # the search without its bound places a vertex 2^n - 1 = 16383 times
+    # on a 14-vertex host; the Gray-code walk takes 8191 steps
+    place = discharging._place
+    placed = []
+
+    def counting(*a):
+        placed.append(1)
+        return place(*a)
+
+    monkeypatch.setattr(discharging, "_place", counting)
+    for h in [_TIED14] + _benchmark_shaped_hosts():
+        placed.clear()
+        discharging.maxcut_partition(h)
+        assert len(placed) <= 2048, h.edges

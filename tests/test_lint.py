@@ -1,7 +1,8 @@
 """Every name a colorcert module imports is used by that module, every
 module-level private function or class is used somewhere in the
-package, and every function reads each of its parameters; brute force
-kept only for cross-checking lives in the tests."""
+package, every function reads each of its parameters, and no module
+holds an `assert`; brute force kept only for cross-checking lives in
+the tests."""
 
 import ast
 from pathlib import Path
@@ -151,3 +152,26 @@ def test_the_check_sees_unread_parameters():
         (2, "m", "extra"), (2, "m", "rest"), (2, "m", "unused"),
         (4, "outer", "b"), (5, "inner", "c"), (8, "<lambda>", "z"),
     ]
+
+
+def _asserts(tree):
+    """Line of each `assert` statement; `python -O` strips them, so a
+    correctness claim has to raise instead."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_asserts(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _asserts(tree) == []
+
+
+def test_the_check_sees_asserts():
+    tree = ast.parse(
+        "assert True\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        assert x > 0, 'positive'\n"
+        "    return 'assert x'\n"
+    )
+    assert _asserts(tree) == [1, 4]
