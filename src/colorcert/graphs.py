@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -28,7 +29,12 @@ def _check_vertex(v, n):
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Loopless simple graph on vertices 0..n-1."""
+    """Loopless simple graph on vertices 0..n-1.
+
+    The neighbour masks are worked out from the edges on first use and
+    kept.  They are not a field, so equality, hashing and repr see only
+    n and the edges.
+    """
 
     n: int
     edges: frozenset  # frozenset of frozenset({u, v})
@@ -51,27 +57,30 @@ class SimpleGraph:
     def has_edge(self, u, v):
         return frozenset((u, v)) in self.edges
 
-    def neighbors(self, v):
-        return {w for e in self.edges if v in e for w in e if w != v}
-
-    def adjacency_masks(self):
-        """Neighbor bitmask per vertex."""
+    @cached_property
+    def _adj(self):
         adj = [0] * self.n
         for e in self.edges:
-            u, v = tuple(e)
+            u, v = e
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return adj
+        return tuple(adj)
+
+    def neighbors(self, v):
+        _check_vertex(v, self.n)
+        m = self._adj[v]
+        return {w for w in range(self.n) if m >> w & 1}
+
+    def adjacency_masks(self):
+        """Neighbor bitmask per vertex, as the stored tuple."""
+        return self._adj
 
     def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
+        _check_vertex(v, self.n)
+        return self._adj[v].bit_count()
 
     def degrees(self):
-        d = [0] * self.n
-        for e in self.edges:
-            for v in e:
-                d[v] += 1
-        return d
+        return [m.bit_count() for m in self._adj]
 
     def max_degree(self):
         return max(self.degrees(), default=0)
@@ -85,14 +94,16 @@ class SimpleGraph:
         return SimpleGraph(self.n, frozenset(edges))
 
     def induced(self, vertices):
-        """Induced subgraph; returns (graph, old-vertex list in new order)."""
+        """Induced subgraph; returns (graph, old-vertex list in new order).
+
+        A vertex outside 0..n-1 raises ValueError.
+        """
         order = sorted(vertices)
-        index = {v: i for i, v in enumerate(order)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edge_list()
-            if u in index and v in index
-        ]
+        for v in order:
+            _check_vertex(v, self.n)
+        adj = self._adj
+        edges = [(i, j) for i, j in combinations(range(len(order)), 2)
+                 if adj[order[i]] >> order[j] & 1]
         return SimpleGraph.from_edges(len(order), edges), order
 
     def is_clique(self, vertices):

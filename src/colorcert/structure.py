@@ -17,10 +17,11 @@ from .kernel import is_f_KP
 
 def is_claw_free(g):
     """Return (True, None) or (False, (center, a, b, c))."""
+    adj = g.adjacency_masks()
     for v in range(g.n):
         nbrs = sorted(g.neighbors(v))
         for a, b, c in combinations(nbrs, 3):
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
+            if not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1):
                 return False, (v, a, b, c)
     return True, None
 
@@ -39,6 +40,7 @@ def is_quasi_line(g):
 
 
 def _complement_bipartite(g, verts):
+    adj = g.adjacency_masks()
     color = {}
     for start in verts:
         if start in color:
@@ -48,7 +50,7 @@ def _complement_bipartite(g, verts):
         while stack:
             x = stack.pop()
             for y in verts:
-                if y == x or g.has_edge(x, y):
+                if y == x or adj[x] >> y & 1:
                     continue
                 if y not in color:
                     color[y] = 1 - color[x]
@@ -497,35 +499,48 @@ def bk_free_scan(g, delta=None, max_sub=None):
     within is_f_KP's vertex cap) second.  Returns a list of
     (vertex tuple, kind, certificate); empty means no reducible piece
     was found within the caps.
+
+    The budget is read from the neighbour masks of g, and no subgraph
+    is built for a subset on which some f_H(v) is below 1.  The answer
+    depends only on the local question (size, local edges, budget), so
+    the scan asks each one once and keeps the answers for the length of
+    the call; two hits may hold the same certificate object.
     """
     if delta is None:
         delta = g.max_degree()
     if max_sub is None:
         max_sub = g.n
-    degs = g.degrees()
+    adj = g.adjacency_masks()
+    # f_H(v) = |N(v) & H| + base[v]
+    base = [delta - 1 - d for d in g.degrees()]
+    answers = {}
     found = []
     for size in range(1, min(max_sub, g.n) + 1):
+        pairs = list(combinations(range(size), 2))
         for vs in combinations(range(g.n), size):
-            sub, order = g.induced(vs)
-            fvals = []
-            ok = True
-            for i, v in enumerate(order):
-                fv = sub.degree(i) - 1 + delta - degs[v]
-                if fv < 1:
-                    ok = False
-                    break
-                fvals.append(fv)
-            if not ok:
+            mask = 0
+            for v in vs:
+                mask |= 1 << v
+            fvals = tuple((adj[v] & mask).bit_count() + base[v] for v in vs)
+            if min(fvals) < 1:
                 continue
-            f = ListSizeFn(tuple(fvals))
-            at_ok, cert = is_f_AT(sub, f)
-            if at_ok:
-                found.append((vs, "orientation", cert))
-                continue
-            try:
-                kp = is_f_KP(sub, f, allow_doubling=True)
-            except ValueError:
-                continue  # over is_f_KP's cap
-            if kp is not None:
-                found.append((vs, "kernel", kp))
+            edges = tuple((i, j) for i, j in pairs if adj[vs[i]] >> vs[j] & 1)
+            key = (size, edges, fvals)
+            if key not in answers:
+                answers[key] = _reducible(SimpleGraph.from_edges(size, edges),
+                                          ListSizeFn(fvals))
+            if answers[key] is not None:
+                found.append((vs,) + answers[key])
     return found
+
+
+def _reducible(sub, f):
+    """(kind, certificate) for the first route that certifies sub, or None."""
+    at_ok, cert = is_f_AT(sub, f)
+    if at_ok:
+        return "orientation", cert
+    try:
+        kp = is_f_KP(sub, f, allow_doubling=True)
+    except ValueError:
+        return None  # over is_f_KP's cap
+    return None if kp is None else ("kernel", kp)

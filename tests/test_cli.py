@@ -211,6 +211,48 @@ def test_structure_2join_reduce_report_bytes(tmp_path, monkeypatch, capsys):
         "d85c8ae760056ee558b2c5e87ba7a5c5098529fa96a06666af4a967d462c3028")
 
 
+@pytest.mark.parametrize("name, graph, argv, digest", [
+    # a shuffled 8-vertex line graph of a multigraph, as in the corpus
+    ("line8.g6", _relabel(line_graph(MultiGraph.from_edges(6, [
+        (0, 1, 2), (0, 2, 1), (1, 3, 1), (2, 3, 1), (2, 4, 1), (3, 5, 1), (4, 5, 1)]))[0],
+        [3, 7, 1, 4, 6, 0, 5, 2]), ["--max-sub", "3"],
+     "208ab9047e0cdf411e6bab6d2982c2c42345612574896f0c2954e821be158aa6"),
+    # K_4 joined with two isolated vertices, every subset, delta above the maximum degree
+    ("k4_join_e2.g6", join(complete_graph(4), SimpleGraph.from_edges(2, [])),
+     ["--delta", "6"], "8ed9efd0056d79e460caa99bde0d4ee8cb108c402e2f5c0194e5cb434acf6c04"),
+])
+def test_structure_bkscan_report_bytes(name, graph, argv, digest, tmp_path, monkeypatch,
+                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    assert run(["structure", "bkscan", name] + argv + ["--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert json.loads(data)["results"][0]["payload"]["hits"]
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# a shuffled 5-wheel with a claw at one rim vertex: the hub fails
+# quasi-line on its C5 neighbourhood, and the rim vertex has several
+# claws, the first of them behind triples that hold an edge
+_CLAW9 = _relabel(SimpleGraph.from_edges(9, [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (3, 4), (4, 5), (5, 1),
+    (1, 6), (1, 7), (1, 8), (6, 7)]), [4, 8, 5, 6, 3, 2, 0, 1, 7])
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("clawfree", "d94f38c5d9108cba90e1d9390f8cebd66f4b1a27d07ab0295d15ebc21f0a981b"),
+    ("quasiline", "9e4cd474b16ae41a2d6577dbbc44f809721910013bc51cd8076045133ffff86b"),
+])
+def test_structure_claw_and_quasi_line_report_bytes(command, digest, tmp_path, monkeypatch,
+                                                    capsys):
+    # a "no" instance, so the report carries the witness
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "claw9.g6", emit_graph6(_CLAW9))
+    assert run(["structure", command, "claw9.g6", "--json", "rep.json"]) == 1
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_kp_subcommands(tmp_path, capsys):
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
     path = write(tmp_path, "k33.txt", emit_edge_list(b))
@@ -238,6 +280,15 @@ def test_structure_2join(tmp_path, capsys):
     gpath = write(tmp_path, "p5.g6", emit_graph6(g))
     tjpath = write(tmp_path, "tj.json", json.dumps(tj.to_json()))
     assert run(["structure", "2join", "verify", gpath, tjpath]) == 0
+
+
+@pytest.mark.parametrize("bad", [9, -5])
+def test_structure_2join_rejects_strip_vertices_outside_the_graph(bad, tmp_path, capsys):
+    gpath = write(tmp_path, "p3.g6", emit_graph6(SimpleGraph.from_edges(3, [(0, 1), (1, 2)])))
+    tjpath = write(tmp_path, "tj.json", json.dumps(
+        {"H": [1, 2, bad], "A1": [1], "A2": [bad], "B1": [0], "B2": []}))
+    assert run(["structure", "2join", "verify", gpath, tjpath]) == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_discharge_and_pipeline(tmp_path, capsys):

@@ -67,6 +67,89 @@ def test_cliques_match_the_subset_scan(rng):
         assert g.cliques() == want, g.edge_list()
 
 
+# ---------------------------------------------------------------------------
+# the stored neighbour masks against the earlier edge scans
+
+def _neighbors_oracle(g, v):
+    return {w for e in g.edges if v in e for w in e if w != v}
+
+
+def _adjacency_masks_oracle(g):
+    adj = [0] * g.n
+    for e in g.edges:
+        u, v = tuple(e)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _degree_oracle(g, v):
+    return sum(1 for e in g.edges if v in e)
+
+
+def _degrees_oracle(g):
+    d = [0] * g.n
+    for e in g.edges:
+        for v in e:
+            d[v] += 1
+    return d
+
+
+def _induced_oracle(g, vertices):
+    order = sorted(vertices)
+    index = {v: i for i, v in enumerate(order)}
+    edges = [
+        (index[u], index[v])
+        for u, v in g.edge_list()
+        if u in index and v in index
+    ]
+    return SimpleGraph.from_edges(len(order), edges), order
+
+
+def test_mask_reads_match_the_edge_scans(rng):
+    graphs = [SimpleGraph.from_edges(0, []), SimpleGraph.from_edges(3, []),
+              complete_graph(6), cycle_graph(7), line_graph(random_multigraph(rng, 5, 7))[0]]
+    for n in range(1, 10):
+        graphs.append(shuffled(rng, n, path_power(n, 2)))
+        graphs.append(random_simple_graph(rng, n, rng.uniform(0.1, 0.9)))
+    for g in graphs:
+        assert list(g.adjacency_masks()) == _adjacency_masks_oracle(g), g.edge_list()
+        assert g.degrees() == _degrees_oracle(g)
+        for v in range(g.n):
+            assert g.neighbors(v) == _neighbors_oracle(g, v)
+            assert g.degree(v) == _degree_oracle(g, v)
+        for _ in range(10):
+            vs = rng.sample(range(g.n), rng.randint(0, g.n))
+            assert g.induced(vs) == _induced_oracle(g, vs)
+            assert g.induced(set(vs)) == _induced_oracle(g, vs)
+
+
+def test_degrees_is_a_fresh_list():
+    # callers count the list down in place
+    g = cycle_graph(4)
+    g.degrees()[0] = 9
+    assert g.degrees() == [2, 2, 2, 2]
+
+
+def test_induced_rejects_vertices_outside_the_graph():
+    g = path_graph(3)
+    for vs in ({1, 2, 9}, {1, 2, 3}, {1, 2, -5}, [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            g.induced(vs)
+
+
+def test_stored_masks_leave_equality_and_hashing_alone():
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)]
+    read = SimpleGraph.from_edges(4, edges)
+    fresh = SimpleGraph.from_edges(4, reversed(edges))
+    masks = read.adjacency_masks()
+    assert read.adjacency_masks() is masks
+    assert "_adj" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert {read: 1}[fresh] == 1
+
+
 def test_multigraph_basics():
     h = MultiGraph.from_edges(3, [(0, 1, 2), (1, 2, 1), (0, 1, 1)])
     assert h.multiplicity(0, 1) == 3

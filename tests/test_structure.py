@@ -5,11 +5,13 @@ from itertools import combinations, permutations
 import pytest
 
 from colorcert import structure
+from colorcert.alon_tarsi import is_f_AT
 from colorcert.catalog import two_join_catalog
 from colorcert.graphs import (
-    MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
+    ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, join, line_graph, path_graph,
 )
+from colorcert.kernel import is_f_KP
 from conftest import (
     path_power, random_interval_graph, random_multigraph, random_simple_graph, shuffled,
 )
@@ -477,6 +479,16 @@ def test_verify_2join_rejects_stray_edge():
     assert not ok and "(iv)" in why
 
 
+def test_verify_2join_rejects_strip_vertices_outside_the_graph():
+    # the path 0-1-2; an id outside 0..2 used to become an isolated vertex
+    g = path_graph(3)
+    for bad in (9, -5):
+        tj = structure.TwoJoin(frozenset({1, 2, bad}), frozenset({1}), frozenset({bad}),
+                               frozenset({0}), frozenset())
+        with pytest.raises(ValueError, match="out of range"):
+            structure.verify_2join(g, tj)
+
+
 def test_twojoin_json_roundtrip():
     _, _, _, tj = two_join_catalog()[1]
     assert structure.TwoJoin.from_json(tj.to_json()) == tj
@@ -582,3 +594,152 @@ def test_bk_free_scan_empty_on_small_clique():
     g = complete_graph(3)
     hits = structure.bk_free_scan(g, delta=4)
     assert isinstance(hits, list)
+
+
+# ---------------------------------------------------------------------------
+# the budget-first scan against the earlier scan that built every subgraph
+
+def _bk_free_scan_oracle(g, delta=None, max_sub=None):
+    if delta is None:
+        delta = g.max_degree()
+    if max_sub is None:
+        max_sub = g.n
+    degs = g.degrees()
+    found = []
+    for size in range(1, min(max_sub, g.n) + 1):
+        for vs in combinations(range(g.n), size):
+            sub, order = g.induced(vs)
+            fvals = []
+            ok = True
+            for i, v in enumerate(order):
+                fv = sub.degree(i) - 1 + delta - degs[v]
+                if fv < 1:
+                    ok = False
+                    break
+                fvals.append(fv)
+            if not ok:
+                continue
+            f = ListSizeFn(tuple(fvals))
+            at_ok, cert = is_f_AT(sub, f)
+            if at_ok:
+                found.append((vs, "orientation", cert))
+                continue
+            try:
+                kp = is_f_KP(sub, f, allow_doubling=True)
+            except ValueError:
+                continue  # over is_f_KP's cap
+            if kp is not None:
+                found.append((vs, "kernel", kp))
+    return found
+
+
+def _hits(hits):
+    return [(vs, kind, cert.to_json()) for vs, kind, cert in hits]
+
+
+def _strip_composition(rng):
+    """Path-power strips on a triangle hub, sometimes with a parallel edge."""
+    hub = [(0, 1), (1, 2), (2, 0)]
+    if rng.random() < 0.5:
+        hub.append(tuple(rng.sample(range(3), 2)))
+    while True:
+        sizes = [rng.randint(2, 3) for _ in hub]
+        if sum(sizes) <= 8:
+            break
+    edges = set()
+    ends = {v: [] for v in range(3)}
+    offset = 0
+    for (x, y), size in zip(hub, sizes):
+        edges.update((offset + u, offset + v) for u, v in path_power(size, rng.randint(1, 2)))
+        ends[x].append(offset)
+        ends[y].append(offset + size - 1)
+        offset += size
+    for clique in ends.values():
+        edges.update(combinations(sorted(clique), 2))
+    return shuffled(rng, offset, edges)
+
+
+def _corpus_shaped_graphs(rng, rounds):
+    for r in range(rounds):
+        for size in (7, 8):
+            while True:
+                h = random_multigraph(rng, rng.randint(5, 7), rng.randint(4, 8), max_mult=2)
+                if sum(m for _, _, m in h.edges) == size:
+                    break
+            yield shuffled(rng, size, line_graph(h)[0].edge_list())
+        n = (7, 8)[r % 2]
+        yield shuffled(rng, n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if min(v - u, n - v + u) <= 2])
+        n = (6, 8)[r % 2]
+        yield shuffled(rng, n, path_power(n, 2))
+        yield _strip_composition(rng)
+        yield random_simple_graph(rng, rng.randint(6, 8), rng.uniform(0.3, 0.6))
+        if r % 4 == 0:
+            yield shuffled(rng, 12, line_graph(MultiGraph.from_edges(
+                7, complete_bipartite(3, 4).edge_list()))[0].edge_list())
+
+
+def test_bk_free_scan_matches_the_subgraph_scan_on_corpus_shapes(rng):
+    for g in _corpus_shaped_graphs(rng, 12):
+        assert _hits(structure.bk_free_scan(g, max_sub=3)) == _hits(
+            _bk_free_scan_oracle(g, max_sub=3)), g.edge_list()
+
+
+def test_bk_free_scan_matches_the_subgraph_scan_on_every_subset(rng):
+    graphs = [cycle_graph(5), join(complete_graph(1), cycle_graph(5)), path_graph(4),
+              join(complete_graph(3), SimpleGraph.from_edges(2, [])),
+              shuffled(rng, 6, path_power(6, 2))]
+    graphs += [random_simple_graph(rng, rng.randint(3, 6), rng.uniform(0.3, 0.7))
+               for _ in range(6)]
+    for g in graphs:
+        top = g.max_degree()
+        for delta in (top - 1, top, top + 1):
+            assert _hits(structure.bk_free_scan(g, delta=delta)) == _hits(
+                _bk_free_scan_oracle(g, delta=delta)), (g.edge_list(), delta)
+
+
+def test_bk_free_scan_asks_each_local_question_once(monkeypatch):
+    # K_4 joined with two isolated vertices at delta 6: 63 subsets, 59
+    # with every f_H value at least 1, and 13 distinct local questions
+    g = join(complete_graph(4), SimpleGraph.from_edges(2, []))
+    delta = 6
+    degs = g.degrees()
+    questions = set()
+    for size in range(1, g.n + 1):
+        for vs in combinations(range(g.n), size):
+            sub, order = g.induced(vs)
+            f = tuple(sub.degree(i) - 1 + delta - degs[v] for i, v in enumerate(order))
+            if min(f) >= 1:
+                questions.add((sub.n, tuple(sub.edge_list()), f))
+    assert len(questions) == 13
+
+    builds, asked = [], []
+    inside = []
+    from_edges, at, kp = SimpleGraph.from_edges, structure.is_f_AT, structure.is_f_KP
+
+    def counted_from_edges(n, edge_pairs):
+        sub = from_edges(n, edge_pairs)
+        if not inside:  # graphs the certificate searches build are not the scan's
+            builds.append(sub)
+        return sub
+
+    def counted(search, log):
+        def call(sub, f, **kw):
+            log.append((sub.n, tuple(sub.edge_list()), f.values))
+            inside.append(1)
+            try:
+                return search(sub, f, **kw)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(SimpleGraph, "from_edges", staticmethod(counted_from_edges))
+    monkeypatch.setattr(structure, "is_f_AT", counted(at, asked))
+    monkeypatch.setattr(structure, "is_f_KP", counted(kp, []))
+    hits = structure.bk_free_scan(g, delta=delta)
+    assert len(hits) == 48
+    assert len(asked) == len(set(asked)) == 13
+    assert set(asked) == questions
+    # one build per question, none for a subset with a budget below 1
+    assert len(builds) == 13
+    assert {(b.n, tuple(b.edge_list())) for b in builds} == {q[:2] for q in questions}
