@@ -11,10 +11,7 @@ some coefficient with exponents k_i <= f(i) - 1 is nonzero; the
 orientation realizing that exponent vector is the portable certificate.
 """
 
-from fractions import Fraction
-from itertools import product
-
-from .graphs import Digraph, SimpleGraph, complete_graph, complete_multipartite_2t, join
+from .graphs import Digraph, SimpleGraph
 
 
 def eulerian_counts(d):
@@ -86,39 +83,6 @@ def poly_coefficient_expand(g, exponents):
     if sum(exponents) != len(g.edges):
         return 0
     return _capped_coefficients(g, exponents).get(exponents, 0)
-
-
-def poly_coefficient_schauz(g, exponents):
-    """Same coefficient via evaluation over small integer grids.
-
-    Uses the interpolation identity: with C_i = {0, ..., e_i}, the
-    coefficient equals sum over c in C_1 x ... x C_n of
-    g(c) / prod_i prod_{d in C_i, d != c_i} (c_i - d).  Exact rationals
-    throughout; the result is an integer.
-    """
-    exponents = tuple(exponents)
-    edges = g.edge_list()
-    grids = [range(e + 1) for e in exponents]
-    total = Fraction(0)
-    for c in product(*grids):
-        val = 1
-        for i, j in edges:
-            diff = c[i] - c[j]
-            if diff == 0:
-                val = 0
-                break
-            val *= diff
-        if val == 0:
-            continue
-        denom = 1
-        for i, ci in enumerate(c):
-            for dv in grids[i]:
-                if dv != ci:
-                    denom *= ci - dv
-        total += Fraction(val, denom)
-    if total.denominator != 1:
-        raise RuntimeError(f"interpolation gave a non-integral coefficient {total}")
-    return int(total)
 
 
 def _capped_coefficients(g, caps):
@@ -326,109 +290,3 @@ def is_f_AT(g, f):
             f"|EE - EO| = {abs(ee - eo)} differs from the coefficient "
             f"{monos[key]} at {target}")
     return True, ATCertificate(g, f, d, ee, eo)
-
-
-def coefficient_orientation_identity(g, d):
-    """Check |coefficient at the out-degree vector| == |EE - EO| for d."""
-    outs = tuple(d.out_degrees())
-    coef = poly_coefficient_expand(g, outs)
-    ee, eo = eulerian_counts(d)
-    return abs(coef) == abs(ee - eo), coef, ee, eo
-
-
-def enumerate_orientation_check(g, f):
-    """Independent oracle: try every orientation directly (small n only).
-
-    True iff some orientation has out-degrees below f everywhere and
-    unequal Eulerian parities.
-    """
-    edges = g.edge_list()
-    for bits in product((0, 1), repeat=len(edges)):
-        arcs = [(e[b], e[1 - b]) for e, b in zip(edges, bits)]
-        d = Digraph.from_arcs(g.n, arcs)
-        outs = d.out_degrees()
-        if any(outs[v] >= f(v) for v in range(g.n)):
-            continue
-        ee, eo = eulerian_counts(d)
-        if ee != eo:
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# constructions for joins with cliques
-
-def k2t_join_certificate(s, t):
-    """Certificate for K_s joined with the complete multipartite 2*t graph.
-
-    Verifies that the join admits an orientation certificate for the
-    constant budget f = s + t.  Returns (ok, certificate, graph, f).
-    """
-    from .graphs import ListSizeFn
-
-    g = join(complete_graph(s), complete_multipartite_2t(t))
-    f = ListSizeFn.constant(g.n, s + t)
-    ok, cert = is_f_AT(g, f)
-    return ok, cert, g, f
-
-
-def complement_bipartite_at(g, clique, rest):
-    """Budget check for graphs whose non-clique part has small cover.
-
-    Given a split of the vertices into a clique A and a set B whose
-    complement inside g admits a perfect matching from B into A (so
-    that B's vertices can be paired with non-neighbors in A), the graph
-    embeds into join(K_{|A| - |B|}, K_{2*|B|}) and inherits its
-    certificate.  Returns (ok, matching, embedding) where matching maps
-    each vertex of B to its non-neighbor in A, or (False, None, None).
-    """
-    a = sorted(clique)
-    b = sorted(rest)
-    if set(a) | set(b) != set(range(g.n)) or set(a) & set(b):
-        raise ValueError("clique/rest must partition the vertex set")
-    if not g.is_clique(a):
-        return False, None, None
-    if len(b) > len(a):
-        return False, None, None
-    # Hall matching in the complement bipartite graph between B and A.
-    match = _bipartite_matching(
-        b, a, lambda x, y: not g.has_edge(x, y) and x != y
-    )
-    if match is None:
-        return False, None, None
-    # embedding: matched pairs (b_i, a_i) -> the i-th part of K_{2*|B|},
-    # leftover clique vertices -> the K_{|A|-|B|} side.
-    t = len(b)
-    s = len(a) - t
-    leftover = [x for x in a if x not in set(match.values())]
-    embed = {}
-    for i, x in enumerate(leftover):
-        embed[x] = i
-    for i, x in enumerate(b):
-        embed[match[x]] = s + 2 * i
-        embed[x] = s + 2 * i + 1
-    host = join(complete_graph(s), complete_multipartite_2t(t))
-    for u, v in g.edge_list():
-        if not host.has_edge(embed[u], embed[v]):
-            return False, None, None
-    return True, dict(match), embed
-
-
-def _bipartite_matching(left, right, adjacent):
-    """Maximum matching left->right; returns dict or None if not perfect."""
-    match_r = {}
-
-    def augment(x, seen):
-        for y in right:
-            if y in seen or not adjacent(x, y):
-                continue
-            seen.add(y)
-            if y not in match_r or augment(match_r[y], seen):
-                match_r[y] = x
-                return True
-        return False
-
-    for x in left:
-        if not augment(x, set()):
-            return None
-    return {x: y for y, x in match_r.items()}

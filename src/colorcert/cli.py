@@ -93,6 +93,8 @@ def parse_f_spec(spec, g):
     elif spec.startswith("lowset:"):
         ids = spec.split(":", 1)[1]
         lows = {int(x) for x in ids.split(",")} if ids else set()
+        if any(not 0 <= v < g.n for v in lows):
+            raise FormatError(f"lowset names a vertex outside 0..{g.n - 1}")
         vals = tuple(degs[v] if v in lows else degs[v] - 1 for v in range(g.n))
     else:
         raise FormatError(f"unknown budget specifier {spec!r}")
@@ -258,10 +260,7 @@ def cmd_at(args):
             raise ValueError("exponent vector length mismatch")
         if sum(exps) != len(g.edges):
             raise ValueError("exponents must sum to the edge count")
-        if args.method == "schauz":
-            c = alon_tarsi.poly_coefficient_schauz(g, exps)
-        else:
-            c = alon_tarsi.poly_coefficient_expand(g, exps)
+        c = alon_tarsi.poly_coefficient_expand(g, exps)
         report.add("coefficient", True, {"exponents": list(exps), "value": c})
     return report.emit(args)
 
@@ -443,7 +442,6 @@ def build_parser():
     c = at_sub.add_parser("coeff", parents=[common])
     c.add_argument("graph")
     c.add_argument("--exponents", required=True)
-    c.add_argument("--method", choices=["expand", "schauz"], default="expand")
     at.set_defaults(func=cmd_at)
 
     kp = sub.add_parser("kp", help="kernel certificates")

@@ -10,7 +10,6 @@ yield a kernel certificate on its line graph.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graphs import ListSizeFn, MultiGraph, edge_copies
 
@@ -214,21 +213,6 @@ def degeneracy(h):
             if w in remaining:
                 deg[w] -= m
     return k, order
-
-
-def mad_exact(h, cap=14):
-    """Maximum average degree over all nonempty vertex subsets."""
-    if h.n > cap:
-        raise ValueError(f"exact search capped at {cap} vertices")
-    from fractions import Fraction
-
-    best = Fraction(0)
-    for size in range(1, h.n + 1):
-        for vs in combinations(range(h.n), size):
-            vset = set(vs)
-            e = sum(m for u, v, m in h.edges if u in vset and v in vset)
-            best = max(best, Fraction(2 * e, size))
-    return best
 
 
 def peel_witness(h, i):

@@ -40,7 +40,10 @@ def find_kernel(d, s=None):
     return None
 
 
-def is_kernel_perfect(d, cap=12):
+KERNEL_PERFECT_VERTICES = 12
+
+
+def is_kernel_perfect(d):
     """Exhaustive kernel-perfection check.
 
     Returns (True, None) or (False, first failing induced vertex set),
@@ -50,8 +53,8 @@ def is_kernel_perfect(d, cap=12):
     In(K) being the vertices with an arc into K.  So one pass over the
     independent sets marks every vertex set that has a kernel.
     """
-    if d.n > cap:
-        raise ValueError(f"exhaustive check capped at {cap} vertices")
+    if d.n > KERNEL_PERFECT_VERTICES:
+        raise ValueError(f"exhaustive check capped at {KERNEL_PERFECT_VERTICES} vertices")
     n = d.n
     support = [0] * n
     into = [0] * n
@@ -199,7 +202,10 @@ class KPCertificate:
         )
 
 
-def is_f_KP(g, f, allow_doubling=False, cap=8):
+F_KP_VERTICES = 8
+
+
+def is_f_KP(g, f, allow_doubling=False):
     """Search for a kernel-perfect (super)orientation within budget f.
 
     Each edge is tried one way, the other way, and (when doubling is
@@ -207,8 +213,8 @@ def is_f_KP(g, f, allow_doubling=False, cap=8):
     on the out-degree bound d+(v) <= f(v) - 1.  Returns the first
     certificate found, else None.
     """
-    if g.n > cap:
-        raise ValueError(f"search capped at {cap} vertices")
+    if g.n > F_KP_VERTICES:
+        raise ValueError(f"search capped at {F_KP_VERTICES} vertices")
     edges = g.edge_list()
     limit = [f(v) - 1 for v in range(g.n)]
     if any(x < 0 for x in limit):

@@ -107,15 +107,18 @@ def _greedy_reduce(adj, mask, budget):
     return mask
 
 
-def is_f_paintable(g, f, cap=9):
+PAINTABLE_VERTICES = 9
+
+
+def is_f_paintable(g, f):
     """Exact value of the online game, with a sample winning line.
 
     Returns (paintable, transcript).  The transcript follows one
     principal line: the winning side plays its first winning move in a
     deterministic order, the losing side its first legal move.
     """
-    if g.n > cap:
-        raise ValueError(f"solver capped at {cap} vertices")
+    if g.n > PAINTABLE_VERTICES:
+        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
     adj = g.adjacency_masks()
     verts = _vertex_table(g.n)
     answers = [None] * (1 << g.n)
@@ -200,7 +203,10 @@ def _principal_line(n, verts, tokens, painter_wins, painter_answers, painter_sid
     return GameTranscript(rounds, "Painter")
 
 
-def is_f_choosable(g, f, cap=9):
+CHOOSABLE_VERTICES = 9
+
+
+def is_f_choosable(g, f):
     """Exhaustive list-assignment check.
 
     Returns (True, None) or (False, failing assignment).  Assignments
@@ -210,8 +216,8 @@ def is_f_choosable(g, f, cap=9):
     bitmasks over that universe.  A graph that _greedy_reduce empties is
     choosable without enumeration.
     """
-    if g.n > cap:
-        raise ValueError(f"solver capped at {cap} vertices")
+    if g.n > CHOOSABLE_VERTICES:
+        raise ValueError(f"solver capped at {CHOOSABLE_VERTICES} vertices")
     n = g.n
     sizes = [f(v) for v in range(n)]
     adj = g.adjacency_masks()
@@ -270,14 +276,6 @@ def is_f_choosable(g, f, cap=9):
     if bad is None:
         return True, None
     return False, bad
-
-
-def paintable_implies_choosable_check(g, f):
-    """Check the implication paintable => choosable on one instance."""
-    paint, _ = is_f_paintable(g, f)
-    choose, _ = is_f_choosable(g, f)
-    holds = (not paint) or choose
-    return {"paintable": paint, "choosable": choose, "implication_holds": holds}
 
 
 # ---------------------------------------------------------------------------

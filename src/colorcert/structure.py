@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alon_tarsi import is_f_AT
-from .graphs import ListSizeFn, MultiGraph, SimpleGraph, line_graph
-from .kernel import is_f_KP
+from .graphs import ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph
+from .kernel import F_KP_VERTICES, is_f_KP
 
 
 def is_claw_free(g):
@@ -63,7 +63,10 @@ def _complement_bipartite(g, verts):
 # ---------------------------------------------------------------------------
 # line-graph recognition
 
-def recognize_line_graph(g, cap=12):
+LINE_GRAPH_VERTICES = 12
+
+
+def recognize_line_graph(g):
     """Find a root multigraph whose line graph equals g exactly.
 
     Searches for an edge-clique partition in which every vertex lies in
@@ -72,8 +75,8 @@ def recognize_line_graph(g, cap=12):
     a MultiGraph whose line graph, with vertex v as the root edge built
     for v, is g exactly (verified before returning), or None.
     """
-    if g.n > cap:
-        raise ValueError(f"recognition capped at {cap} vertices")
+    if g.n > LINE_GRAPH_VERTICES:
+        raise ValueError(f"recognition capped at {LINE_GRAPH_VERTICES} vertices")
     edges = g.edge_list()
     if not edges:
         # n isolated vertices: root is a matching of n edges
@@ -135,15 +138,18 @@ class HomogeneousPair:
     a2: frozenset
 
 
-def find_homogeneous_pairs(g, nonlinear_only=False, cap=12):
+HOMOGENEOUS_PAIR_VERTICES = 12
+
+
+def find_homogeneous_pairs(g, nonlinear_only=False):
     """All homogeneous pairs of cliques (|A1| + |A2| >= 3).
 
     A pair of disjoint cliques qualifies when every outside vertex is
     adjacent to all of A_i or none of A_i, for each i.  With
     nonlinear_only, keep only pairs whose union induces a 4-cycle.
     """
-    if g.n > cap:
-        raise ValueError(f"search capped at {cap} vertices")
+    if g.n > HOMOGENEOUS_PAIR_VERTICES:
+        raise ValueError(f"search capped at {HOMOGENEOUS_PAIR_VERTICES} vertices")
     adj = g.adjacency_masks()
     found = []
     for a1, a2 in combinations(map(frozenset, g.cliques()), 2):
@@ -178,14 +184,18 @@ def _contains_induced_c4(adj, verts):
 # ---------------------------------------------------------------------------
 # linear / circular interval orders
 
-def is_linear_interval(g, cap=10):
+LINEAR_INTERVAL_VERTICES = 10
+CIRCULAR_INTERVAL_VERTICES = 9
+
+
+def is_linear_interval(g):
     """A vertex order with contiguous neighborhoods, or None.
 
     The answer is the first order in the sequence of permutations that
     puts one of each reversed pair first (order[0] < order[-1]).
     """
-    if g.n > cap:
-        raise ValueError(f"search capped at {cap} vertices")
+    if g.n > LINEAR_INTERVAL_VERTICES:
+        raise ValueError(f"search capped at {LINEAR_INTERVAL_VERTICES} vertices")
     if g.n <= 1:
         return list(range(g.n))
     adj = g.adjacency_masks()
@@ -193,7 +203,7 @@ def is_linear_interval(g, cap=10):
         (rest or placed[0] < placed[-1]) and _runs_fit(adj, at, placed, rest)))
 
 
-def is_circular_interval(g, cap=9):
+def is_circular_interval(g):
     """A circular vertex order with contiguous arc neighborhoods, or None.
 
     The answer is the first order, in the sequence of
@@ -201,8 +211,8 @@ def is_circular_interval(g, cap=9):
     reflected pair first (order[1] < order[-1]) and the closed
     neighborhood of every non-isolated vertex on an arc of the circle.
     """
-    if g.n > cap:
-        raise ValueError(f"search capped at {cap} vertices")
+    if g.n > CIRCULAR_INTERVAL_VERTICES:
+        raise ValueError(f"search capped at {CIRCULAR_INTERVAL_VERTICES} vertices")
     n = g.n
     if n <= 2:
         return list(range(n))
@@ -310,13 +320,19 @@ class TwoJoin:
         )
 
 
-def verify_2join(g, tj, cap=10):
+STRIP_VERTICES = 10
+
+
+def verify_2join(g, tj):
     """Check the four strip conditions; returns (True, None) or (False, why).
 
     (i) the strip induces a nonempty linear interval graph with the end
     cliques at its ends; (ii) A1, A2, B1, B2 are cliques; (iii) A1 is
     joined to B1 and A2 to B2; (iv) no other edges leave the strip.
+    A vertex id outside 0..n-1 in any of the five sets raises ValueError.
     """
+    for v in sorted(tj.h | tj.a1 | tj.a2 | tj.b1 | tj.b2):
+        _check_vertex(v, g.n)
     h = tj.h
     if not h:
         return False, "(i) empty strip"
@@ -324,8 +340,8 @@ def verify_2join(g, tj, cap=10):
         return False, "(i) end cliques not inside the strip"
     if h & (tj.b1 | tj.b2):
         return False, "(ii) outside cliques meet the strip"
-    if len(h) > cap:
-        raise ValueError(f"interval-order search capped at {cap} strip vertices")
+    if len(h) > STRIP_VERTICES:
+        raise ValueError(f"interval-order search capped at {STRIP_VERTICES} strip vertices")
     sub, order_map = g.induced(h)
     idx = {v: i for i, v in enumerate(order_map)}
     interval = _interval_order_with_ends(sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2})
@@ -496,9 +512,9 @@ def bk_free_scan(g, delta=None, max_sub=None):
     induced subgraph H.  `delta` defaults to the maximum degree of g.
     For every induced subgraph up to max_sub vertices, tests the
     orientation certificate first and the kernel route (with doubling,
-    within is_f_KP's vertex cap) second.  Returns a list of
-    (vertex tuple, kind, certificate); empty means no reducible piece
-    was found within the caps.
+    on subgraphs of at most F_KP_VERTICES vertices) second.  Returns a
+    list of (vertex tuple, kind, certificate); empty means no reducible
+    piece was found within the caps.
 
     The budget is read from the neighbour masks of g, and no subgraph
     is built for a subset on which some f_H(v) is below 1.  The answer
@@ -539,8 +555,7 @@ def _reducible(sub, f):
     at_ok, cert = is_f_AT(sub, f)
     if at_ok:
         return "orientation", cert
-    try:
-        kp = is_f_KP(sub, f, allow_doubling=True)
-    except ValueError:
-        return None  # over is_f_KP's cap
+    if sub.n > F_KP_VERTICES:
+        return None
+    kp = is_f_KP(sub, f, allow_doubling=True)
     return None if kp is None else ("kernel", kp)

@@ -14,6 +14,7 @@ from colorcert.graphs import (
     complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
     join, line_graph,
 )
+from test_alon_tarsi import poly_coefficient_schauz
 
 
 def write(tmp_path, name, text):
@@ -74,16 +75,22 @@ def test_at_count(tmp_path, capsys):
     assert run(["at", "count", path]) == 1
 
 
-def test_at_coeff_methods_agree(c5_file, tmp_path, capsys):
-    ra = str(tmp_path / "a.json")
-    rb = str(tmp_path / "b.json")
-    assert run(["at", "coeff", c5_file, "--exponents", "1,1,1,1,1",
-                "--method", "expand", "--json", ra]) == 0
-    assert run(["at", "coeff", c5_file, "--exponents", "1,1,1,1,1",
-                "--method", "schauz", "--json", rb]) == 0
-    va = json.loads(open(ra).read())["results"][0]["payload"]["value"]
-    vb = json.loads(open(rb).read())["results"][0]["payload"]["value"]
-    assert va == vb
+def test_at_coeff_methods_agree(tmp_path, monkeypatch, capsys):
+    # the expansion's answer equals the interpolation oracle's, in the
+    # report bytes `--method expand` wrote; the option itself is gone
+    monkeypatch.chdir(tmp_path)
+    g = _relabel(complete_multipartite_2t(3), [4, 0, 5, 2, 1, 3])
+    write(tmp_path, "k2x3.g6", emit_graph6(g))
+    argv = ["at", "coeff", "k2x3.g6", "--exponents", "2,2,2,2,2,2"]
+    assert run(argv + ["--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert json.loads(data)["results"][0]["payload"]["value"] == \
+        poly_coefficient_schauz(g, (2,) * 6) == 6
+    assert hashlib.sha256(data).hexdigest() == (
+        "f2c9e8fffe20dc22d3ee08b7e9f6037eca4e497c3931547ffcf68a995b266b5e")
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--method", "expand"])
+    assert exc.value.code == 2
 
 
 def test_at_coeff_rejects_bad_exponents(c5_file, capsys):
@@ -291,6 +298,14 @@ def test_structure_2join_rejects_strip_vertices_outside_the_graph(bad, tmp_path,
     assert "out of range" in capsys.readouterr().err
 
 
+def test_structure_2join_rejects_outside_clique_ids_outside_the_graph(tmp_path, capsys):
+    gpath = write(tmp_path, "p3.g6", emit_graph6(SimpleGraph.from_edges(3, [(0, 1), (1, 2)])))
+    tjpath = write(tmp_path, "tj.json", json.dumps(
+        {"H": [0, 1, 2], "A1": [], "A2": [], "B1": [99], "B2": [-4]}))
+    assert run(["structure", "2join", "verify", gpath, tjpath]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
 def test_discharge_and_pipeline(tmp_path, capsys):
     k77 = MultiGraph.from_edges(14, complete_bipartite(7, 7).edge_list())
     path = write(tmp_path, "k77.txt", emit_edge_list(k77))
@@ -357,6 +372,12 @@ def test_f_spec_lowset(c5_file, tmp_path, capsys):
     rep = str(tmp_path / "r.json")
     # lows get full degree (2), others degree-1: C5 fails at that budget
     assert run(["at", "check", c5_file, "--f", "lowset:0,1", "--json", rep]) == 1
+
+
+@pytest.mark.parametrize("spec", ["lowset:7", "lowset:-1,0"])
+def test_f_spec_lowset_rejects_ids_outside_the_graph(spec, c5_file, capsys):
+    assert run(["at", "check", c5_file, "--f", spec]) == 2
+    assert "outside 0..4" in capsys.readouterr().err
 
 
 def test_f_spec_file(tmp_path, c5_file, capsys):

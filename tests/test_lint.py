@@ -1,8 +1,9 @@
 """Every name a colorcert module imports is used by that module, every
 module-level private function or class is used somewhere in the
-package, every function reads each of its parameters, and no module
-holds an `assert`; brute force kept only for cross-checking lives in
-the tests."""
+package, every public one is read by the package or the benchmark or
+is listed library API, every function reads each of its parameters,
+and no module holds an `assert`; brute force kept only for
+cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "colorcert"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _unused_imports(tree):
@@ -55,28 +57,36 @@ def test_the_check_sees_unused_imports():
     assert _unused_imports(tree) == [(2, "os"), (3, "parse"), (7, "chain")]
 
 
+def _reads(trees):
+    """(name, module, top-level statement) of each read in `trees`.
+
+    A read is a name or an attribute loaded, or an imported name; the
+    statement is named by the function or class it defines, else None.
+    """
+    reads = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.id, module, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.attr, module, owner))
+                elif isinstance(node, ast.alias):
+                    reads.add((node.name, module, owner))
+    return reads
+
+
 def _unreferenced_private_defs(trees):
     """(module, name) of each module-level `_private` function or class
     that no module reads outside the definition itself.
 
-    A read is a name, an attribute or an imported name; a recursive
-    call inside the definition's own body does not count.
+    A recursive call inside the definition's own body does not count.
     """
-    defs = []
-    reads = set()  # (name, module, top-level statement it sits in)
-    for module, tree in trees.items():
-        for top in tree.body:
-            owner = getattr(top, "name", None)
-            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and owner.startswith("_") and not owner.startswith("__")):
-                defs.append((module, owner))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    reads.add((node.id, module, owner))
-                elif isinstance(node, ast.Attribute):
-                    reads.add((node.attr, module, owner))
-                elif isinstance(node, ast.alias):
-                    reads.add((node.name, module, owner))
+    defs = [(module, top.name) for module, tree in trees.items() for top in tree.body
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and top.name.startswith("_") and not top.name.startswith("__")]
+    reads = _reads(trees)
     return [(module, name) for module, name in defs
             if not any(r == name and (m, o) != (module, name) for r, m, o in reads)]
 
@@ -107,6 +117,69 @@ def test_the_check_sees_unreferenced_private_defs():
         ),
     }
     assert _unreferenced_private_defs(trees) == [("a.py", "_recursive"), ("a.py", "_Unused")]
+
+
+# Library API that nothing in the package or the benchmark reads.
+PUBLIC_API = {
+    ("catalog.py", "catalog_entry"): "looks an orientation-count entry up by name",
+    ("catalog.py", "clique_order_entry"): "looks a clique-order configuration up by name",
+    ("graphs.py", "complete_graph"): "generator of K_n",
+    ("graphs.py", "complete_multipartite_2t"): "generator of K_{2*t}, the tight orientation example",
+    ("graphs.py", "cycle_graph"): "generator of C_n",
+    ("graphs.py", "emit_edge_list"): "writer for the edge-list format the loaders read",
+    ("graphs.py", "emit_graph6"): "writer for the graph6 format the loaders read",
+    ("graphs.py", "empty_graph"): "generator of n isolated vertices",
+    ("structure.py", "is_linear_interval"): "recognizer; strips use the end-pinned order search",
+}
+
+
+def _unread_public_defs(trees, readers):
+    """(module, name) of each module-level public function, class or
+    constant of `trees` that no module of `trees` or `readers` reads
+    outside the definition itself."""
+    defs = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, ast.Assign):
+                names = [t.id for t in top.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defs += [(module, name) for name in names if not name.startswith("_")]
+    reads = _reads(trees) | _reads({("reader", m): t for m, t in readers.items()})
+    return [(module, name) for module, name in defs
+            if not any(r == name and (m, o) != (module, name) for r, m, o in reads)]
+
+
+def test_every_public_name_has_a_reader():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    readers = {p.name: ast.parse(p.read_text(), filename=str(p))
+               for p in sorted(PERFBENCH.glob("*.py"))}
+    # equal, not a subset: an entry that gains a reader leaves the list
+    assert sorted(_unread_public_defs(trees, readers)) == sorted(PUBLIC_API)
+
+
+def test_the_check_sees_unread_public_defs():
+    trees = {
+        "a.py": ast.parse(
+            "LIMIT = 3\n"
+            "SPARE = 4\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def benchmarked(): pass\n"
+            "def recursive(k):\n"
+            "    return recursive(k - 1)\n"
+            "def planted(): pass\n"
+            "class Unread: pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": ast.parse("from .a import used\n"),
+    }
+    readers = {"run.py": ast.parse("x = cc.a.benchmarked\n")}
+    assert _unread_public_defs(trees, readers) == [
+        ("a.py", "SPARE"), ("a.py", "recursive"), ("a.py", "planted"), ("a.py", "Unread"),
+    ]
 
 
 def _unread_parameters(tree):

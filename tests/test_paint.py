@@ -8,6 +8,7 @@ from colorcert.graphs import (
     ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     cycle_graph, path_graph,
 )
+from colorcert.paint import is_f_choosable, is_f_paintable
 from conftest import random_simple_graph
 
 
@@ -61,12 +62,20 @@ def test_choosable_classics():
     assert not paint.is_f_choosable(k24, ListSizeFn.constant(6, 2))[0]
 
 
+def paintable_implies_choosable_check(g, f):
+    """Check the implication paintable => choosable on one instance."""
+    paint, _ = is_f_paintable(g, f)
+    choose, _ = is_f_choosable(g, f)
+    holds = (not paint) or choose
+    return {"paintable": paint, "choosable": choose, "implication_holds": holds}
+
+
 def test_paintable_implies_choosable(rng):
     for _ in range(12):
         n = rng.randint(1, 4)
         g = random_simple_graph(rng, n, p=0.5)
         f = ListSizeFn(tuple(rng.randint(1, 3) for _ in range(n)))
-        result = paint.paintable_implies_choosable_check(g, f)
+        result = paintable_implies_choosable_check(g, f)
         if result["paintable"]:
             assert result["choosable"]
         assert result["implication_holds"]

@@ -489,6 +489,16 @@ def test_verify_2join_rejects_strip_vertices_outside_the_graph():
             structure.verify_2join(g, tj)
 
 
+def test_verify_2join_rejects_outside_clique_ids_outside_the_graph():
+    # with the matching end clique empty, no clique or join test reads B1/B2
+    g = path_graph(3)
+    for b1, b2 in (({99}, {-4}), ({0, 99}, set()), (set(), {3})):
+        tj = structure.TwoJoin(frozenset({0, 1, 2}), frozenset(), frozenset(),
+                               frozenset(b1), frozenset(b2))
+        with pytest.raises(ValueError, match="out of range"):
+            structure.verify_2join(g, tj)
+
+
 def test_twojoin_json_roundtrip():
     _, _, _, tj = two_join_catalog()[1]
     assert structure.TwoJoin.from_json(tj.to_json()) == tj
@@ -586,6 +596,28 @@ def test_bk_free_scan_flags_reducible_join():
     assert "orientation" in kinds
     whole = [h for h in hits if len(h[0]) == g.n]
     assert whole and whole[0][2].check()
+
+
+def test_bk_free_scan_skips_only_oversized_kernel_searches(monkeypatch):
+    # the kernel route is skipped above F_KP_VERTICES and nowhere else; an
+    # error from the search itself is not taken for a cap hit
+    kp = structure.is_f_KP
+    sizes = []
+
+    def logged(sub, f, **kw):
+        sizes.append(sub.n)
+        if sub.n == 3:
+            raise ValueError("planted failure")
+        return kp(sub, f, **kw)
+
+    monkeypatch.setattr(structure, "is_f_KP", logged)
+    # only the whole 9-cycle has every f_H value at least 1, and it has
+    # no orientation certificate
+    assert structure.bk_free_scan(cycle_graph(9)) == []
+    assert sizes == []
+    with pytest.raises(ValueError, match="planted failure"):
+        structure.bk_free_scan(complete_graph(3))
+    assert sizes == [3]
 
 
 def test_bk_free_scan_empty_on_small_clique():
