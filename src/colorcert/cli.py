@@ -14,9 +14,7 @@ import sys
 import time
 
 from . import alon_tarsi, catalog, discharging, kernel, paint, structure
-from .graphs import (
-    FormatError, ListSizeFn, load_digraph, load_graph_file, load_multigraph_file,
-)
+from .graphs import FormatError, ListSizeFn, digraph_from_json, read_graph, read_multigraph
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -30,16 +28,23 @@ class RunReport:
         self.started = time.time()
 
     def add_input(self, path):
+        """Read an input file once, record its sha256 and return its bytes.
+
+        An unreadable file is recorded with a null digest, and its
+        OSError propagates.
+        """
         # imported on first use: hashlib loads the OpenSSL library, about
         # 3 MB of resident memory that library callers never need
         import hashlib
 
         try:
             with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
+                data = fh.read()
         except OSError:
-            digest = None
-        self.inputs.append({"path": str(path), "sha256": digest})
+            self.inputs.append({"path": str(path), "sha256": None})
+            raise
+        self.inputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+        return data
 
     def add(self, item, ok, payload=None):
         self.results.append({"item": item, "pass": bool(ok), "payload": payload})
@@ -154,8 +159,7 @@ def cmd_catalog_verify(args):
 
 def cmd_pipeline_linegraph(args):
     report = RunReport("pipeline linegraph")
-    report.add_input(args.multigraph)
-    h = load_multigraph_file(args.multigraph)
+    h = read_multigraph(report.add_input(args.multigraph))
     mu = h.max_multiplicity()
     payload = {"mu": mu}
     if mu >= 4:
@@ -163,14 +167,8 @@ def cmd_pipeline_linegraph(args):
             "an edge of multiplicity at least 4 forces a reducible "
             "clique-join configuration (catalog entries 1d-1i)"
         )
-    triple_on_triangle = False
-    support = h.support()
-    for u, v, m in h.edges:
-        if m >= 3 and any(
-            support.has_edge(u, w) and support.has_edge(v, w)
-            for w in range(h.n) if w not in (u, v)
-        ):
-            triple_on_triangle = True
+    adj = h.adjacency_masks()
+    triple_on_triangle = any(m >= 3 and adj[u] & adj[v] for u, v, m in h.edges)
     if triple_on_triangle:
         payload["triple_edge_on_triangle"] = (
             "a triple edge on a triangle matches the clique-order "
@@ -208,9 +206,8 @@ def cmd_corpus(args):
         path = os.path.join(args.dir, name)
         if not os.path.isfile(path):
             continue
-        report.add_input(path)
         try:
-            g = load_graph_file(path)
+            g = read_graph(report.add_input(path))
             if args.cap_vertices and g.n > args.cap_vertices:
                 raise ValueError(f"over --cap-vertices ({g.n})")
             if args.cap_edges and len(g.edges) > args.cap_edges:
@@ -239,13 +236,11 @@ def cmd_corpus(args):
 def cmd_at(args):
     report = RunReport(f"at {args.at_cmd}")
     if args.at_cmd == "count":
-        report.add_input(args.digraph)
-        d = load_digraph(args.digraph)
+        d = digraph_from_json(json.loads(report.add_input(args.digraph)))
         ee, eo = alon_tarsi.eulerian_counts(d)
         report.add("eulerian counts", ee != eo, {"even": ee, "odd": eo})
     elif args.at_cmd == "check":
-        report.add_input(args.graph)
-        g = load_graph_file(args.graph)
+        g = read_graph(report.add_input(args.graph))
         f = parse_f_spec(args.f, g)
         ok, cert = alon_tarsi.is_f_AT(g, f)
         payload = {"f_AT": ok}
@@ -253,8 +248,7 @@ def cmd_at(args):
             payload["certificate"] = cert.to_json()
         report.add("orientation certificate", ok, payload)
     elif args.at_cmd == "coeff":
-        report.add_input(args.graph)
-        g = load_graph_file(args.graph)
+        g = read_graph(report.add_input(args.graph))
         exps = tuple(int(x) for x in args.exponents.split(","))
         if len(exps) != g.n:
             raise ValueError("exponent vector length mismatch")
@@ -268,21 +262,18 @@ def cmd_at(args):
 def cmd_kp(args):
     report = RunReport(f"kp {args.kp_cmd}")
     if args.kp_cmd == "check":
-        report.add_input(args.digraph)
-        d = load_digraph(args.digraph)
+        d = digraph_from_json(json.loads(report.add_input(args.digraph)))
         ok, failing = kernel.is_kernel_perfect(d)
         report.add("kernel-perfect", ok,
                    {"failing_set": sorted(failing) if failing else None})
     elif args.kp_cmd == "search":
-        report.add_input(args.graph)
-        g = load_graph_file(args.graph)
+        g = read_graph(report.add_input(args.graph))
         f = parse_f_spec(args.f, g)
         cert = kernel.is_f_KP(g, f, allow_doubling=args.double)
         report.add("kernel certificate", cert is not None,
                    cert.to_json() if cert else None)
     elif args.kp_cmd == "galvin":
-        report.add_input(args.bipartite)
-        b = load_multigraph_file(args.bipartite)
+        b = read_multigraph(report.add_input(args.bipartite))
         cert = kernel.galvin_orientation(b)
         report.add("bipartite line-graph certificate", cert.check(), cert.to_json())
     elif args.kp_cmd == "mu3":
@@ -299,27 +290,27 @@ def cmd_kp(args):
 def cmd_paint(args):
     report = RunReport(f"paint {args.paint_cmd}")
     if args.paint_cmd == "solve":
-        report.add_input(args.graph)
-        g = load_graph_file(args.graph)
+        g = read_graph(report.add_input(args.graph))
         f = parse_f_spec(args.f, g)
         ok, transcript = paint.is_f_paintable(g, f)
         report.add("paintable", ok, {"transcript": transcript.to_json()})
     elif args.paint_cmd == "play":
-        report.add_input(args.cert)
-        with open(args.cert) as fh:
-            cert = kernel.KPCertificate.from_json(json.load(fh))
-        transcript = paint.kernel_painter_play(
-            cert.graph, cert.f, cert, adversary=args.adversary
-        )
-        report.add("kernel painter", transcript.winner == "Painter",
-                   {"transcript": transcript.to_json()})
+        cert = kernel.KPCertificate.from_json(json.loads(report.add_input(args.cert)))
+        # the kernel strategy presumes a certificate that holds
+        if not cert.check():
+            report.add("kernel painter", False, {"error": "certificate fails its check"})
+        else:
+            transcript = paint.kernel_painter_play(
+                cert.graph, cert.f, cert, adversary=args.adversary
+            )
+            report.add("kernel painter", transcript.winner == "Painter",
+                       {"transcript": transcript.to_json()})
     return report.emit(args)
 
 
 def cmd_choose(args):
     report = RunReport("choose solve")
-    report.add_input(args.graph)
-    g = load_graph_file(args.graph)
+    g = read_graph(report.add_input(args.graph))
     f = parse_f_spec(args.f, g)
     ok, failing = paint.is_f_choosable(g, f)
     payload = {"choosable": ok}
@@ -333,8 +324,7 @@ def cmd_structure(args):
     report = RunReport(f"structure {args.structure_cmd}")
     sc = args.structure_cmd
     if sc in ("clawfree", "quasiline", "linegraph", "homopairs", "circular", "bkscan"):
-        report.add_input(args.graph)
-        g = load_graph_file(args.graph)
+        g = read_graph(report.add_input(args.graph))
     if sc == "clawfree":
         ok, witness = structure.is_claw_free(g)
         report.add("claw-free", ok, {"claw": list(witness) if witness else None})
@@ -357,17 +347,12 @@ def cmd_structure(args):
         report.add("reducible pieces", True,
                    {"hits": [[list(vs), kind] for vs, kind, _ in hits]})
     elif sc == "compose":
-        report.add_input(args.spec)
-        with open(args.spec) as fh:
-            spec = structure.CompositionSpec.from_json(json.load(fh))
+        spec = structure.CompositionSpec.from_json(json.loads(report.add_input(args.spec)))
         g = structure.compose(spec)
         report.add("composition", True, {"n": g.n, "edges": g.edge_list()})
     elif sc == "2join":
-        report.add_input(args.graph)
-        report.add_input(args.tj)
-        g = load_graph_file(args.graph)
-        with open(args.tj) as fh:
-            tj = structure.TwoJoin.from_json(json.load(fh))
+        g = read_graph(report.add_input(args.graph))
+        tj = structure.TwoJoin.from_json(json.loads(report.add_input(args.tj)))
         if args.join_cmd == "verify":
             ok, why = structure.verify_2join(g, tj)
             report.add("strip conditions", ok, {"violation": why})
@@ -381,8 +366,7 @@ def cmd_structure(args):
 
 def cmd_discharge(args):
     report = RunReport(f"discharge {args.discharge_cmd}")
-    report.add_input(args.multigraph)
-    h = load_multigraph_file(args.multigraph)
+    h = read_multigraph(report.add_input(args.multigraph))
     if args.discharge_cmd == "run":
         edge_sum_ok = all(
             h.degree(u) + h.degree(v) >= max(h.degrees()) + 2 for u, v, _ in h.edges

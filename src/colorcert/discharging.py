@@ -197,11 +197,8 @@ def degeneracy(h):
     Multiplicities count toward degrees.  Returns (k, order).
     """
     remaining = set(range(h.n))
-    mult = {}
-    for u, v, m in h.edges:
-        mult.setdefault(u, {})[v] = m
-        mult.setdefault(v, {})[u] = m
-    deg = {v: sum(mult.get(v, {}).values()) for v in range(h.n)}
+    adj = h.adjacency_masks()
+    deg = h.degrees()
     order = []
     k = 0
     while remaining:
@@ -209,9 +206,9 @@ def degeneracy(h):
         k = max(k, deg[v])
         order.append(v)
         remaining.discard(v)
-        for w, m in mult.get(v, {}).items():
-            if w in remaining:
-                deg[w] -= m
+        for w in remaining:
+            if adj[v] >> w & 1:
+                deg[w] -= h.multiplicity(v, w)
     return k, order
 
 
@@ -312,15 +309,10 @@ def witness_to_kp(h, w, delta):
     degs_b = b.degrees()
     degs_h = h.degrees()
     base = galvin_orientation(b)
-    mult_h = {
-        tuple(sorted((u, v))): h.multiplicity(back[u], back[v]) for u, v, _ in b.edges
-    }
-    mult_b = {tuple(sorted((u, v))): m for u, v, m in b.edges}
     fvals = []
     for u, v in edge_copies(b):
-        key = tuple(sorted((u, v)))
-        d_lb = degs_b[u] + degs_b[v] - mult_b[key] - 1
-        d_lh = degs_h[back[u]] + degs_h[back[v]] - mult_h[key] - 1
+        d_lb = degs_b[u] + degs_b[v] - b.multiplicity(u, v) - 1
+        d_lh = degs_h[back[u]] + degs_h[back[v]] - h.multiplicity(back[u], back[v]) - 1
         fv = d_lb - 1 + delta - d_lh
         if fv < max(degs_b[u], degs_b[v]):
             raise ValueError(

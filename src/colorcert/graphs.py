@@ -6,7 +6,6 @@ cheap, so they can be shared freely between workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -134,7 +133,12 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Loopless multigraph; one record per pair, multiplicity >= 1."""
+    """Loopless multigraph; one record per pair, multiplicity >= 1.
+
+    The support masks and the pair -> multiplicity dict are worked out
+    from the records on first use and kept; like SimpleGraph's masks
+    they are not fields.
+    """
 
     n: int
     edges: tuple  # sorted tuple of (u, v, mult) with u < v
@@ -158,12 +162,24 @@ class MultiGraph:
             mult[key] = mult.get(key, 0) + m
         return MultiGraph(n, tuple(sorted((u, v, m) for (u, v), m in mult.items())))
 
+    @cached_property
+    def _adj(self):
+        adj = [0] * self.n
+        for u, v, _ in self.edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return tuple(adj)
+
+    @cached_property
+    def _mult(self):
+        return {(u, v): m for u, v, m in self.edges}
+
+    def adjacency_masks(self):
+        """Support neighbour bitmask per vertex, as the stored tuple."""
+        return self._adj
+
     def multiplicity(self, u, v):
-        key = (min(u, v), max(u, v))
-        for a, b, m in self.edges:
-            if (a, b) == key:
-                return m
-        return 0
+        return self._mult.get((min(u, v), max(u, v)), 0)
 
     def degree(self, v):
         return sum(m for a, b, m in self.edges if v in (a, b))
@@ -193,7 +209,11 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Arc set over 0..n-1; both (u,v) and (v,u) may be present."""
+    """Arc set over 0..n-1; both (u,v) and (v,u) may be present.
+
+    The out- and in-neighbour masks are worked out from the arcs on
+    first use and kept; they are not fields.
+    """
 
     n: int
     arcs: frozenset  # frozenset of (u, v) tuples
@@ -209,34 +229,30 @@ class Digraph:
             arcs.add((u, v))
         return Digraph(n, frozenset(arcs))
 
+    @cached_property
+    def _masks(self):
+        out = [0] * self.n
+        into = [0] * self.n
+        for u, v in self.arcs:
+            out[u] |= 1 << v
+            into[v] |= 1 << u
+        return tuple(out), tuple(into)
+
+    def arc_masks(self):
+        """(out-neighbour masks, in-neighbour masks), the stored tuples."""
+        return self._masks
+
     def out_degree(self, v):
-        return sum(1 for a in self.arcs if a[0] == v)
+        return self._masks[0][v].bit_count()
 
     def out_degrees(self):
-        d = [0] * self.n
-        for u, _ in self.arcs:
-            d[u] += 1
-        return d
-
-    def out_neighbors(self, v):
-        return {b for a, b in self.arcs if a == v}
+        return [m.bit_count() for m in self._masks[0]]
 
     def support(self):
         return SimpleGraph.from_edges(self.n, list(self.arcs))
 
     def is_bidirected(self, u, v):
         return (u, v) in self.arcs and (v, u) in self.arcs
-
-    def strict_arcs(self):
-        """Arcs whose reverse is absent."""
-        return {(u, v) for u, v in self.arcs if (v, u) not in self.arcs}
-
-    def induced(self, vertices):
-        vs = set(vertices)
-        order = sorted(vs)
-        index = {v: i for i, v in enumerate(order)}
-        arcs = [(index[u], index[v]) for u, v in self.arcs if u in vs and v in vs]
-        return Digraph.from_arcs(len(order), arcs), order
 
 
 @dataclass(frozen=True)
@@ -250,17 +266,6 @@ class ListSizeFn:
         if k < 1:
             raise ValueError("list sizes must be >= 1")
         return ListSizeFn((k,) * n)
-
-    @staticmethod
-    def from_mapping(n, mapping):
-        vals = []
-        for v in range(n):
-            if v not in mapping:
-                raise ValueError(f"no list size for vertex {v}")
-            if mapping[v] < 1:
-                raise ValueError("list sizes must be >= 1")
-            vals.append(mapping[v])
-        return ListSizeFn(tuple(vals))
 
     @staticmethod
     def degree_minus_one_on_high(g, low_set):
@@ -278,6 +283,37 @@ class ListSizeFn:
     @property
     def n(self):
         return len(self.values)
+
+
+def two_coloring(masks, verts):
+    """Split the vertex mask `verts` into two independent sides, or None.
+
+    masks[v] is the neighbour bitmask of v; only neighbours inside
+    `verts` count.  The least vertex of each component goes to the
+    first side, which fixes the split.  Returns (side 0, side 1) as
+    masks, or None when the graph on `verts` has an odd cycle.
+    """
+    sides = [0, 0]
+    rest = verts
+    while rest:
+        # breadth-first layers alternate sides; an edge inside a layer
+        # is the only way to close an odd cycle
+        layer = rest & -rest
+        side = 0
+        while layer:
+            sides[side] |= layer
+            rest &= ~layer
+            reach = 0
+            todo = layer
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                reach |= masks[low.bit_length() - 1]
+            if reach & layer:
+                return None
+            side ^= 1
+            layer = reach & rest
+    return sides[0], sides[1]
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +536,31 @@ def digraph_from_json(doc):
     return Digraph.from_arcs(n, [tuple(a) for a in arcs])
 
 
-def load_digraph(path):
-    with open(path) as fh:
-        return digraph_from_json(json.load(fh))
+def require(doc, key, where=""):
+    """doc[key] of a JSON object; FormatError naming `where` + key when
+    doc is not an object or lacks the key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise FormatError(f"JSON document lacks the key '{where}{key}'")
+    return doc[key]
 
 
-def load_graph_file(path):
-    """Load a SimpleGraph from graph6 (.g6) or edge-list text."""
-    with open(path) as fh:
-        text = fh.read()
+def _read(data):
+    """A SimpleGraph from the bytes of one graph6 word, else a
+    MultiGraph from those of an edge list (its header has a space)."""
+    text = data.decode()
     stripped = text.strip()
     if "\n" not in stripped and " " not in stripped:
         return parse_graph6(stripped)
-    return parse_edge_list(text).simple()
-
-
-def load_multigraph_file(path):
-    with open(path) as fh:
-        text = fh.read()
-    stripped = text.strip()
-    if "\n" not in stripped and " " not in stripped:
-        g = parse_graph6(stripped)
-        return MultiGraph.from_edges(g.n, g.edge_list())
     return parse_edge_list(text)
+
+
+def read_graph(data):
+    """A SimpleGraph from the bytes of a graph6 word or an edge list."""
+    g = _read(data)
+    return g.simple() if isinstance(g, MultiGraph) else g
+
+
+def read_multigraph(data):
+    """A MultiGraph from the bytes of a graph6 word or an edge list."""
+    g = _read(data)
+    return g if isinstance(g, MultiGraph) else MultiGraph.from_edges(g.n, g.edge_list())

@@ -10,7 +10,10 @@ online game version of it.
 
 from itertools import combinations
 
-from .graphs import Digraph, ListSizeFn, copy_stars, edge_copies, line_graph
+from .graphs import (
+    Digraph, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
+    digraph_to_json, edge_copies, line_graph, require, two_coloring,
+)
 
 
 def find_kernel(d, s=None):
@@ -19,24 +22,19 @@ def find_kernel(d, s=None):
     Candidates are tried by increasing size, lexicographically within a
     size; the first kernel found is returned, else None.
     """
-    if s is None:
-        s = range(d.n)
-    verts = sorted(set(s))
-    sset = set(verts)
-    support_adj = {v: set() for v in verts}
-    out_adj = {v: set() for v in verts}
-    for u, v in d.arcs:
-        if u in sset and v in sset:
-            support_adj[u].add(v)
-            support_adj[v].add(u)
-            out_adj[u].add(v)
+    verts = sorted(set(s)) if s is not None else range(d.n)
+    out, into = d.arc_masks()
+    whole = sum(1 << v for v in verts)
     for size in range(0, len(verts) + 1):
         for cand in combinations(verts, size):
-            kset = set(cand)
-            if any(support_adj[u] & kset for u in cand):
-                continue  # not independent
-            if all(out_adj[v] & kset for v in verts if v not in kset):
-                return kset
+            k = near = reach = 0
+            for v in cand:
+                k |= 1 << v
+                near |= out[v] | into[v]
+                reach |= into[v]
+            # independent, and every other vertex of s has an arc into k
+            if not near & k and not whole & ~k & ~reach:
+                return set(cand)
     return None
 
 
@@ -56,12 +54,8 @@ def is_kernel_perfect(d):
     if d.n > KERNEL_PERFECT_VERTICES:
         raise ValueError(f"exhaustive check capped at {KERNEL_PERFECT_VERTICES} vertices")
     n = d.n
-    support = [0] * n
-    into = [0] * n
-    for u, v in d.arcs:
-        support[u] |= 1 << v
-        support[v] |= 1 << u
-        into[v] |= 1 << u
+    out, into = d.arc_masks()
+    support = [o | i for o, i in zip(out, into)]
     has_kernel = bytearray(1 << n)
     # (K, In(K), vertices above max(K) with no support edge to K)
     stack = [(0, 0, (1 << n) - 1)]
@@ -109,9 +103,7 @@ def kp_line_characterization(d, root, origin=None):
         raise ValueError("digraph support is not the line graph of the root")
     if bipartition(root) is None:
         return is_kernel_perfect(d)[0]
-    one_way = [0] * d.n
-    for u, v in d.strict_arcs():
-        one_way[u] |= 1 << v
+    one_way = [o & ~i for o, i in zip(*d.arc_masks())]
     for star in copy_stars(root.n, origin):
         # peel off sinks of the one-way arcs until the star is empty
         rest = sum(1 << i for i in star)
@@ -150,12 +142,7 @@ class KPCertificate:
         """Re-verify all claims: support, out-degree bound, kernel-perfection."""
         if self.digraph.support().edges != self.graph.edges:
             return False
-        doubled = {
-            tuple(sorted((u, v)))
-            for u, v in self.digraph.arcs
-            if self.digraph.is_bidirected(u, v)
-        }
-        if doubled != set(self.supergraph_edges):
+        if set(_doubled_pairs(self.digraph)) != set(self.supergraph_edges):
             return False
         outs = self.digraph.out_degrees()
         if any(outs[v] > self.f(v) - 1 for v in range(self.graph.n)):
@@ -166,8 +153,6 @@ class KPCertificate:
         return ok
 
     def to_json(self):
-        from .graphs import digraph_to_json
-
         doc = {
             "n": self.graph.n,
             "edges": self.graph.edge_list(),
@@ -185,14 +170,13 @@ class KPCertificate:
 
     @staticmethod
     def from_json(doc):
-        from .graphs import MultiGraph, SimpleGraph, digraph_from_json
-
-        g = SimpleGraph.from_edges(doc["n"], doc["edges"])
-        f = ListSizeFn(tuple(doc["f"]))
-        d = digraph_from_json(doc["orientation"])
+        g = SimpleGraph.from_edges(require(doc, "n"), require(doc, "edges"))
+        f = ListSizeFn(tuple(require(doc, "f")))
+        d = digraph_from_json(require(doc, "orientation"))
         root = None
         if "root" in doc:
-            root = MultiGraph.from_edges(doc["root"]["n"], doc["root"]["edges"])
+            root = MultiGraph.from_edges(require(doc["root"], "n", "root."),
+                                         require(doc["root"], "edges", "root."))
         origin = None
         if "origin" in doc:
             origin = [tuple(e) for e in doc["origin"]]
@@ -257,26 +241,15 @@ def is_f_KP(g, f, allow_doubling=False):
 # constructions for line graphs of bipartite multigraphs
 
 def bipartition(b):
-    """Two-color the support of a multigraph; None if an odd cycle exists."""
-    color = [None] * b.n
-    for start in range(b.n):
-        if color[start] is not None:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for a, c, _ in b.edges:
-                if v not in (a, c):
-                    continue
-                w = c if v == a else a
-                if color[w] is None:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
-    x = [v for v in range(b.n) if color[v] == 0]
-    y = [v for v in range(b.n) if color[v] == 1]
+    """Two-color the support of a multigraph; None if an odd cycle exists.
+
+    Returns the sides (X, Y) as ascending lists; the least vertex of
+    each component is in X.
+    """
+    sides = two_coloring(b.adjacency_masks(), (1 << b.n) - 1)
+    if sides is None:
+        return None
+    x, y = ([v for v in range(b.n) if side >> v & 1] for side in sides)
     return x, y
 
 
@@ -381,7 +354,7 @@ def galvin_orientation(b):
 
 
 def _doubled_pairs(d):
-    return [(u, v) for u, v in d.arcs if u < v and (v, u) in d.arcs]
+    return [(u, v) for u, v in d.arcs if u < v and d.is_bidirected(u, v)]
 
 
 def _search_star_orders(b, origin, f):

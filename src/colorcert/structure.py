@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .alon_tarsi import is_f_AT
-from .graphs import ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph
+from .graphs import (
+    ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph, require, two_coloring,
+)
 from .kernel import F_KP_VERTICES, is_f_KP
 
 
@@ -32,32 +34,14 @@ def is_quasi_line(g):
     Equivalent to the complement of each open neighborhood being
     bipartite.  Returns (True, None) or (False, offending vertex).
     """
+    adj = g.adjacency_masks()
     for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
-        if not _complement_bipartite(g, nbrs):
+        nbrs = adj[v]
+        # the complement of the graph inside N(v)
+        comp = {x: nbrs & ~adj[x] & ~(1 << x) for x in range(g.n) if nbrs >> x & 1}
+        if two_coloring(comp, nbrs) is None:
             return False, v
     return True, None
-
-
-def _complement_bipartite(g, verts):
-    adj = g.adjacency_masks()
-    color = {}
-    for start in verts:
-        if start in color:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in verts:
-                if y == x or adj[x] >> y & 1:
-                    continue
-                if y not in color:
-                    color[y] = 1 - color[x]
-                    stack.append(y)
-                elif color[y] == color[x]:
-                    return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +298,7 @@ class TwoJoin:
 
     @staticmethod
     def from_json(doc):
-        return TwoJoin(
-            frozenset(doc["H"]), frozenset(doc["A1"]), frozenset(doc["A2"]),
-            frozenset(doc["B1"]), frozenset(doc["B2"]),
-        )
+        return TwoJoin(*(frozenset(require(doc, key)) for key in ("H", "A1", "A2", "B1", "B2")))
 
 
 STRIP_VERTICES = 10
@@ -455,10 +436,14 @@ class CompositionSpec:
     @staticmethod
     def from_json(doc):
         strips = []
-        for s in doc["strips"]:
-            graph = SimpleGraph.from_edges(s["n"], s["edges"])
-            strips.append(Strip(graph, frozenset(s["X"]), frozenset(s["Y"])))
-        return CompositionSpec(doc["hub_n"], tuple(tuple(e) for e in doc["hub_edges"]), tuple(strips))
+        for i, s in enumerate(require(doc, "strips")):
+            where = f"strips[{i}]."
+            graph = SimpleGraph.from_edges(require(s, "n", where), require(s, "edges", where))
+            strips.append(Strip(graph, frozenset(require(s, "X", where)),
+                                frozenset(require(s, "Y", where))))
+        return CompositionSpec(require(doc, "hub_n"),
+                               tuple(tuple(e) for e in require(doc, "hub_edges")),
+                               tuple(strips))
 
 
 def compose(spec):
@@ -492,14 +477,7 @@ def compose(spec):
         classes[v].update(y + off for y in frozenset(strip.y))
     for cl in classes.values():
         edges.extend(combinations(sorted(cl), 2))
-    seen = set()
-    dedup = []
-    for u, v in edges:
-        key = frozenset((u, v))
-        if key not in seen and u != v:
-            seen.add(key)
-            dedup.append((u, v))
-    return SimpleGraph.from_edges(total, dedup)
+    return SimpleGraph.from_edges(total, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from colorcert import cli
 from colorcert.graphs import (
-    Digraph, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
+    Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
     join, line_graph,
 )
@@ -304,6 +304,101 @@ def test_structure_2join_rejects_outside_clique_ids_outside_the_graph(tmp_path, 
         {"H": [0, 1, 2], "A1": [], "A2": [], "B1": [99], "B2": [-4]}))
     assert run(["structure", "2join", "verify", gpath, tjpath]) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_structure_clawfree_opens_its_input_once(c5_file, tmp_path, monkeypatch, capsys):
+    # one read both hashes the input for the report and feeds the parser
+    import builtins
+
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run(["structure", "clawfree", c5_file, "--json", str(tmp_path / "rep.json")]) == 0
+    assert opened.count(c5_file) == 1
+
+
+def test_corpus_itemizes_an_unreadable_file(tmp_path, monkeypatch, capsys):
+    import builtins
+
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    (d / "locked.g6").write_text(emit_graph6(cycle_graph(4)))
+    locked = str(d / "locked.g6")
+    real_open = builtins.open
+
+    def locking_open(file, *args, **kwargs):
+        if str(file) == locked:
+            raise PermissionError(13, "Permission denied", locked)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", locking_open)
+    rep = str(tmp_path / "rep.json")
+    assert run(["corpus", str(d), "--task", "at", "--json", rep]) == 1
+    doc = json.loads(Path(rep).read_text())
+    assert [i["sha256"] is None for i in doc["inputs"]] == [False, True]
+    byname = {r["item"]: r for r in doc["results"]}
+    assert byname["c5.g6"]["pass"] and not byname["locked.g6"]["pass"]
+    assert "Permission denied" in byname["locked.g6"]["payload"]["error"]
+
+
+@pytest.mark.parametrize("adversary", ["exhaustive", "random:3"])
+def test_paint_play_reports_a_failing_certificate(adversary, tmp_path, capsys):
+    # the directed triangle has no kernel, so the kernel strategy has
+    # nothing to play; the certificate's own check says so first
+    from colorcert.kernel import KPCertificate
+
+    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    cert = KPCertificate(cycle_graph(3), ListSizeFn((2, 2, 2)), tri)
+    path = write(tmp_path, "cert.json", json.dumps(cert.to_json()))
+    rep = tmp_path / "rep.json"
+    assert run(["paint", "play", "--cert", path, "--adversary", adversary,
+                "--json", str(rep)]) == 1
+    [item] = json.loads(rep.read_text())["results"]
+    assert not item["pass"] and "error" in item["payload"]
+
+
+def _without(doc, *path):
+    """A copy of a JSON document with the key at `path` removed."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, named", [
+    ("2join", ("A1",), "'A1'"),
+    ("compose", ("hub_n",), "'hub_n'"),
+    ("compose", ("strips", 0, "X"), "'strips[0].X'"),
+    ("certificate", ("f",), "'f'"),
+])
+def test_a_missing_json_key_exits_2(kind, path, named, tmp_path, capsys):
+    from colorcert.catalog import two_join_catalog
+    from colorcert.kernel import galvin_orientation
+
+    if kind == "2join":
+        _, _, g, tj = two_join_catalog()[1]
+        argv = ["structure", "2join", "verify", write(tmp_path, "g.g6", emit_graph6(g))]
+        doc = tj.to_json()
+    elif kind == "compose":
+        argv = ["structure", "compose"]
+        doc = {"hub_n": 2, "hub_edges": [[0, 1]],
+               "strips": [{"n": 2, "edges": [[0, 1]], "X": [0], "Y": [1]}]}
+    else:
+        argv = ["paint", "play", "--cert"]
+        doc = galvin_orientation(MultiGraph.from_edges(3, [(0, 1), (1, 2)])).to_json()
+    argv.append(write(tmp_path, "doc.json", json.dumps(doc)))
+    assert run(argv) == 0
+    argv[-1] = write(tmp_path, "bad.json", json.dumps(_without(doc, *path)))
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_discharge_and_pipeline(tmp_path, capsys):

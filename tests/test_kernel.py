@@ -312,7 +312,7 @@ def _is_kernel_perfect_oracle(d, cap=12):
         raise ValueError(f"exhaustive check capped at {cap} vertices")
     for size in range(1, d.n + 1):
         for sub in combinations(range(d.n), size):
-            if kernel.find_kernel(d, sub) is None:
+            if _find_kernel_oracle(d, sub) is None:
                 return False, set(sub)
     return True, None
 
@@ -514,3 +514,138 @@ def test_characterization_above_the_cap_raises_on_non_bipartite_roots():
     d = Digraph.from_arcs(g.n, g.edge_list())
     with pytest.raises(ValueError, match="capped"):
         kernel.kp_line_characterization(d, c, origin=origin)
+
+
+# ---------------------------------------------------------------------------
+# the mask-based find_kernel and bipartition against the earlier scans
+# over arc sets and edge records
+
+def _find_kernel_oracle(d, s=None):
+    """Kernel of the subdigraph induced on s (default: all vertices).
+
+    Candidates are tried by increasing size, lexicographically within a
+    size; the first kernel found is returned, else None.
+    """
+    if s is None:
+        s = range(d.n)
+    verts = sorted(set(s))
+    sset = set(verts)
+    support_adj = {v: set() for v in verts}
+    out_adj = {v: set() for v in verts}
+    for u, v in d.arcs:
+        if u in sset and v in sset:
+            support_adj[u].add(v)
+            support_adj[v].add(u)
+            out_adj[u].add(v)
+    for size in range(0, len(verts) + 1):
+        for cand in combinations(verts, size):
+            kset = set(cand)
+            if any(support_adj[u] & kset for u in cand):
+                continue  # not independent
+            if all(out_adj[v] & kset for v in verts if v not in kset):
+                return kset
+    return None
+
+
+def _bipartition_oracle(b):
+    """Two-color the support of a multigraph; None if an odd cycle exists."""
+    color = [None] * b.n
+    for start in range(b.n):
+        if color[start] is not None:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for a, c, _ in b.edges:
+                if v not in (a, c):
+                    continue
+                w = c if v == a else a
+                if color[w] is None:
+                    color[w] = 1 - color[v]
+                    stack.append(w)
+                elif color[w] == color[v]:
+                    return None
+    x = [v for v in range(b.n) if color[v] == 0]
+    y = [v for v in range(b.n) if color[v] == 1]
+    return x, y
+
+
+def _side_by_side(rng, n_parts, records_of, isolated):
+    """Components placed one after another, then `isolated` vertices;
+    half the time the labels are shuffled, else each component keeps a
+    block of labels in order, so the last one is the latest."""
+    n = sum(n_parts) + isolated
+    perm = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(perm)
+    records, off = [], 0
+    for k, recs in zip(n_parts, records_of):
+        records += [(perm[r[0] + off], perm[r[1] + off]) + tuple(r[2:]) for r in recs]
+        off += k
+    return n, records
+
+
+def _scattered_digraph(rng):
+    """A random digraph (bidirected pairs allowed), then one with a
+    one-way odd cycle, then isolated vertices."""
+    parts = [_random_digraph(rng, rng.randint(1, 4)),
+             _one_way_odd_cycle_digraph(rng, rng.randint(3, 5))]
+    n, arcs = _side_by_side(rng, [p.n for p in parts], [p.arcs for p in parts],
+                            rng.randint(0, 2))
+    return Digraph.from_arcs(n, arcs)
+
+
+def test_find_kernel_matches_the_set_search(rng):
+    outcomes = {True: 0, False: 0}
+    for i in range(240):
+        kind = i % 3
+        if kind == 0:
+            d = _random_digraph(rng, rng.randint(1, 8))
+        elif kind == 1:
+            d = _one_way_odd_cycle_digraph(rng, rng.randint(3, 8))
+        else:
+            d = _scattered_digraph(rng)
+        subsets = [None, [], list(range(d.n))[::-1]]
+        subsets += [rng.sample(range(d.n), rng.randint(1, d.n)) for _ in range(3)]
+        for s in subsets:
+            want = _find_kernel_oracle(d, s)
+            assert kernel.find_kernel(d, s) == want, (sorted(d.arcs), s)
+            outcomes[want is None] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 500
+
+
+def _odd_cycle_records(rng):
+    """An odd cycle, some copies parallel, with a chord now and then."""
+    k = rng.choice((3, 5, 7))
+    records = [(i, (i + 1) % k, rng.randint(1, 2)) for i in range(k)]
+    if k > 3 and rng.random() < 0.3:
+        records.append((0, 2, 1))
+    return k, records
+
+
+def _scattered_multigraph(rng):
+    """Bipartite components with parallel copies, then (most of the
+    time) an odd cycle as the last component, then isolated vertices."""
+    parts = [_irregular_bipartite(rng, rng.randint(1, 3), rng.randint(1, 3))
+             for _ in range(rng.randint(1, 2))]
+    sizes, records = [p.n for p in parts], [p.edges for p in parts]
+    if rng.random() < 0.7:
+        k, cycle = _odd_cycle_records(rng)
+        sizes.append(k)
+        records.append(cycle)
+    n, records = _side_by_side(rng, sizes, records, rng.randint(0, 2))
+    return MultiGraph.from_edges(n, records)
+
+
+def test_bipartition_matches_the_record_scan(rng):
+    bipartite = 0
+    for i in range(400):
+        if i % 2:
+            b = random_multigraph(rng, rng.randint(1, 8), rng.randint(0, 12), max_mult=2)
+        else:
+            b = _scattered_multigraph(rng)
+        want = _bipartition_oracle(b)
+        assert kernel.bipartition(b) == want, b.edges
+        bipartite += want is not None
+    assert 100 < bipartite < 300

@@ -1,9 +1,9 @@
 """Every name a colorcert module imports is used by that module, every
 module-level private function or class is used somewhere in the
-package, every public one is read by the package or the benchmark or
-is listed library API, every function reads each of its parameters,
-and no module holds an `assert`; brute force kept only for
-cross-checking lives in the tests."""
+package, every public one and every public method is read by the
+package or the benchmark or is listed library API, every function reads
+each of its parameters, and no module holds an `assert`; brute force
+kept only for cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -57,6 +57,12 @@ def test_the_check_sees_unused_imports():
     assert _unused_imports(tree) == [(2, "os"), (3, "parse"), (7, "chain")]
 
 
+def _methods(cls):
+    """The functions defined directly in a class body."""
+    return [item for item in cls.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def _reads(trees):
     """(name, module, top-level statement) of each read in `trees`.
 
@@ -74,6 +80,24 @@ def _reads(trees):
                     reads.add((node.attr, module, owner))
                 elif isinstance(node, ast.alias):
                     reads.add((node.name, module, owner))
+    return reads
+
+
+def _attribute_reads(trees):
+    """(attribute, module, class, method) of each attribute loaded in
+    `trees`; the method is the function of a top-level class body that
+    the load sits in, and both are None outside one."""
+    reads = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            where = {}
+            if isinstance(top, ast.ClassDef):
+                for method in _methods(top):
+                    where.update((id(node), (top.name, method.name))
+                                 for node in ast.walk(method))
+            reads.update((node.attr, module) + where.get(id(node), (None, None))
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     return reads
 
 
@@ -152,12 +176,39 @@ def _unread_public_defs(trees, readers):
             if not any(r == name and (m, o) != (module, name) for r, m, o in reads)]
 
 
+# Public methods that nothing in the package or the benchmark reads.
+PUBLIC_METHODS = {
+    ("catalog.py", "CatalogEntry", "low_set"):
+        "the emphasized vertices of an orientation entry, read off its out-degrees",
+    ("graphs.py", "Digraph", "out_degree"): "one vertex's out-degree, beside out_degrees",
+    ("graphs.py", "ListSizeFn", "constant"): "the budget k at every vertex",
+    ("graphs.py", "ListSizeFn", "degree_minus_one_on_high"):
+        "the paper's budget: d(v) on a low set, d(v) - 1 elsewhere",
+    ("graphs.py", "MultiGraph", "edge_count"): "the number of edge copies",
+    ("graphs.py", "SimpleGraph", "complement"): "the complement graph",
+}
+
+
+def _unread_public_methods(trees, readers):
+    """(module, class, method) of each public method of a module-level
+    class of `trees` that no module of `trees` or `readers` loads as an
+    attribute of that name outside the method itself."""
+    defs = [(module, top.name, method.name) for module, tree in trees.items()
+            for top in tree.body if isinstance(top, ast.ClassDef)
+            for method in _methods(top) if not method.name.startswith("_")]
+    reads = (_attribute_reads(trees)
+             | _attribute_reads({("reader", m): t for m, t in readers.items()}))
+    return [(module, cls, name) for module, cls, name in defs
+            if not any(r == name and (m, o, f) != (module, cls, name) for r, m, o, f in reads)]
+
+
 def test_every_public_name_has_a_reader():
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
     readers = {p.name: ast.parse(p.read_text(), filename=str(p))
                for p in sorted(PERFBENCH.glob("*.py"))}
     # equal, not a subset: an entry that gains a reader leaves the list
     assert sorted(_unread_public_defs(trees, readers)) == sorted(PUBLIC_API)
+    assert sorted(_unread_public_methods(trees, readers)) == sorted(PUBLIC_METHODS)
 
 
 def test_the_check_sees_unread_public_defs():
@@ -173,12 +224,28 @@ def test_the_check_sees_unread_public_defs():
             "def planted(): pass\n"
             "class Unread: pass\n"
             "def _private(): pass\n"
+            "class Shape:\n"
+            "    def area(self):\n"
+            "        return self.side() ** 2\n"
+            "    def side(self):\n"
+            "        return 1\n"
+            "    def again(self):\n"
+            "        return self.again()\n"
+            "    def drawn(self): pass\n"
+            "    def stray(self): pass\n"
+            "    def _hidden(self): pass\n"
         ),
-        "b.py": ast.parse("from .a import used\n"),
+        "b.py": ast.parse("from .a import used\na.Shape().area()\n"),
     }
-    readers = {"run.py": ast.parse("x = cc.a.benchmarked\n")}
+    # a bare name is never a method, so the parameter `stray` reads no method
+    readers = {"run.py": ast.parse("x = cc.a.benchmarked\ncc.a.Shape().drawn()\n"
+                                   "def draw(stray):\n"
+                                   "    return stray\n")}
     assert _unread_public_defs(trees, readers) == [
         ("a.py", "SPARE"), ("a.py", "recursive"), ("a.py", "planted"), ("a.py", "Unread"),
+    ]
+    assert _unread_public_methods(trees, readers) == [
+        ("a.py", "Shape", "again"), ("a.py", "Shape", "stray"),
     ]
 
 

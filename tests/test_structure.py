@@ -59,6 +59,79 @@ def test_quasi_line_negative():
     assert not ok and v == 0
 
 
+# the quasi-line test by two_coloring on complement masks against the
+# earlier coloring that scanned every pair of neighbours
+
+def _complement_bipartite(g, verts):
+    adj = g.adjacency_masks()
+    color = {}
+    for start in verts:
+        if start in color:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in verts:
+                if y == x or adj[x] >> y & 1:
+                    continue
+                if y not in color:
+                    color[y] = 1 - color[x]
+                    stack.append(y)
+                elif color[y] == color[x]:
+                    return False
+    return True
+
+
+def _is_quasi_line_oracle(g):
+    for v in range(g.n):
+        nbrs = sorted(g.neighbors(v))
+        if not _complement_bipartite(g, nbrs):
+            return False, v
+    return True, None
+
+
+def _hub_over_complement(rng):
+    """A hub joined to every vertex of H, where the complement of H is
+    paths and even cycles, then (most of the time) an odd cycle as its
+    last component, then isolated vertices; a few pendant vertices
+    hang off H.  Labels are shuffled half the time."""
+    comp, k = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 4)
+        comp += [(k + i, k + i + 1) for i in range(size - 1)]
+        if size == 4 and rng.random() < 0.5:
+            comp.append((k, k + 3))
+        k += size
+    if rng.random() < 0.7:
+        size = rng.choice((3, 5))
+        comp += [(k + i, k + (i + 1) % size) for i in range(size)]
+        k += size
+    k += rng.randint(0, 2)
+    cset = {frozenset(e) for e in comp}
+    edges = [(u + 1, v + 1) for u, v in combinations(range(k), 2) if {u, v} not in cset]
+    edges += [(0, v + 1) for v in range(k)]
+    extra = rng.randint(0, 2)
+    edges += [(k + 1 + i, rng.randint(1, k)) for i in range(extra)]
+    n = k + 1 + extra
+    if rng.random() < 0.5:
+        return shuffled(rng, n, edges)
+    return SimpleGraph.from_edges(n, edges)
+
+
+def test_quasi_line_matches_the_pairwise_coloring(rng):
+    quasi_line = 0
+    for i in range(300):
+        if i % 3:
+            g = _hub_over_complement(rng)
+        else:
+            g = random_simple_graph(rng, rng.randint(1, 9), p=rng.uniform(0.3, 0.95))
+        want = _is_quasi_line_oracle(g)
+        assert structure.is_quasi_line(g) == want, g.edge_list()
+        quasi_line += want[0]
+    assert 60 < quasi_line < 240
+
+
 def test_recognize_line_graph_roundtrip(rng):
     checked = 0
     while checked < 12:
