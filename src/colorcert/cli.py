@@ -368,9 +368,9 @@ def cmd_discharge(args):
     report = RunReport(f"discharge {args.discharge_cmd}")
     h = read_multigraph(report.add_input(args.multigraph))
     if args.discharge_cmd == "run":
-        edge_sum_ok = all(
-            h.degree(u) + h.degree(v) >= max(h.degrees()) + 2 for u, v, _ in h.edges
-        )
+        deg = h.degrees()
+        top = max(deg, default=0)
+        edge_sum_ok = all(deg[u] + deg[v] >= top + 2 for u, v, _ in h.edges)
         outcome = discharging.discharge(h)
         if isinstance(outcome, discharging.ChargeLedger):
             report.add("ledger", outcome.settled(),

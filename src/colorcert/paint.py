@@ -215,6 +215,19 @@ def is_f_choosable(g, f):
     pattern over a universe of size sum(f).  Lists and colors are
     bitmasks over that universe.  A graph that _greedy_reduce empties is
     choosable without enumeration.
+
+    The lists of the last vertex are not enumerated.  Once every other
+    list is fixed, with `used` colors introduced, the last vertex gets
+    a spare color that no other list can hold and the lists are colored
+    once; this colors G - last.  If G - last has no coloring, no list
+    of the last vertex helps, and the first leaf below, the all-fresh
+    list, is returned.  Otherwise let `blocked` be the colors that this
+    coloring puts on the neighbors of the last vertex.  A list with a
+    color outside `blocked` extends the coloring, and every fresh color
+    is outside it.  So only the all-old lists inside `blocked` can fail.
+    They come in the same lex order as the old lists of the enumeration,
+    and each is tested in turn; the first that fails is the first
+    failing leaf.  A budget above `used` leaves no all-old list.
     """
     if g.n > CHOOSABLE_VERTICES:
         raise ValueError(f"solver capped at {CHOOSABLE_VERTICES} vertices")
@@ -231,6 +244,8 @@ def is_f_choosable(g, f):
                for k, v in enumerate(order)]
     lists = [0] * n
     color = [0] * n
+    last = n - 1
+    spare = 1 << sum(sizes)
 
     def colorable(k):
         if k == n:
@@ -247,13 +262,31 @@ def is_f_choosable(g, f):
             avail ^= c
         return False
 
+    def failing():
+        return [set(_mask_vertices(m)[::-1]) for m in lists]
+
+    def settle_last(used):
+        """The first failing list of the last vertex, else None."""
+        k = sizes[last]
+        lists[last] = spare
+        if not colorable(0):
+            lists[last] = ((1 << k) - 1) << used
+            return failing()
+        blocked = 0
+        for w in _mask_vertices(adj[last]):
+            blocked |= color[w]
+        old = [1 << c for c in reversed(_mask_vertices(blocked))]
+        for old_set in combinations(old, k):
+            lists[last] = sum(old_set)
+            if not colorable(0):
+                return failing()
+        return None
+
     old_masks = {}
 
     def choose_lists(v, used):
-        if v == n:
-            if colorable(0):
-                return None
-            return [set(_mask_vertices(m)[::-1]) for m in lists]
+        if v == last:
+            return settle_last(used)
         # candidate colors: all already-introduced colors plus enough
         # fresh ones; fresh colors are interchangeable, so only the
         # count of fresh colors matters

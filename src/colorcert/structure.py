@@ -12,7 +12,8 @@ from itertools import combinations
 
 from .alon_tarsi import is_f_AT
 from .graphs import (
-    ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph, require, two_coloring,
+    FormatError, ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph, require,
+    two_coloring,
 )
 from .kernel import F_KP_VERTICES, is_f_KP
 
@@ -441,9 +442,17 @@ class CompositionSpec:
             graph = SimpleGraph.from_edges(require(s, "n", where), require(s, "edges", where))
             strips.append(Strip(graph, frozenset(require(s, "X", where)),
                                 frozenset(require(s, "Y", where))))
-        return CompositionSpec(require(doc, "hub_n"),
-                               tuple(tuple(e) for e in require(doc, "hub_edges")),
-                               tuple(strips))
+        hub_n = require(doc, "hub_n")
+        if not isinstance(hub_n, int) or hub_n < 0:
+            raise FormatError(f"hub_n = {hub_n!r} is not a vertex count")
+        hub_edges = []
+        for i, e in enumerate(require(doc, "hub_edges")):
+            if not (isinstance(e, list) and len(e) == 2
+                    and all(isinstance(v, int) and 0 <= v < hub_n for v in e)):
+                raise FormatError(
+                    f"hub_edges[{i}] = {e!r} is not a pair of hub vertices 0..{hub_n - 1}")
+            hub_edges.append(tuple(e))
+        return CompositionSpec(hub_n, tuple(hub_edges), tuple(strips))
 
 
 def compose(spec):

@@ -148,6 +148,35 @@ def test_multigraph_report_bytes(name, host, argv, digest, tmp_path, monkeypatch
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, host, code, digest", [
+    # every edge meets the degree-sum screen
+    ("k44.txt", MultiGraph.from_edges(8, complete_bipartite(4, 4).edge_list()), 0,
+     "fbc3400d49cd41b28a11f1a8e6eb82bda998d098536967488f83c598cf092a36"),
+    # some edge misses it
+    ("irregular.txt", MultiGraph.from_edges(7, [
+        (0, 2, 1), (0, 4, 2), (0, 6, 1), (1, 5, 1), (1, 6, 2), (2, 3, 1), (3, 4, 1),
+        (3, 5, 2), (3, 6, 1)]), 0,
+     "b702923eaddbf26ceecb085eff9d83defbeb412a20782d37202ed1e74fe56c21"),
+    # no edges and no vertices: the screen holds vacuously
+    ("edgeless.txt", MultiGraph.from_edges(3, []), 1,
+     "f91337d39baaa34cce07a3170cfea9f9077dc43a55e113543b4663e64dc3957d"),
+    ("empty.txt", MultiGraph.from_edges(0, []), 0,
+     "98f43fed85a49fa8398d0fb89174b86fbc948ffe4145b325cb43a3ac5a96631d"),
+])
+def test_discharge_run_screen_reads_the_degrees_once(name, host, code, digest, tmp_path,
+                                                     monkeypatch, capsys):
+    # the degree-sum screen reads one degree list, never a degree per edge end
+    def per_vertex_degree(self, v):
+        raise AssertionError("MultiGraph.degree called")
+
+    monkeypatch.setattr(MultiGraph, "degree", per_vertex_degree)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_edge_list(host))
+    assert run(["discharge", "run", name, "--json", "rep.json"]) == code
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_structure_linegraph_report_bytes(tmp_path, monkeypatch, capsys):
     # a vertex-shuffled line graph of a multigraph with a double edge
     h = MultiGraph.from_edges(5, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1),
@@ -399,6 +428,18 @@ def test_a_missing_json_key_exits_2(kind, path, named, tmp_path, capsys):
     argv[-1] = write(tmp_path, "bad.json", json.dumps(_without(doc, *path)))
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hub_edges", [[[0, 3]], [[0, 0], [-1, 0]], [[0]], [["0", 0]], [0]])
+def test_compose_with_a_hub_edge_outside_the_hub_exits_2(hub_edges, tmp_path, capsys):
+    strip = {"n": 2, "edges": [[0, 1]], "X": [0], "Y": [1]}
+    doc = {"hub_n": 1, "hub_edges": [[0, 0]], "strips": [strip]}
+    assert run(["structure", "compose", write(tmp_path, "ok.json", json.dumps(doc))]) == 0
+    capsys.readouterr()
+    doc = {"hub_n": 1, "hub_edges": hub_edges, "strips": [strip] * len(hub_edges)}
+    assert run(["structure", "compose", write(tmp_path, "bad.json", json.dumps(doc))]) == 2
+    bad = len(hub_edges) - 1
+    assert f"hub_edges[{bad}]" in capsys.readouterr().err
 
 
 def test_discharge_and_pipeline(tmp_path, capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorcert import alon_tarsi, kernel, paint
 from colorcert.graphs import (
@@ -340,3 +342,169 @@ def test_paintable_transcripts_match_oracle(rng):
             assert ok == want_ok, (g.edge_list(), f.values, prune)
             assert tr.rounds == want_tr.rounds and tr.winner == want_tr.winner
 
+
+# the bitmask solver before it settled the last vertex from one coloring
+# of the rest: every list of the last vertex is a leaf, colored afresh
+
+def _choosable_leafwise(g, f):
+    """Exhaustive list-assignment check.
+
+    Returns (True, None) or (False, failing assignment).  Assignments
+    are enumerated in a canonical form — colors are introduced in
+    ascending order without gaps — which covers every intersection
+    pattern over a universe of size sum(f).  Lists and colors are
+    bitmasks over that universe.  A graph that _greedy_reduce empties is
+    choosable without enumeration.
+    """
+    if g.n > paint.CHOOSABLE_VERTICES:
+        raise ValueError(f"solver capped at {paint.CHOOSABLE_VERTICES} vertices")
+    n = g.n
+    sizes = [f(v) for v in range(n)]
+    adj = g.adjacency_masks()
+    if not paint._greedy_reduce(adj, (1 << n) - 1, sizes):
+        return True, None
+
+    # every list of v has sizes[v] colors, so the coloring order and
+    # each vertex's earlier-colored neighbors are fixed for the call
+    order = sorted(range(n), key=lambda v: sizes[v])
+    earlier = [[w for w in order[:k] if adj[v] >> w & 1]
+               for k, v in enumerate(order)]
+    lists = [0] * n
+    color = [0] * n
+
+    def colorable(k):
+        if k == n:
+            return True
+        v = order[k]
+        avail = lists[v]
+        for w in earlier[k]:
+            avail &= ~color[w]
+        while avail:
+            c = avail & -avail
+            color[v] = c
+            if colorable(k + 1):
+                return True
+            avail ^= c
+        return False
+
+    old_masks = {}
+
+    def choose_lists(v, used):
+        if v == n:
+            if colorable(0):
+                return None
+            return [set(paint._mask_vertices(m)[::-1]) for m in lists]
+        # candidate colors: all already-introduced colors plus enough
+        # fresh ones; fresh colors are interchangeable, so only the
+        # count of fresh colors matters
+        for old in range(min(sizes[v], used) + 1):
+            fresh = sizes[v] - old
+            fresh_mask = ((1 << fresh) - 1) << used
+            if (used, old) not in old_masks:
+                old_masks[used, old] = [
+                    sum(1 << c for c in old_set)
+                    for old_set in itertools.combinations(range(used), old)
+                ]
+            for old_mask in old_masks[used, old]:
+                lists[v] = old_mask | fresh_mask
+                res = choose_lists(v + 1, used + fresh)
+                if res is not None:
+                    return res
+        return None
+
+    bad = choose_lists(0, 0)
+    if bad is None:
+        return True, None
+    return False, bad
+
+
+def _with_last(rng, prefix, budgets, last_budget, isolated=False):
+    """The prefix graph, labels shuffled, with a new last vertex joined
+    to a random subset of it (to none when isolated)."""
+    m = prefix.n
+    perm = list(range(m))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in prefix.edge_list()]
+    if not isolated:
+        edges += [(u, m) for u in range(m) if rng.random() < 0.6]
+    return (SimpleGraph.from_edges(m + 1, edges),
+            ListSizeFn(tuple(budgets) + (last_budget,)))
+
+
+def _last_vertex_instances(rng):
+    """Instances aimed at the shortcut for the last vertex: budget 0 or
+    1 there, an isolated last vertex, a budget above the colors the
+    other lists introduce, a K4 prefix at f=2 that has no coloring, and
+    relabelled classics at f=2."""
+    for i in range(240):
+        m = rng.randint(0, 5)
+        prefix = random_simple_graph(rng, m, p=rng.choice((0.3, 0.6, 0.9)))
+        kind = i % 4
+        if kind == 3:
+            # at most m colors are introduced before the last vertex
+            budgets = [rng.randint(0, 1) for _ in range(m)]
+            yield _with_last(rng, prefix, budgets, m + rng.randint(0, 2))
+            continue
+        budgets = [rng.randint(1, 3) for _ in range(m)]
+        if kind == 0:
+            yield _with_last(rng, prefix, budgets, rng.randint(0, 1))
+        elif kind == 1:
+            yield _with_last(rng, prefix, budgets, rng.randint(0, 3), isolated=True)
+        else:
+            # K4 with lists of size 2, plus maybe one more vertex
+            k4 = complete_graph(4)
+            if rng.random() < 0.5:
+                k4 = SimpleGraph.from_edges(5, k4.edge_list() + [(rng.randrange(4), 4)])
+            yield _with_last(rng, k4, [2] * k4.n, rng.randint(0, 4))
+    for classic, copies in ((cycle_graph(5), 4), (complete_bipartite(2, 3), 4),
+                            (complete_bipartite(2, 4), 1)):
+        for _ in range(copies):
+            g = _relabel(classic, rng)
+            yield g, ListSizeFn.constant(g.n, 2)
+
+
+def test_choosable_matches_leafwise(rng):
+    outcomes = set()
+    for g, f in _last_vertex_instances(rng):
+        got = paint.is_f_choosable(g, f)
+        want = _choosable_leafwise(g, f)
+        assert got == want, (g.edge_list(), f.values)
+        if not got[0]:
+            assert [list(s) for s in got[1]] == [list(s) for s in want[1]]
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
+
+
+def test_choosable_fails_at_the_all_fresh_list_when_the_rest_has_no_coloring():
+    # the last vertex (5 colors, one neighbor) never fails where the K4
+    # is colorable, so the first failing leaf lies under the first K4
+    # lists of size 2 with no coloring, and holds the all-fresh list
+    g = SimpleGraph.from_edges(5, complete_graph(4).edge_list() + [(0, 4)])
+    f = ListSizeFn((2, 2, 2, 2, 5))
+    ok, lists = paint.is_f_choosable(g, f)
+    assert (ok, lists) == _choosable_leafwise(g, f)
+    used = max(max(s) for s in lists[:4]) + 1
+    assert not ok and lists[4] == set(range(used, used + 5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5), st.sampled_from(("low", "isolated", "high", "k4")),
+       st.data())
+def test_choosable_matches_leafwise_fuzz(m, kind, data):
+    if kind == "k4":
+        m = 4
+        edges = list(complete_graph(4).edge_list())
+        budgets = [2] * 4
+    else:
+        pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+        top = 1 if kind == "high" else 3
+        budgets = data.draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
+    if kind != "isolated":
+        edges += [(u, m) for u in sorted(data.draw(st.sets(st.integers(0, m - 1))))] if m else []
+    last = {"low": st.integers(0, 1), "isolated": st.integers(0, 3),
+            "high": st.integers(m, m + 2), "k4": st.integers(0, 4)}[kind]
+    g = SimpleGraph.from_edges(m + 1, edges)
+    f = ListSizeFn(tuple(budgets) + (data.draw(last),))
+    got = paint.is_f_choosable(g, f)
+    assert got == _choosable_leafwise(g, f), (g.edge_list(), f.values)
