@@ -273,9 +273,12 @@ def is_f_AT(g, f):
     True iff some coefficient with exponents e_i <= f(i) - 1 is nonzero.
     Returns (answer, certificate-or-None); the certificate uses the
     lexicographically least qualifying exponent vector and the
-    lexicographically first orientation realizing it.
+    lexicographically first orientation realizing it.  A budget below 1
+    has no orientation: no out-degree is negative.
     """
     caps = tuple(f(v) - 1 for v in range(g.n))
+    if min(caps, default=0) < 0:
+        return False, None
     monos, decode = _capped_expansion(g, caps)
     if not monos:
         return False, None

@@ -49,62 +49,73 @@ def _mask_vertices(mask):
     return out
 
 
-def _vertex_table(n):
-    """_mask_vertices(m) for every mask m over n vertices, indexed by m."""
-    table = [[]]
-    for m in range(1, 1 << n):
-        top = m.bit_length() - 1
-        table.append([top] + table[m ^ (1 << top)])
+def _maximal_independent_sets(adj):
+    """The maximal independent subsets of every vertex mask, larger first.
+
+    Indexed by mask.  Let v be the lowest vertex of a mask m.  A maximal
+    independent subset of m that holds v is v with one of m minus v and
+    its neighbours; one that does not is one of m minus v that holds a
+    neighbour of v.  Both masks are below m.
+    """
+    table = [[0]]
+    for m in range(1, 1 << len(adj)):
+        bit = m & -m
+        near = adj[bit.bit_length() - 1]
+        found = [p | bit for p in table[m & ~(near | bit)]]
+        found += [p for p in table[m ^ bit] if p & near]
+        # larger answers first: they win more often
+        found.sort(key=int.bit_count, reverse=True)
+        table.append(found)
     return table
 
 
-def _independent_submasks(adj, mask):
-    """All maximal independent subsets of the vertex mask."""
-    results = []
+def _pack(values):
+    """(tokens, width): values[v] >= 0 in the field at width * v of one int.
 
-    def grow(cand, chosen):
-        if not cand:
-            # maximal if no vertex of mask outside chosen is addable
-            results.append(chosen)
-            return
-        v = cand.bit_length() - 1
-        rest = cand & ~(1 << v)
-        # branch: take v
-        grow(rest & ~adj[v], chosen | (1 << v))
-        # branch: skip v, but only if v stays dominated later --
-        # cheap filter: skip only when some chosen/future vertex can
-        # dominate; over-generation is harmless, so just recurse
-        if rest:
-            grow(rest, chosen)
-
-    grow(mask, 0)
-    # deduplicate and drop non-maximal sets
-    results = set(results)
-    maximal = [
-        r for r in results
-        if not any(other != r and other & r == r for other in results)
-    ]
-    return maximal
-
-
-def _greedy_reduce(adj, mask, budget):
-    """Drop vertices of mask whose budget exceeds their remaining degree.
-
-    Such a vertex can always be colored last, greedily, whatever lists
-    or moves the rest of the game brings, so a graph that reduces to
-    the empty mask is budget-choosable and budget-paintable.  Dropping
-    a vertex only lowers the degrees of the others, so the result does
-    not depend on the order of removal.
+    The width fits the largest value and is at least 1.  Tokens only
+    fall during a game, so no field outgrows it.
     """
+    width = max(max(values, default=0).bit_length(), 1)
+    return sum(t << (width * v) for v, t in enumerate(values)), width
+
+
+def _at_most(mask, tokens, width, value):
+    """The vertices of mask whose field in tokens is at most value."""
+    field = (1 << width) - 1
+    out = 0
     pending = mask
     while pending:
         bit = pending & -pending
         pending ^= bit
+        if tokens >> (width * (bit.bit_length() - 1)) & field <= value:
+            out |= bit
+    return out
+
+
+def _greedy_reduce(adj, mask, tokens, width, pending):
+    """Drop vertices of mask whose tokens exceed their remaining degree.
+
+    Vertex v's tokens are in the field at width * v (see `_pack`).
+    Returns the reduced (mask, tokens), with the fields of dropped
+    vertices cleared.  Such a vertex can always be colored last,
+    greedily, whatever lists or moves the rest of the game brings, so a
+    graph that reduces to the empty mask is budget-choosable and
+    budget-paintable.  Dropping a vertex only lowers the degrees of the
+    others, so the result does not depend on the order of removal.  The
+    vertices of `pending` are tested first, then the neighbours of each
+    dropped one, so `pending` must hold every vertex of mask that can be
+    dropped.
+    """
+    field = (1 << width) - 1
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
         v = bit.bit_length() - 1
-        if budget[v] > (adj[v] & mask).bit_count():
+        if tokens >> (width * v) & field > (adj[v] & mask).bit_count():
             mask ^= bit
+            tokens &= ~(field << (width * v))
             pending |= adj[v] & mask
-    return mask
+    return mask, tokens
 
 
 PAINTABLE_VERTICES = 9
@@ -115,92 +126,138 @@ def is_f_paintable(g, f):
 
     Returns (paintable, transcript).  The transcript follows one
     principal line: the winning side plays its first winning move in a
-    deterministic order, the losing side its first legal move.
+    deterministic order, the losing side its first legal move.  A
+    budget below 1 loses before the first round.
+
+    A game state is the uncolored mask with the tokens left, packed by
+    `_pack` with the fields of colored vertices cleared.  An answer that
+    leaves a listed vertex uncolored with no token loses at once and is
+    skipped, so every field inside the mask is at least 1 and the packed
+    tokens alone name the state; they key the memo.  A state is looked
+    up before `_greedy_reduce` runs, and its value is stored under both
+    the unreduced and the reduced key.  Only reduced states are
+    expanded, and tokens only fall, so after a move only the neighbours
+    of the painted set can be dropped.
+
+    The search lists only sets that induce a connected subgraph, and
+    this keeps the value of every state.  By induction on the total
+    tokens, say it is kept at states with fewer tokens than S, and the
+    painter has a winning answer to every connected listing at S.  Let
+    the lister list M = M1 + M2, with M1 connected and no edge between
+    M1 and M2.  The painter answers M1 with its winning I1.  The state
+    reached has fewer tokens, so the painter wins it in the full game,
+    and M2 is still uncolored there, so some answer I2 to M2 wins from
+    it.  Then I1 + I2 is a maximal independent answer to M that reaches
+    the same state as the two moves, so it wins.  The memo thus holds
+    values of the full game, and the principal line, which tries every
+    listed set, reads it as it is.
     """
     if g.n > PAINTABLE_VERTICES:
         raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
+    budget = [f(v) for v in range(g.n)]
+    if any(t < 1 for t in budget):
+        return False, GameTranscript([], "Lister")
     adj = g.adjacency_masks()
-    verts = _vertex_table(g.n)
-    answers = [None] * (1 << g.n)
-    memo = {}
+    tokens, width = _pack(budget)
+    field = (1 << width) - 1
+    # per vertex mask: one token off each vertex, every other field
+    # kept, the neighbours of the mask, and whether it is connected
+    size = 1 << g.n
+    ones = [0] * size
+    keep = [-1] * size
+    near = [0] * size
+    connected = [False] * size
+    for m in range(1, size):
+        bit = m & -m
+        v = bit.bit_length() - 1
+        ones[m] = ones[m ^ bit] | 1 << (width * v)
+        keep[m] = keep[m ^ bit] & ~(field << (width * v))
+        near[m] = near[m ^ bit] | adj[v]
+        reach = bit
+        while reach != (grown := reach | near[reach] & m):
+            reach = grown
+        connected[m] = reach == m
+    answers = _maximal_independent_sets(adj)
+    memo = {0: True}
 
-    def painter_answers(listed):
-        if answers[listed] is None:
-            answers[listed] = _independent_submasks(adj, listed)
-        return answers[listed]
+    def value(mask, state, pending):
+        """Whether the painter wins from a state with no empty field in
+        mask; `pending` as in _greedy_reduce."""
+        win = memo.get(state)
+        if win is None:
+            mask, reduced = _greedy_reduce(adj, mask, state, width, pending)
+            win = memo.get(reduced)
+            if win is None:
+                win = memo[reduced] = expand(mask, reduced)
+            memo[state] = win
+        return win
 
-    def painter_wins(mask, tokens):
-        mask = _greedy_reduce(adj, mask, tokens)
-        if mask == 0:
-            return True
-        left = [tokens[v] for v in verts[mask]]
-        if 0 in left:
-            return False
-        key = (mask, tuple(left))
-        if key in memo:
-            return memo[key]
-        result = True
+    def expand(mask, state):
+        """The value of a reduced state by search."""
+        low = _at_most(mask, state, width, 1)
         for listed in _subsets_of(mask):
-            new_tokens = list(tokens)
-            for v in verts[listed]:
-                new_tokens[v] -= 1
-            # painter answers with some maximal independent subset
-            if not any(painter_wins(mask & ~paint, new_tokens)
-                       for paint in painter_answers(listed)):
-                result = False
-                break
-        memo[key] = result
-        return result
-
-    full = (1 << g.n) - 1
-    tokens = [f(v) for v in range(g.n)]
-    win = painter_wins(full, list(tokens))
-    transcript = _principal_line(g.n, verts, tokens, painter_wins,
-                                 painter_answers, win)
-    return win, transcript
-
-
-def _principal_line(n, verts, tokens, painter_wins, painter_answers, painter_side):
-    """Play one game with the winner playing optimally."""
-    mask = (1 << n) - 1
-    tokens = list(tokens)
-    rounds = []
-    while mask:
-        if any(tokens[v] == 0 for v in verts[mask]):
-            return GameTranscript(rounds, "Lister")
-        chosen_listed = None
-        chosen_paint = None
-        for listed in sorted(_subsets_of(mask)):
-            new_tokens = list(tokens)
-            for v in verts[listed]:
-                new_tokens[v] -= 1
-            best_paint = None
-            for paint in sorted(painter_answers(listed)):
-                if painter_wins(mask & ~paint, list(new_tokens)):
-                    best_paint = paint
+            if not connected[listed]:
+                continue
+            base = state - ones[listed]
+            must = listed & low
+            for paint in answers[listed]:
+                if must & ~paint:
+                    continue
+                child = base & keep[paint]
+                win = memo.get(child)
+                if win is None:
+                    rest = mask & ~paint
+                    win = value(rest, child, near[paint] & rest)
+                if win:
                     break
-            if painter_side:
+            else:
+                return False
+        return True
+
+    def principal_line(painter_side):
+        """Play one game with the winner playing optimally."""
+        mask = size - 1
+        state = tokens
+        rounds = []
+        while mask:
+            if _at_most(mask, state, width, 0):
+                return GameTranscript(rounds, "Lister")
+            chosen_listed = None
+            chosen_paint = None
+            for listed in sorted(_subsets_of(mask)):
+                base = state - ones[listed]
+                best_paint = None
+                for paint in sorted(answers[listed]):
+                    rest = mask & ~paint
+                    child = base & keep[paint]
+                    if not _at_most(rest, child, width, 0) and value(rest, child, rest):
+                        best_paint = paint
+                        break
+                if painter_side:
+                    if best_paint is None:
+                        continue  # cannot happen when painter wins overall
+                    chosen_listed, chosen_paint = listed, best_paint
+                    break
                 if best_paint is None:
-                    continue  # cannot happen when painter wins overall
-                chosen_listed, chosen_paint = listed, best_paint
-                break
-            if best_paint is None:
-                # lister found a refutation; painter answers best effort
-                chosen_listed = listed
-                chosen_paint = min(painter_answers(listed))
-                break
-        if chosen_listed is None:
-            # no winning lister move from here (prune shrank the state);
-            # fall back to listing everything
-            chosen_listed = mask
-            chosen_paint = min(painter_answers(chosen_listed))
-        for v in verts[chosen_listed]:
-            tokens[v] -= 1
-        rounds.append((set(verts[chosen_listed]), set(verts[chosen_paint])))
-        mask &= ~chosen_paint
-        if len(rounds) > 4 ** n:
-            raise RuntimeError("runaway game")
-    return GameTranscript(rounds, "Painter")
+                    # lister found a refutation; painter answers best effort
+                    chosen_listed = listed
+                    chosen_paint = min(answers[listed])
+                    break
+            if chosen_listed is None:
+                # no winning lister move from here (prune shrank the state);
+                # fall back to listing everything
+                chosen_listed = mask
+                chosen_paint = min(answers[chosen_listed])
+            state = (state - ones[chosen_listed]) & keep[chosen_paint]
+            rounds.append((set(_mask_vertices(chosen_listed)),
+                           set(_mask_vertices(chosen_paint))))
+            mask &= ~chosen_paint
+            if len(rounds) > 4 ** g.n:
+                raise RuntimeError("runaway game")
+        return GameTranscript(rounds, "Painter")
+
+    win = value(size - 1, tokens, size - 1)
+    return win, principal_line(win)
 
 
 CHOOSABLE_VERTICES = 9
@@ -227,14 +284,19 @@ def is_f_choosable(g, f):
     is outside it.  So only the all-old lists inside `blocked` can fail.
     They come in the same lex order as the old lists of the enumeration,
     and each is tested in turn; the first that fails is the first
-    failing leaf.  A budget above `used` leaves no all-old list.
+    failing leaf.  A budget above `used` leaves no all-old list.  A
+    negative budget raises ValueError.
     """
     if g.n > CHOOSABLE_VERTICES:
         raise ValueError(f"solver capped at {CHOOSABLE_VERTICES} vertices")
     n = g.n
     sizes = [f(v) for v in range(n)]
+    for v, k in enumerate(sizes):
+        if k < 0:
+            raise ValueError(f"vertex {v} has a negative list size {k}")
     adj = g.adjacency_masks()
-    if not _greedy_reduce(adj, (1 << n) - 1, sizes):
+    full = (1 << n) - 1
+    if not _greedy_reduce(adj, full, *_pack(sizes), full)[0]:
         return True, None
 
     # every list of v has sizes[v] colors, so the coloring order and
@@ -322,10 +384,31 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
     `adversary` is "exhaustive" (sweep every lister line; returns the
     first transcript, raising if any line is lost) or "random:<seed>"
     (play RANDOM_GAMES random games).  Returns a painter-winning transcript.
+
+    The kernel depends only on the listed set, so `find_kernel` runs
+    once per distinct listed mask.  The sweep's state is the uncolored
+    mask with the tokens packed by `_pack`, clamped at 0 and with the
+    fields of colored vertices cleared; a listed vertex left uncolored
+    loses once its tokens run out, whether it had 1 or fewer.
     """
     d = cert.digraph
     if d.n != g.n:
         raise ValueError("certificate does not match the graph")
+    tokens, width = _pack([max(f(v), 0) for v in range(g.n)])
+    field = (1 << width) - 1
+    steps = {}
+
+    def step(listed):
+        """(kernel, listed vertices left uncolored, the fields kept, one
+        token off each vertex left) for a listed mask."""
+        found = find_kernel(d, _mask_vertices(listed))
+        if found is None:
+            raise RuntimeError("certificate digraph lost its kernel")
+        left = listed & ~sum(1 << v for v in found)
+        steps[listed] = (listed ^ left, left,
+                         ~sum(field << (width * v) for v in found),
+                         sum(1 << (width * v) for v in _mask_vertices(left)))
+        return steps[listed]
 
     def play_line(moves):
         """Run one game; moves is a callable state -> listed set."""
@@ -336,47 +419,42 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
             listed = moves(uncolored, tokens)
             for v in listed:
                 tokens[v] -= 1
-            kernel = find_kernel(d, listed)
-            if kernel is None:
-                raise RuntimeError("certificate digraph lost its kernel")
+            mask = sum(1 << v for v in listed)
+            kernel = _mask_vertices((steps.get(mask) or step(mask))[0])
             for v in kernel:
                 uncolored.discard(v)
             rounds.append((set(listed), set(kernel)))
-            if any(tokens[v] == 0 for v in uncolored):
+            if any(tokens[v] <= 0 for v in uncolored):
                 return GameTranscript(rounds, "Lister")
         return GameTranscript(rounds, "Painter")
 
     if adversary == "exhaustive":
-        # the painter's reply is deterministic, so game states repeat;
-        # a state is the uncolored set with its remaining tokens
+        # the painter's reply is deterministic, so game states repeat
         visited = set()
+        listings = {}
 
-        def sweep(uncolored, tokens):
-            if not uncolored:
-                return
-            state = (frozenset(uncolored),
-                     tuple(tokens[v] for v in sorted(uncolored)))
-            if state in visited:
-                return
-            visited.add(state)
-            verts = sorted(uncolored)
-            for size in range(1, len(verts) + 1):
-                for listed in combinations(verts, size):
-                    new_tokens = list(tokens)
-                    for v in listed:
-                        new_tokens[v] -= 1
-                    kernel = find_kernel(d, listed)
-                    if kernel is None:
-                        raise RuntimeError("certificate digraph lost its kernel")
-                    remaining = uncolored - set(kernel)
-                    if any(new_tokens[v] <= 0 and v in remaining for v in listed):
-                        # a listed-but-unpainted vertex hit zero tokens
-                        raise AssertionError(
-                            f"kernel painter lost after listing {sorted(listed)}"
-                        )
-                    sweep(remaining, new_tokens)
+        def sweep(mask, tokens):
+            visited.add((mask, tokens))
+            if mask not in listings:
+                # by size, then lexicographically
+                verts = _mask_vertices(mask)[::-1]
+                listings[mask] = [sum(1 << v for v in listed)
+                                  for size in range(1, len(verts) + 1)
+                                  for listed in combinations(verts, size)]
+            low = _at_most(mask, tokens, width, 1)
+            for listed in listings[mask]:
+                kernel, left, keep, unit = steps.get(listed) or step(listed)
+                if left & low:
+                    # a listed-but-unpainted vertex hit zero tokens
+                    raise AssertionError(
+                        f"kernel painter lost after listing {_mask_vertices(listed)[::-1]}"
+                    )
+                child = (mask & ~kernel, (tokens & keep) - unit)
+                if child[0] and child not in visited:
+                    sweep(*child)
 
-        sweep(set(range(g.n)), [f(v) for v in range(g.n)])
+        if g.n:
+            sweep((1 << g.n) - 1, tokens)
         # reconstruct one full line for the transcript
         return play_line(lambda unc, _tokens: sorted(unc))
 

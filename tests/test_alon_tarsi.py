@@ -339,6 +339,19 @@ def test_is_f_AT_raises_when_its_identity_breaks(monkeypatch):
             alon_tarsi.is_f_AT(g, f)
 
 
+@pytest.mark.parametrize("n, edges, budget", [
+    (1, [], (0,)), (3, [(0, 1), (1, 2)], (0, 2, 2)), (3, [(0, 1), (1, 2)], (2, -1, 2)),
+])
+def test_is_f_AT_refuses_a_budget_below_one(n, edges, budget):
+    # no out-degree is negative, so an empty list has no orientation; a
+    # certificate here would fail its own check
+    g = SimpleGraph.from_edges(n, edges)
+    assert is_f_AT(g, ListSizeFn(budget)) == (False, None)
+    raised = ListSizeFn(tuple(max(k, 1) for k in budget))
+    ok, cert = is_f_AT(g, raised)
+    assert ok and cert.check()
+
+
 def test_schauz_raises_on_a_non_integral_total(monkeypatch):
     # no small graph gives a non-integral interpolation sum, so cut the
     # grid down to one point whose term is 1/2; the check must survive

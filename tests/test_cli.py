@@ -8,13 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from colorcert import cli
+from colorcert import cli, kernel, paint
 from colorcert.graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
     join, line_graph,
 )
 from test_alon_tarsi import poly_coefficient_schauz
+from test_paint import _kernel_play_per_listing, _paintable_token_lists
 
 
 def write(tmp_path, name, text):
@@ -300,6 +301,53 @@ def test_paint_and_choose(c5_file, capsys):
     assert run(["paint", "solve", c5_file, "--f", "const:3"]) == 0
     assert run(["paint", "solve", c5_file, "--f", "const:2"]) == 1
     assert run(["choose", "solve", c5_file, "--f", "const:2"]) == 1
+
+
+
+def _two_components():
+    return SimpleGraph.from_edges(7, cycle_graph(5).edge_list() + [(5, 6)])
+
+
+@pytest.mark.parametrize("name, graph, f, code, digest", [
+    ("c5.g6", cycle_graph(5), "const:2", 1,
+     "255267042912dacffd5d2a06175142f8ee820529d413312776464a02a03edc29"),
+    ("c5k2.g6", _two_components(), "const:2", 1,
+     "d527cb308b75009643b52c5a4e2f63775d6969be87a985a492bd4348e56e6bb2"),
+    ("k2x3.g6", complete_multipartite_2t(3), "const:3", 0,
+     "30ae4b443ecfa390785ffe651ac785e58b1f091415d3d0a0e70d5be79ba15488"),
+    ("lk33.g6", line_graph(MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list()))[0],
+     "const:3", 0, "803115a6ffe874381a69963cf579663125bc5383f453508f7bafaa0878b3ebbf"),
+])
+def test_paint_solve_report_bytes(name, graph, f, code, digest, tmp_path, monkeypatch,
+                                  capsys):
+    # the report names its input by the path given, so run from tmp_path
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    assert run(["paint", "solve", name, "--f", f, "--json", "rep.json"]) == code
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    # the token-list search writes the same bytes
+    monkeypatch.setattr(paint, "is_f_paintable", _paintable_token_lists)
+    assert run(["paint", "solve", name, "--f", f, "--json", "old.json"]) == code
+    assert (tmp_path / "old.json").read_bytes() == data
+
+
+@pytest.mark.parametrize("adversary, digest", [
+    ("exhaustive", "3b986b93a2d3504b325bd78dc81f3775434de0e7176d9904e16d0ce624109ccb"),
+    ("random:7", "27ee9b4417048c8e384cb1b9b53559e12fdd10435b56eabfe5bfdc8a562b7224"),
+])
+def test_paint_play_report_bytes(adversary, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    b = MultiGraph.from_edges(5, [(0, 2, 1), (0, 3, 2), (1, 3, 1), (1, 4, 1)])
+    write(tmp_path, "cert.json", json.dumps(kernel.galvin_orientation(b).to_json()))
+    argv = ["paint", "play", "--cert", "cert.json", "--adversary", adversary]
+    assert run(argv + ["--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+    # the sweep that searches a kernel at every listing writes the same bytes
+    monkeypatch.setattr(paint, "kernel_painter_play", _kernel_play_per_listing)
+    assert run(argv + ["--json", "old.json"]) == 0
+    assert (tmp_path / "old.json").read_bytes() == data
 
 
 def test_structure_subcommands(c5_file, capsys):

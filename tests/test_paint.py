@@ -1,16 +1,21 @@
 import itertools
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorcert import alon_tarsi, kernel, paint
+from colorcert import alon_tarsi, graphs, kernel, paint
 from colorcert.graphs import (
-    ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
+    Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     cycle_graph, path_graph,
 )
-from colorcert.paint import is_f_choosable, is_f_paintable
+from colorcert.kernel import find_kernel
+from colorcert.paint import (
+    PAINTABLE_VERTICES, RANDOM_GAMES, GameTranscript, _subsets_of,
+    is_f_choosable, is_f_paintable,
+)
 from conftest import random_simple_graph
 
 
@@ -202,7 +207,6 @@ def _paintable_oracle(g, f, cap=9, prune=True):
     memo = {}
     _mask_vertices = paint._mask_vertices
     _subsets_of = paint._subsets_of
-    _independent_submasks = paint._independent_submasks
 
     def uncolored_degree(v, mask):
         return bin(adj[v] & mask).count("1")
@@ -343,6 +347,440 @@ def test_paintable_transcripts_match_oracle(rng):
             assert tr.rounds == want_tr.rounds and tr.winner == want_tr.winner
 
 
+# the packed-state solver's predecessors, kept verbatim: the token-list
+# game search, which lists every subset and reduces before each memo
+# lookup, and the kernel sweep, which searches a kernel at every listing
+
+def _vertex_table(n):
+    """_mask_vertices(m) for every mask m over n vertices, indexed by m."""
+    table = [[]]
+    for m in range(1, 1 << n):
+        top = m.bit_length() - 1
+        table.append([top] + table[m ^ (1 << top)])
+    return table
+
+
+def _independent_submasks(adj, mask):
+    """All maximal independent subsets of the vertex mask."""
+    results = []
+
+    def grow(cand, chosen):
+        if not cand:
+            # maximal if no vertex of mask outside chosen is addable
+            results.append(chosen)
+            return
+        v = cand.bit_length() - 1
+        rest = cand & ~(1 << v)
+        # branch: take v
+        grow(rest & ~adj[v], chosen | (1 << v))
+        # branch: skip v, but only if v stays dominated later --
+        # cheap filter: skip only when some chosen/future vertex can
+        # dominate; over-generation is harmless, so just recurse
+        if rest:
+            grow(rest, chosen)
+
+    grow(mask, 0)
+    # deduplicate and drop non-maximal sets
+    results = set(results)
+    maximal = [
+        r for r in results
+        if not any(other != r and other & r == r for other in results)
+    ]
+    return maximal
+
+
+def _greedy_reduce(adj, mask, budget):
+    """Drop vertices of mask whose budget exceeds their remaining degree.
+
+    Such a vertex can always be colored last, greedily, whatever lists
+    or moves the rest of the game brings, so a graph that reduces to
+    the empty mask is budget-choosable and budget-paintable.  Dropping
+    a vertex only lowers the degrees of the others, so the result does
+    not depend on the order of removal.
+    """
+    pending = mask
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        v = bit.bit_length() - 1
+        if budget[v] > (adj[v] & mask).bit_count():
+            mask ^= bit
+            pending |= adj[v] & mask
+    return mask
+
+
+def _paintable_token_lists(g, f):
+    """Exact value of the online game, with a sample winning line.
+
+    Returns (paintable, transcript).  The transcript follows one
+    principal line: the winning side plays its first winning move in a
+    deterministic order, the losing side its first legal move.
+    """
+    if g.n > PAINTABLE_VERTICES:
+        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
+    adj = g.adjacency_masks()
+    verts = _vertex_table(g.n)
+    answers = [None] * (1 << g.n)
+    memo = {}
+
+    def painter_answers(listed):
+        if answers[listed] is None:
+            answers[listed] = _independent_submasks(adj, listed)
+        return answers[listed]
+
+    def painter_wins(mask, tokens):
+        mask = _greedy_reduce(adj, mask, tokens)
+        if mask == 0:
+            return True
+        left = [tokens[v] for v in verts[mask]]
+        if 0 in left:
+            return False
+        key = (mask, tuple(left))
+        if key in memo:
+            return memo[key]
+        result = True
+        for listed in _subsets_of(mask):
+            new_tokens = list(tokens)
+            for v in verts[listed]:
+                new_tokens[v] -= 1
+            # painter answers with some maximal independent subset
+            if not any(painter_wins(mask & ~paint, new_tokens)
+                       for paint in painter_answers(listed)):
+                result = False
+                break
+        memo[key] = result
+        return result
+
+    full = (1 << g.n) - 1
+    tokens = [f(v) for v in range(g.n)]
+    win = painter_wins(full, list(tokens))
+    transcript = _principal_line(g.n, verts, tokens, painter_wins,
+                                 painter_answers, win)
+    return win, transcript
+
+
+def _principal_line(n, verts, tokens, painter_wins, painter_answers, painter_side):
+    """Play one game with the winner playing optimally."""
+    mask = (1 << n) - 1
+    tokens = list(tokens)
+    rounds = []
+    while mask:
+        if any(tokens[v] == 0 for v in verts[mask]):
+            return GameTranscript(rounds, "Lister")
+        chosen_listed = None
+        chosen_paint = None
+        for listed in sorted(_subsets_of(mask)):
+            new_tokens = list(tokens)
+            for v in verts[listed]:
+                new_tokens[v] -= 1
+            best_paint = None
+            for paint in sorted(painter_answers(listed)):
+                if painter_wins(mask & ~paint, list(new_tokens)):
+                    best_paint = paint
+                    break
+            if painter_side:
+                if best_paint is None:
+                    continue  # cannot happen when painter wins overall
+                chosen_listed, chosen_paint = listed, best_paint
+                break
+            if best_paint is None:
+                # lister found a refutation; painter answers best effort
+                chosen_listed = listed
+                chosen_paint = min(painter_answers(listed))
+                break
+        if chosen_listed is None:
+            # no winning lister move from here (prune shrank the state);
+            # fall back to listing everything
+            chosen_listed = mask
+            chosen_paint = min(painter_answers(chosen_listed))
+        for v in verts[chosen_listed]:
+            tokens[v] -= 1
+        rounds.append((set(verts[chosen_listed]), set(verts[chosen_paint])))
+        mask &= ~chosen_paint
+        if len(rounds) > 4 ** n:
+            raise RuntimeError("runaway game")
+    return GameTranscript(rounds, "Painter")
+
+
+def _kernel_play_per_listing(g, f, cert, adversary="exhaustive"):
+    """Play the online game with the kernel strategy for the painter.
+
+    The painter always colors a kernel of the certificate digraph
+    induced on the listed set (restricted to uncolored vertices).
+    `adversary` is "exhaustive" (sweep every lister line; returns the
+    first transcript, raising if any line is lost) or "random:<seed>"
+    (play RANDOM_GAMES random games).  Returns a painter-winning transcript.
+    """
+    d = cert.digraph
+    if d.n != g.n:
+        raise ValueError("certificate does not match the graph")
+
+    def play_line(moves):
+        """Run one game; moves is a callable state -> listed set."""
+        tokens = [f(v) for v in range(g.n)]
+        uncolored = set(range(g.n))
+        rounds = []
+        while uncolored:
+            listed = moves(uncolored, tokens)
+            for v in listed:
+                tokens[v] -= 1
+            kernel = find_kernel(d, listed)
+            if kernel is None:
+                raise RuntimeError("certificate digraph lost its kernel")
+            for v in kernel:
+                uncolored.discard(v)
+            rounds.append((set(listed), set(kernel)))
+            if any(tokens[v] == 0 for v in uncolored):
+                return GameTranscript(rounds, "Lister")
+        return GameTranscript(rounds, "Painter")
+
+    if adversary == "exhaustive":
+        # the painter's reply is deterministic, so game states repeat;
+        # a state is the uncolored set with its remaining tokens
+        visited = set()
+
+        def sweep(uncolored, tokens):
+            if not uncolored:
+                return
+            state = (frozenset(uncolored),
+                     tuple(tokens[v] for v in sorted(uncolored)))
+            if state in visited:
+                return
+            visited.add(state)
+            verts = sorted(uncolored)
+            for size in range(1, len(verts) + 1):
+                for listed in combinations(verts, size):
+                    new_tokens = list(tokens)
+                    for v in listed:
+                        new_tokens[v] -= 1
+                    kernel = find_kernel(d, listed)
+                    if kernel is None:
+                        raise RuntimeError("certificate digraph lost its kernel")
+                    remaining = uncolored - set(kernel)
+                    if any(new_tokens[v] <= 0 and v in remaining for v in listed):
+                        # a listed-but-unpainted vertex hit zero tokens
+                        raise AssertionError(
+                            f"kernel painter lost after listing {sorted(listed)}"
+                        )
+                    sweep(remaining, new_tokens)
+
+        sweep(set(range(g.n)), [f(v) for v in range(g.n)])
+        # reconstruct one full line for the transcript
+        return play_line(lambda unc, _tokens: sorted(unc))
+
+    if adversary.startswith("random:"):
+        seed = int(adversary.split(":", 1)[1])
+        rng = random.Random(seed)
+        last = None
+        for _ in range(RANDOM_GAMES):
+
+            def moves(unc, _tokens):
+                verts = sorted(unc)
+                k = rng.randint(1, len(verts))
+                return rng.sample(verts, k)
+
+            last = play_line(moves)
+            if last.winner != "Painter":
+                raise AssertionError("kernel painter lost a random game")
+        return last
+
+    raise ValueError(f"unknown adversary {adversary!r}")
+
+
+def _outcome(tr):
+    return tr.rounds, tr.winner
+
+
+def _components(rng, sizes, p=0.7):
+    """Disjoint random graphs of these sizes, labels shuffled together."""
+    edges, off = [], 0
+    for k in sizes:
+        part = random_simple_graph(rng, k, p=p)
+        edges += [(u + off, v + off) for u, v in part.edge_list()]
+        off += k
+    return _relabel(SimpleGraph.from_edges(off, edges), rng)
+
+
+def _line_k33():
+    return graphs.line_graph(MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list()))[0]
+
+
+def _packed_search_instances(rng):
+    """Instances aimed at the packed search: 2-3 components, so that some
+    listed sets are disconnected; budgets at the edges of the field width
+    (1, 3, 4, 7, 8) on dense graphs where they bind; 7-9 vertices,
+    relabelled L(K_{3,3}) and K_{2*3} at f=3 among them."""
+    for _ in range(40):
+        g = _components(rng, [rng.randint(1, 3) for _ in range(rng.randint(2, 3))])
+        yield "components", g, ListSizeFn(tuple(rng.randint(1, 3) for _ in range(g.n)))
+    for _ in range(30):
+        n = rng.randint(4, 9)
+        g = random_simple_graph(rng, n, p=rng.uniform(0.7, 1.0))
+        yield "width", g, ListSizeFn(tuple(
+            rng.choice((3, 4, 7, 8, 8)) if g.degree(v) >= 6 else rng.choice((1, 3, 4))
+            for v in range(n)))
+    for _ in range(6):
+        n = rng.randint(7, 8)
+        g = random_simple_graph(rng, n, p=0.5)
+        yield "large", g, ListSizeFn(tuple(max(g.degree(v), 1) for v in range(n)))
+    yield "large", _relabel(_line_k33(), rng), ListSizeFn.constant(9, 3)
+    yield "large", _relabel(graphs.complete_multipartite_2t(3), rng), ListSizeFn.constant(6, 3)
+    yield "large", _relabel(graphs.complete_multipartite_2t(3), rng), ListSizeFn.constant(6, 2)
+
+
+def test_paintable_matches_the_token_list_search(rng):
+    seen = set()
+    for kind, g, f in _packed_search_instances(rng):
+        ok, tr = paint.is_f_paintable(g, f)
+        want_ok, want_tr = _paintable_token_lists(g, f)
+        assert (ok, _outcome(tr)) == (want_ok, _outcome(want_tr)), (g.edge_list(), f.values)
+        seen.add((kind, ok))
+    assert seen == {(kind, ok) for kind in ("components", "width", "large")
+                    for ok in (True, False)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.data())
+def test_paintable_matches_the_token_list_search_fuzz(sizes, data):
+    # components of the given sizes, sometimes joined by one edge, with
+    # budgets at the edges of the field width
+    n = sum(sizes)
+    edges, off = [], 0
+    for k in sizes:
+        pairs = [(u + off, v + off) for u in range(k) for v in range(u + 1, k)]
+        edges += sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+        off += k
+    if len(sizes) > 1 and data.draw(st.booleans()):
+        edges.append((data.draw(st.integers(0, sizes[0] - 1)),
+                      data.draw(st.integers(sizes[0], n - 1))))
+    perm = data.draw(st.permutations(range(n)))
+    g = SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    f = ListSizeFn(tuple(data.draw(st.lists(st.sampled_from((1, 2, 3, 4, 7, 8)),
+                                            min_size=n, max_size=n))))
+    ok, tr = paint.is_f_paintable(g, f)
+    want_ok, want_tr = _paintable_token_lists(g, f)
+    assert (ok, _outcome(tr)) == (want_ok, _outcome(want_tr)), (g.edge_list(), f.values)
+
+
+def test_maximal_independent_sets_match_the_subset_search(rng):
+    for _ in range(40):
+        n = rng.randint(0, 7)
+        g = random_simple_graph(rng, n, p=rng.uniform(0.1, 0.9))
+        adj = g.adjacency_masks()
+        table = paint._maximal_independent_sets(adj)
+        assert len(table) == 1 << n
+        for mask, found in enumerate(table):
+            assert sorted(found) == sorted(_independent_submasks(adj, mask))
+            sizes = [p.bit_count() for p in found]
+            assert sizes == sorted(sizes, reverse=True)
+
+
+@pytest.mark.parametrize("budget", [(-1, 2, 2), (0, 2, 2), (2, 2, 0), (2, -3, 2)])
+def test_a_budget_below_one_loses_before_the_first_round(budget):
+    ok, tr = paint.is_f_paintable(path_graph(3), ListSizeFn(budget))
+    assert not ok and tr.to_json() == {"rounds": [], "winner": "Lister"}
+
+
+def test_a_budget_below_one_loses_a_kernel_game():
+    # a vertex that starts without a token loses once it is left
+    # uncolored, against the random lister as in the sweep
+    cert = kernel.galvin_orientation(
+        MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list()))
+    for low in (0, -1):
+        f = ListSizeFn((low,) + cert.f.values[1:])
+        with pytest.raises(AssertionError, match="lost a random game"):
+            paint.kernel_painter_play(cert.graph, f, cert, adversary="random:2")
+        with pytest.raises(AssertionError, match="lost after listing"):
+            paint.kernel_painter_play(cert.graph, f, cert, adversary="exhaustive")
+
+
+def test_choosable_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="vertex 0 has a negative list size -1"):
+        paint.is_f_choosable(path_graph(1), ListSizeFn((-1,)))
+    with pytest.raises(ValueError, match="vertex 2 "):
+        paint.is_f_choosable(path_graph(3), ListSizeFn((2, 2, -2)))
+    # an empty list is allowed and fails
+    assert not paint.is_f_choosable(path_graph(3), ListSizeFn((2, 0, 2)))[0]
+
+
+def _sweep(play, g, f, cert, adversary="exhaustive"):
+    """The outcome of a kernel-painter play: its transcript, or the text
+    of the error it raised."""
+    try:
+        tr = play(g, f, cert, adversary=adversary)
+    except (AssertionError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return _outcome(tr)
+
+
+def _kernel_certificates(rng):
+    """Galvin certificates of small bipartite multigraphs, and is_f_KP
+    certificates of small graphs at their degree budgets."""
+    while True:
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        records = [(i, a + j, rng.randint(1, 2)) for i in range(a) for j in range(b)
+                   if rng.random() < 0.8]
+        if records and sum(m for _, _, m in records) <= 6:
+            yield kernel.galvin_orientation(MultiGraph.from_edges(a + b, records))
+        n = rng.randint(2, 5)
+        g = random_simple_graph(rng, n, p=0.6)
+        cert = kernel.is_f_KP(g, ListSizeFn(tuple(max(g.degree(v), 1) for v in range(n))))
+        if cert is not None:
+            yield cert
+
+
+def test_kernel_sweep_matches_the_per_listing_sweep(rng):
+    outcomes = {"Painter": 0, "AssertionError": 0}
+    certs = _kernel_certificates(rng)
+    for _ in range(60):
+        cert = next(certs)
+        g, values = cert.graph, list(cert.f.values)
+        assert cert.check()
+        for f in (cert.f, None):
+            if f is None:
+                # one budget lowered, so the sweep may lose
+                v = rng.randrange(g.n)
+                values[v] -= rng.randint(1, values[v])
+                f = ListSizeFn(tuple(values))
+            got = _sweep(paint.kernel_painter_play, g, f, cert)
+            assert got == _sweep(_kernel_play_per_listing, g, f, cert), (
+                g.edge_list(), f.values)
+            outcomes[got[1] if got[1] == "Painter" else got[0]] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_kernel_sweep_raises_like_the_per_listing_sweep_without_a_kernel():
+    # the directed triangle has no kernel, so the sweep stops at the
+    # first listing of all three vertices
+    from colorcert.kernel import KPCertificate
+
+    tri = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    cert = KPCertificate(cycle_graph(3), ListSizeFn((3, 3, 3)), tri)
+    for adversary in ("exhaustive", "random:4"):
+        got = _sweep(paint.kernel_painter_play, cert.graph, cert.f, cert, adversary)
+        assert got == ("RuntimeError", "certificate digraph lost its kernel")
+        assert got == _sweep(_kernel_play_per_listing, cert.graph, cert.f, cert, adversary)
+
+
+def test_kernel_play_finds_each_kernel_once(rng, monkeypatch):
+    calls = []
+
+    def counting(d, s=None):
+        calls.append(frozenset(s))
+        return find_kernel(d, s)
+
+    monkeypatch.setattr(paint, "find_kernel", counting)
+    certs = _kernel_certificates(rng)
+    for _ in range(12):
+        cert = next(certs)
+        for adversary in ("exhaustive", "random:5"):
+            calls.clear()
+            tr = paint.kernel_painter_play(cert.graph, cert.f, cert, adversary=adversary)
+            assert _outcome(tr) == _outcome(_kernel_play_per_listing(
+                cert.graph, cert.f, cert, adversary=adversary))
+            assert len(calls) == len(set(calls)) < 1 << cert.graph.n
+
+
 # the bitmask solver before it settled the last vertex from one coloring
 # of the rest: every list of the last vertex is a leaf, colored afresh
 
@@ -361,7 +799,7 @@ def _choosable_leafwise(g, f):
     n = g.n
     sizes = [f(v) for v in range(n)]
     adj = g.adjacency_masks()
-    if not paint._greedy_reduce(adj, (1 << n) - 1, sizes):
+    if not _greedy_reduce(adj, (1 << n) - 1, sizes):
         return True, None
 
     # every list of v has sizes[v] colors, so the coloring order and
