@@ -11,7 +11,9 @@ some coefficient with exponents k_i <= f(i) - 1 is nonzero; the
 orientation realizing that exponent vector is the portable certificate.
 """
 
-from .graphs import Digraph, SimpleGraph
+from .graphs import (
+    Digraph, ListSizeFn, SimpleGraph, digraph_from_json, digraph_to_json, require, require_sizes,
+)
 
 
 def eulerian_counts(d):
@@ -236,8 +238,10 @@ class ATCertificate:
         self.eo = eo
 
     def check(self):
-        """Re-verify every claim from scratch."""
-        if self.digraph.support().edges != self.graph.edges:
+        """Re-verify every claim from scratch; a digraph or budget on
+        another vertex count fails."""
+        if (self.digraph.support_masks() != self.graph.adjacency_masks()
+                or self.f.n != self.graph.n):
             return False
         outs = self.digraph.out_degrees()
         if any(outs[v] >= self.f(v) for v in range(self.graph.n)):
@@ -246,8 +250,6 @@ class ATCertificate:
         return (ee, eo) == (self.ee, self.eo) and ee != eo
 
     def to_json(self):
-        from .graphs import digraph_to_json
-
         return {
             "n": self.graph.n,
             "edges": self.graph.edge_list(),
@@ -259,12 +261,12 @@ class ATCertificate:
 
     @staticmethod
     def from_json(doc):
-        from .graphs import ListSizeFn, digraph_from_json
-
-        g = SimpleGraph.from_edges(doc["n"], doc["edges"])
-        f = ListSizeFn(tuple(doc["f"]))
-        d = digraph_from_json(doc["orientation"])
-        return ATCertificate(g, f, d, doc["ee"], doc["eo"])
+        n = require(doc, "n")
+        g = SimpleGraph.from_edges(n, require(doc, "edges"))
+        f = ListSizeFn(tuple(require(doc, "f")))
+        d = digraph_from_json(require(doc, "orientation"))
+        require_sizes(n, f, d)
+        return ATCertificate(g, f, d, require(doc, "ee"), require(doc, "eo"))
 
 
 def is_f_AT(g, f):

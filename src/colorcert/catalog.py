@@ -10,7 +10,7 @@ are exactly the vertices allowed one fewer color.
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, MultiGraph
+from .graphs import Digraph, MultiGraph, SimpleGraph, path_graph
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,6 @@ def two_join_catalog():
     Returned as (tag, name, graph, TwoJoin) tuples; both satisfy the
     four strip conditions checked by verify_2join.
     """
-    from .graphs import SimpleGraph, path_graph
     from .structure import TwoJoin
 
     trivial = SimpleGraph.from_edges(

@@ -251,6 +251,11 @@ class Digraph:
     def support(self):
         return SimpleGraph.from_edges(self.n, list(self.arcs))
 
+    def support_masks(self):
+        """Neighbour bitmask per vertex of the support: out | in."""
+        out, into = self._masks
+        return tuple(o | i for o, i in zip(out, into))
+
     def is_bidirected(self, u, v):
         return (u, v) in self.arcs and (v, u) in self.arcs
 
@@ -542,6 +547,15 @@ def require(doc, key, where=""):
     if not isinstance(doc, dict) or key not in doc:
         raise FormatError(f"JSON document lacks the key '{where}{key}'")
     return doc[key]
+
+
+def require_sizes(n, f, d):
+    """FormatError naming the key when a certificate document's digraph
+    'orientation' or budget 'f' is not on its n vertices."""
+    if d.n != n:
+        raise FormatError(f"JSON key 'orientation.n' is {d.n}, but 'n' is {n}")
+    if f.n != n:
+        raise FormatError(f"JSON key 'f' has {f.n} values, but 'n' is {n}")
 
 
 def _read(data):

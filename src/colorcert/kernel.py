@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
-    digraph_to_json, edge_copies, line_graph, require, two_coloring,
+    digraph_to_json, edge_copies, line_graph, require, require_sizes, two_coloring,
 )
 
 
@@ -54,8 +54,8 @@ def is_kernel_perfect(d):
     if d.n > KERNEL_PERFECT_VERTICES:
         raise ValueError(f"exhaustive check capped at {KERNEL_PERFECT_VERTICES} vertices")
     n = d.n
-    out, into = d.arc_masks()
-    support = [o | i for o, i in zip(out, into)]
+    into = d.arc_masks()[1]
+    support = d.support_masks()
     has_kernel = bytearray(1 << n)
     # (K, In(K), vertices above max(K) with no support edge to K)
     stack = [(0, 0, (1 << n) - 1)]
@@ -99,7 +99,7 @@ def kp_line_characterization(d, root, origin=None):
     the exhaustive `is_kernel_perfect`, which raises above its cap.
     """
     lg, origin = line_graph(root, origin)
-    if d.support().edges != lg.edges or d.n != lg.n:
+    if d.support_masks() != lg.adjacency_masks():
         raise ValueError("digraph support is not the line graph of the root")
     if bipartition(root) is None:
         return is_kernel_perfect(d)[0]
@@ -139,8 +139,10 @@ class KPCertificate:
         self.origin = tuple(origin) if origin is not None else None
 
     def check(self):
-        """Re-verify all claims: support, out-degree bound, kernel-perfection."""
-        if self.digraph.support().edges != self.graph.edges:
+        """Re-verify all claims: support, out-degree bound, kernel-perfection.
+        A digraph or budget on another vertex count fails."""
+        if (self.digraph.support_masks() != self.graph.adjacency_masks()
+                or self.f.n != self.graph.n):
             return False
         if set(_doubled_pairs(self.digraph)) != set(self.supergraph_edges):
             return False
@@ -170,9 +172,11 @@ class KPCertificate:
 
     @staticmethod
     def from_json(doc):
-        g = SimpleGraph.from_edges(require(doc, "n"), require(doc, "edges"))
+        n = require(doc, "n")
+        g = SimpleGraph.from_edges(n, require(doc, "edges"))
         f = ListSizeFn(tuple(require(doc, "f")))
         d = digraph_from_json(require(doc, "orientation"))
+        require_sizes(n, f, d)
         root = None
         if "root" in doc:
             root = MultiGraph.from_edges(require(doc["root"], "n", "root."),
@@ -338,11 +342,9 @@ def galvin_orientation(b):
                reverse=True)
         for v, star in enumerate(copy_stars(b.n, origin))
     ])
-    outs = d.out_degrees()
-    if all(outs[i] <= f(i) - 1 for i in range(lg.n)):
-        cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b)
-        if cert.check():
-            return cert
+    cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b)
+    if cert.check():
+        return cert
 
     d = _search_star_orders(b, origin, f)
     if d is None:
@@ -457,10 +459,9 @@ def mu3_kp_certificates():
     """Certificates for the built-in clique-order catalog entries.
 
     For each entry: build the line graph, orient it from the stored
-    clique orders, check the expected degree and out-degree rows, check
-    kernel-perfection via the characterization, and check the budget
-    f(v) = d(v) on emphasized vertices and d(v) - 1 otherwise.  Any
-    mismatch raises.
+    clique orders, check the expected degree and out-degree rows, and
+    check the certificate with the budget f(v) = d(v) on emphasized
+    vertices and d(v) - 1 otherwise.  Any mismatch raises.
     """
     from .catalog import clique_order_catalog
 
@@ -474,13 +475,10 @@ def mu3_kp_certificates():
         outs = tuple(d.out_degrees())
         if entry.expected_outdegrees is not None and outs != entry.expected_outdegrees:
             raise AssertionError(f"{entry.name}: out-degree row {outs} != {entry.expected_outdegrees}")
-        if not kp_line_characterization(d, entry.root, origin=entry.edge_origin):
-            raise AssertionError(f"{entry.name}: orientation is not kernel-perfect")
-        f = ListSizeFn(tuple(
-            degs[v] if v in entry.emphasized else degs[v] - 1 for v in range(lg.n)
-        ))
-        if any(outs[v] > f(v) - 1 for v in range(lg.n)):
-            raise AssertionError(f"{entry.name}: out-degree exceeds budget")
-        certs.append(KPCertificate(lg, f, d, _doubled_pairs(d), root=entry.root,
-                                   origin=entry.edge_origin))
+        f = ListSizeFn.degree_minus_one_on_high(lg, entry.emphasized)
+        cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=entry.root,
+                             origin=entry.edge_origin)
+        if not cert.check():
+            raise AssertionError(f"{entry.name}: certificate fails its check")
+        certs.append(cert)
     return certs

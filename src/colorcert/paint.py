@@ -118,16 +118,45 @@ def _greedy_reduce(adj, mask, tokens, width, pending):
     return mask, tokens
 
 
+def _play(tokens, width, mask, move):
+    """One game from the uncolored mask and its tokens, packed by `_pack`.
+
+    `move(mask, tokens)` names each round's listed mask and the painted
+    mask inside it.  The lister wins once an uncolored vertex is left
+    without a token: a listed one that had at most 1, or any that had at
+    most 0, so a budget below 1 loses, listed or not.  Otherwise each
+    listed vertex left uncolored pays from a field of 2 or more.
+    """
+    field = (1 << width) - 1
+    rounds = []
+    while mask:
+        listed, painted = move(mask, tokens)
+        rounds.append((set(_mask_vertices(listed)), set(_mask_vertices(painted))))
+        mask &= ~painted
+        left = listed & mask
+        if _at_most(mask, tokens, width, 0) or _at_most(left, tokens, width, 1):
+            return GameTranscript(rounds, "Lister")
+        tokens &= ~sum(field << (width * v) for v in _mask_vertices(painted))
+        tokens -= sum(1 << (width * v) for v in _mask_vertices(left))
+    return GameTranscript(rounds, "Painter")
+
+
 PAINTABLE_VERTICES = 9
 
 
 def is_f_paintable(g, f):
     """Exact value of the online game, with a sample winning line.
 
-    Returns (paintable, transcript).  The transcript follows one
-    principal line: the winning side plays its first winning move in a
-    deterministic order, the losing side its first legal move.  A
-    budget below 1 loses before the first round.
+    Returns (paintable, transcript).  A budget below 1 loses before the
+    first round.  On a lister win the lister plays its first winning
+    listing in ascending mask order, answered by the least maximal
+    independent set.  On a painter win the lister lists the lowest
+    uncolored vertex alone and the painter paints it, round by round.
+    That is the lister's first legal move with the painter's only
+    answer, and no search is needed to see that the answer wins: it
+    leaves the game on an induced subgraph with the same tokens, and
+    paintability passes to induced subgraphs (Schauz, "Mr. Paint and
+    Mrs. Correct", EJC 16, 2009).
 
     A game state is the uncolored mask with the tokens left, packed by
     `_pack` with the fields of colored vertices cleared.  An answer that
@@ -149,7 +178,7 @@ def is_f_paintable(g, f):
     and M2 is still uncolored there, so some answer I2 to M2 wins from
     it.  Then I1 + I2 is a maximal independent answer to M that reaches
     the same state as the two moves, so it wins.  The memo thus holds
-    values of the full game, and the principal line, which tries every
+    values of the full game, and the lister-win line, which tries every
     listed set, reads it as it is.
     """
     if g.n > PAINTABLE_VERTICES:
@@ -214,50 +243,20 @@ def is_f_paintable(g, f):
                 return False
         return True
 
-    def principal_line(painter_side):
-        """Play one game with the winner playing optimally."""
-        mask = size - 1
-        state = tokens
-        rounds = []
-        while mask:
-            if _at_most(mask, state, width, 0):
-                return GameTranscript(rounds, "Lister")
-            chosen_listed = None
-            chosen_paint = None
-            for listed in sorted(_subsets_of(mask)):
-                base = state - ones[listed]
-                best_paint = None
-                for paint in sorted(answers[listed]):
-                    rest = mask & ~paint
-                    child = base & keep[paint]
-                    if not _at_most(rest, child, width, 0) and value(rest, child, rest):
-                        best_paint = paint
-                        break
-                if painter_side:
-                    if best_paint is None:
-                        continue  # cannot happen when painter wins overall
-                    chosen_listed, chosen_paint = listed, best_paint
-                    break
-                if best_paint is None:
-                    # lister found a refutation; painter answers best effort
-                    chosen_listed = listed
-                    chosen_paint = min(answers[listed])
-                    break
-            if chosen_listed is None:
-                # no winning lister move from here (prune shrank the state);
-                # fall back to listing everything
-                chosen_listed = mask
-                chosen_paint = min(answers[chosen_listed])
-            state = (state - ones[chosen_listed]) & keep[chosen_paint]
-            rounds.append((set(_mask_vertices(chosen_listed)),
-                           set(_mask_vertices(chosen_paint))))
-            mask &= ~chosen_paint
-            if len(rounds) > 4 ** g.n:
-                raise RuntimeError("runaway game")
-        return GameTranscript(rounds, "Painter")
+    def refute(mask, state):
+        """The lister's first winning listing, answered by the least
+        maximal independent set."""
+        low = _at_most(mask, state, width, 1)
+        for listed in sorted(_subsets_of(mask)):
+            base = state - ones[listed]
+            if not any(not listed & low & ~paint
+                       and value(mask & ~paint, base & keep[paint], mask & ~paint)
+                       for paint in answers[listed]):
+                return listed, min(answers[listed])
 
-    win = value(size - 1, tokens, size - 1)
-    return win, principal_line(win)
+    if value(size - 1, tokens, size - 1):
+        return True, _play(tokens, width, size - 1, lambda mask, _tokens: (mask & -mask,) * 2)
+    return False, _play(tokens, width, size - 1, refute)
 
 
 CHOOSABLE_VERTICES = 9
@@ -386,7 +385,7 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
     (play RANDOM_GAMES random games).  Returns a painter-winning transcript.
 
     The kernel depends only on the listed set, so `find_kernel` runs
-    once per distinct listed mask.  The sweep's state is the uncolored
+    once per distinct listed mask.  The sweep and `_play` keep the uncolored
     mask with the tokens packed by `_pack`, clamped at 0 and with the
     fields of colored vertices cleared; a listed vertex left uncolored
     loses once its tokens run out, whether it had 1 or fewer.
@@ -410,23 +409,8 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
                          sum(1 << (width * v) for v in _mask_vertices(left)))
         return steps[listed]
 
-    def play_line(moves):
-        """Run one game; moves is a callable state -> listed set."""
-        tokens = [f(v) for v in range(g.n)]
-        uncolored = set(range(g.n))
-        rounds = []
-        while uncolored:
-            listed = moves(uncolored, tokens)
-            for v in listed:
-                tokens[v] -= 1
-            mask = sum(1 << v for v in listed)
-            kernel = _mask_vertices((steps.get(mask) or step(mask))[0])
-            for v in kernel:
-                uncolored.discard(v)
-            rounds.append((set(listed), set(kernel)))
-            if any(tokens[v] <= 0 for v in uncolored):
-                return GameTranscript(rounds, "Lister")
-        return GameTranscript(rounds, "Painter")
+    def kernel_of(listed):
+        return (steps.get(listed) or step(listed))[0]
 
     if adversary == "exhaustive":
         # the painter's reply is deterministic, so game states repeat
@@ -455,21 +439,22 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
 
         if g.n:
             sweep((1 << g.n) - 1, tokens)
-        # reconstruct one full line for the transcript
-        return play_line(lambda unc, _tokens: sorted(unc))
+        # one full line for the transcript: every uncolored vertex listed
+        return _play(tokens, width, (1 << g.n) - 1,
+                     lambda mask, _tokens: (mask, kernel_of(mask)))
 
     if adversary.startswith("random:"):
         seed = int(adversary.split(":", 1)[1])
         rng = random.Random(seed)
+
+        def moves(mask, _tokens):
+            verts = _mask_vertices(mask)[::-1]
+            listed = sum(1 << v for v in rng.sample(verts, rng.randint(1, len(verts))))
+            return listed, kernel_of(listed)
+
         last = None
         for _ in range(RANDOM_GAMES):
-
-            def moves(unc, _tokens):
-                verts = sorted(unc)
-                k = rng.randint(1, len(verts))
-                return rng.sample(verts, k)
-
-            last = play_line(moves)
+            last = _play(tokens, width, (1 << g.n) - 1, moves)
             if last.winner != "Painter":
                 raise AssertionError("kernel painter lost a random game")
         return last

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -48,3 +49,34 @@ def random_interval_graph(rng, n):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if spans[u][0] <= spans[v][1] and spans[v][0] <= spans[u][1]]
     return shuffled(rng, n, edges)
+
+
+# the vertex-count edits of a certificate document, each with the key
+# its rejection names
+SIZE_PROBES = {"n": "'orientation.n'", "orientation.n": "'orientation.n'",
+               "f+1": "'f'", "f-1": "'f'"}
+
+
+def resized(doc, probe):
+    """A copy of a certificate document with one vertex count moved:
+    'n' or 'orientation.n' raised by one, or a value added to or removed
+    from 'f'."""
+    doc = json.loads(json.dumps(doc))
+    if probe == "n":
+        doc["n"] += 1
+    elif probe == "orientation.n":
+        doc["orientation"]["n"] += 1
+    elif probe == "f+1":
+        doc["f"].append(3)
+    else:
+        doc["f"].pop()
+    return doc
+
+
+def certificate_parts(doc):
+    """(graph, budget, digraph) of a certificate document, read without
+    comparing their vertex counts."""
+    from colorcert.graphs import ListSizeFn, SimpleGraph, digraph_from_json
+
+    return (SimpleGraph.from_edges(doc["n"], doc["edges"]), ListSizeFn(tuple(doc["f"])),
+            digraph_from_json(doc["orientation"]))

@@ -7,10 +7,10 @@ import pytest
 from colorcert import alon_tarsi, catalog
 from colorcert.alon_tarsi import eulerian_counts, is_f_AT, poly_coefficient_expand
 from colorcert.graphs import (
-    Digraph, ListSizeFn, SimpleGraph, complete_bipartite, complete_graph,
+    Digraph, FormatError, ListSizeFn, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, join, line_graph, MultiGraph,
 )
-from conftest import random_simple_graph
+from conftest import SIZE_PROBES, certificate_parts, random_simple_graph, resized
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +260,31 @@ def test_certificate_roundtrip():
     cert2 = alon_tarsi.ATCertificate.from_json(doc)
     assert cert2.check()
     assert cert2.digraph == cert.digraph
+
+
+def _c5_certificate():
+    return alon_tarsi.is_f_AT(cycle_graph(5), ListSizeFn.constant(5, 3))[1].to_json()
+
+
+@pytest.mark.parametrize("probe", sorted(SIZE_PROBES))
+def test_a_certificate_on_another_vertex_count_is_refused(probe):
+    # read from JSON it names the key; built in code its check fails
+    # without raising
+    doc = _c5_certificate()
+    assert alon_tarsi.ATCertificate(*certificate_parts(doc), doc["ee"], doc["eo"]).check()
+    bad = resized(doc, probe)
+    with pytest.raises(FormatError, match=SIZE_PROBES[probe]):
+        alon_tarsi.ATCertificate.from_json(bad)
+    cert = alon_tarsi.ATCertificate(*certificate_parts(bad), doc["ee"], doc["eo"])
+    assert not cert.check()
+
+
+@pytest.mark.parametrize("key", ["n", "edges", "f", "orientation", "ee", "eo"])
+def test_a_certificate_without_a_key_names_it(key):
+    doc = _c5_certificate()
+    del doc[key]
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        alon_tarsi.ATCertificate.from_json(doc)
 
 
 def test_odd_cycle_dichotomy():

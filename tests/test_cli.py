@@ -15,6 +15,7 @@ from colorcert.graphs import (
     join, line_graph,
 )
 from test_alon_tarsi import poly_coefficient_schauz
+from conftest import SIZE_PROBES, resized
 from test_paint import _kernel_play_per_listing, _paintable_token_lists
 
 
@@ -476,6 +477,17 @@ def test_a_missing_json_key_exits_2(kind, path, named, tmp_path, capsys):
     argv[-1] = write(tmp_path, "bad.json", json.dumps(_without(doc, *path)))
     assert run(argv) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe", sorted(SIZE_PROBES))
+def test_a_certificate_on_another_vertex_count_exits_2(probe, tmp_path, capsys):
+    b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
+    doc = _without(kernel.galvin_orientation(b).to_json(), "root")
+    argv = ["paint", "play", "--cert", write(tmp_path, "doc.json", json.dumps(doc))]
+    assert run(argv) == 0
+    argv[-1] = write(tmp_path, "bad.json", json.dumps(resized(doc, probe)))
+    assert run(argv) == 2
+    assert SIZE_PROBES[probe] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("hub_edges", [[[0, 3]], [[0, 0], [-1, 0]], [[0]], [["0", 0]], [0]])

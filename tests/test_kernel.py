@@ -5,10 +5,12 @@ import pytest
 
 from colorcert import alon_tarsi, kernel
 from colorcert.graphs import (
-    Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite,
+    Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite,
     complete_graph, cycle_graph, line_graph,
 )
-from conftest import random_multigraph, random_simple_graph
+from conftest import (
+    SIZE_PROBES, certificate_parts, random_multigraph, random_simple_graph, resized,
+)
 
 
 def test_find_kernel_basics():
@@ -157,6 +159,20 @@ def test_kp_certificate_roundtrip():
     cert2 = kernel.KPCertificate.from_json(doc)
     assert cert2.check()
     assert cert2.digraph == cert.digraph
+
+
+@pytest.mark.parametrize("probe", sorted(SIZE_PROBES))
+def test_a_certificate_on_another_vertex_count_is_refused(probe):
+    # read from JSON it names the key; built in code its check fails
+    # without raising
+    b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
+    doc = kernel.galvin_orientation(b).to_json()
+    del doc["root"]
+    assert kernel.KPCertificate(*certificate_parts(doc), doc["doubled"]).check()
+    bad = resized(doc, probe)
+    with pytest.raises(FormatError, match=SIZE_PROBES[probe]):
+        kernel.KPCertificate.from_json(bad)
+    assert not kernel.KPCertificate(*certificate_parts(bad), doc["doubled"]).check()
 
 
 def test_galvin_orientation_raises_when_its_checks_fail(monkeypatch):

@@ -1,6 +1,7 @@
-"""Every name a colorcert module imports is used by that module, every
-module-level private function or class is used somewhere in the
-package, every public one and every public method is read by the
+"""Every name a colorcert module imports is used by that module, no
+function imports again from a module that its file imports at module
+level, every module-level private function or class is used somewhere
+in the package, every public one and every public method is read by the
 package or the benchmark or is listed library API, every function reads
 each of its parameters, and no module holds an `assert`; brute force
 kept only for cross-checking lives in the tests."""
@@ -55,6 +56,62 @@ def test_the_check_sees_unused_imports():
         "    return dumps\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "parse"), (7, "chain")]
+
+
+def _sources(node):
+    """The modules an import statement reads, relative ones with their
+    leading dots; `from . import a` reads the module `.a`."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    dots = "." * node.level
+    if node.module is None:
+        return [dots + alias.name for alias in node.names]
+    return [dots + node.module]
+
+
+def _local_reimports(tree):
+    """(line, module) of each import inside a function from a module that
+    the file already imports at module level.
+
+    A lazy import of a module the file does not import at the top, such
+    as one that breaks an import cycle, is not flagged.
+    """
+    top = {m for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+           for m in _sources(node)}
+    found = set()
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((node.lineno, m) for node in ast.walk(func)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         for m in _sources(node) if m in top)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_local_reimports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _local_reimports(tree) == []
+
+
+def test_the_check_sees_local_reimports():
+    tree = ast.parse(
+        "import json\n"
+        "from . import kernel\n"
+        "from .graphs import A\n"
+        "def f():\n"
+        "    import json\n"
+        "    import hashlib\n"
+        "    from .graphs import B\n"
+        "    from .catalog import C\n"
+        "    def g():\n"
+        "        from .kernel import K\n"
+        "class T:\n"
+        "    def m(self):\n"
+        "        from . import graphs\n"
+    )
+    assert _local_reimports(tree) == [
+        (5, "json"), (7, ".graphs"), (10, ".kernel"), (13, ".graphs"),
+    ]
 
 
 def _methods(cls):
@@ -182,8 +239,6 @@ PUBLIC_METHODS = {
         "the emphasized vertices of an orientation entry, read off its out-degrees",
     ("graphs.py", "Digraph", "out_degree"): "one vertex's out-degree, beside out_degrees",
     ("graphs.py", "ListSizeFn", "constant"): "the budget k at every vertex",
-    ("graphs.py", "ListSizeFn", "degree_minus_one_on_high"):
-        "the paper's budget: d(v) on a low set, d(v) - 1 elsewhere",
     ("graphs.py", "MultiGraph", "edge_count"): "the number of edge copies",
     ("graphs.py", "SimpleGraph", "complement"): "the complement graph",
 }

@@ -675,6 +675,39 @@ def test_maximal_independent_sets_match_the_subset_search(rng):
             assert sizes == sorted(sizes, reverse=True)
 
 
+def test_a_painter_win_lists_and_paints_one_vertex_per_round(rng):
+    # the lowest vertex alone, painted, wins by heredity, so no search
+    # picks a painter win's line
+    wins = 0
+    instances = list(_oracle_instances(rng))
+    instances += [(g, f) for _, g, f in _packed_search_instances(rng)]
+    for g, f in instances:
+        ok, tr = paint.is_f_paintable(g, f)
+        if ok:
+            assert tr.rounds == [({v}, {v}) for v in range(g.n)], (g.edge_list(), f.values)
+            assert tr.winner == "Painter"
+            wins += 1
+    assert wins >= 40
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_verdicts_do_not_change_under_relabelling(n, data):
+    # budgets up to 3 on 5 vertices, up to 2 on 6, so that the offline
+    # search stays within a few milliseconds
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    budget = data.draw(st.lists(st.integers(1, 3 if n <= 5 else 2), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)))
+    moved = [0] * n
+    for v, k in enumerate(budget):
+        moved[perm[v]] = k
+    g, f = SimpleGraph.from_edges(n, edges), ListSizeFn(tuple(budget))
+    h = SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    for solve in (is_f_paintable, is_f_choosable):
+        assert solve(g, f)[0] == solve(h, ListSizeFn(tuple(moved)))[0], (edges, budget, perm)
+
+
 @pytest.mark.parametrize("budget", [(-1, 2, 2), (0, 2, 2), (2, 2, 0), (2, -3, 2)])
 def test_a_budget_below_one_loses_before_the_first_round(budget):
     ok, tr = paint.is_f_paintable(path_graph(3), ListSizeFn(budget))
@@ -692,6 +725,17 @@ def test_a_budget_below_one_loses_a_kernel_game():
             paint.kernel_painter_play(cert.graph, f, cert, adversary="random:2")
         with pytest.raises(AssertionError, match="lost after listing"):
             paint.kernel_painter_play(cert.graph, f, cert, adversary="exhaustive")
+
+
+def test_an_unlisted_vertex_without_a_token_loses_a_kernel_game():
+    # vertex 0 is a sink, so every listing that holds it paints it; the
+    # random lister still wins by leaving it unlisted and uncolored
+    cert = kernel.KPCertificate(path_graph(2), ListSizeFn((1, 2)), Digraph.from_arcs(2, [(1, 0)]))
+    assert cert.check()
+    for low in (0, -1):
+        with pytest.raises(AssertionError, match="lost a random game"):
+            paint.kernel_painter_play(cert.graph, ListSizeFn((low, 2)), cert,
+                                      adversary="random:1")
 
 
 def test_choosable_rejects_a_negative_budget():
