@@ -277,12 +277,33 @@ def is_f_AT(g, f):
     lexicographically least qualifying exponent vector and the
     lexicographically first orientation realizing it.  A budget below 1
     has no orientation: no out-degree is negative.
+
+    The least vector is found by raising vertex 0's cap one step at a
+    time.  With caps c_i = min(f(i) - 1, d(i)) and slack = sum(c) - m,
+    every monomial has e_0 = m - sum_{i>0} e_i >= c_0 - slack, so the
+    runs start there and stop at c_0.  The capped DP gives the exact
+    coefficient of every monomial inside its caps (the caps only
+    filter).  So the first run that is not empty, at cap e, holds
+    every nonzero monomial with e_0 <= e; the runs below it were
+    empty, so e is the least e_0 of any nonzero monomial, and the
+    run's least key is the least over all.  Capping vertex 0 at e
+    shrinks the DP's own slack by c_0 - e, which raises every floor it
+    prunes by; that is where the saving comes from.
     """
-    caps = tuple(f(v) - 1 for v in range(g.n))
+    caps = [min(f(v) - 1, dv) for v, dv in enumerate(g.degrees())]
     if min(caps, default=0) < 0:
         return False, None
-    monos, decode = _capped_expansion(g, caps)
-    if not monos:
+    slack = sum(caps) - len(g.edges)
+    if slack < 0:
+        return False, None
+    # with no vertex 0 the one run has caps [0], which the zip in
+    # `_capped_expansion` cuts to no caps
+    top = caps[0] if caps else 0
+    for e in range(max(top - slack, 0), top + 1):
+        monos, decode = _capped_expansion(g, [e] + caps[1:])
+        if monos:
+            break
+    else:
         return False, None
     key = min(monos)
     target = decode(key)

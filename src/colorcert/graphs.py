@@ -22,8 +22,15 @@ class FormatError(ValueError):
 
 
 def _check_vertex(v, n):
+    if type(v) is not int:
+        raise ValueError(f"vertex {v!r} is not an int")
     if not (0 <= v < n):
         raise ValueError(f"vertex {v} out of range for n={n}")
+
+
+def _check_count(n):
+    if type(n) is not int or n < 0:
+        raise ValueError(f"vertex count {n!r} is not an int >= 0")
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,7 @@ class SimpleGraph:
 
     @staticmethod
     def from_edges(n, edge_pairs):
+        _check_count(n)
         edges = set()
         for u, v in edge_pairs:
             _check_vertex(u, n)
@@ -145,6 +153,7 @@ class MultiGraph:
 
     @staticmethod
     def from_edges(n, records):
+        _check_count(n)
         mult = {}
         for rec in records:
             if len(rec) == 2:
@@ -220,6 +229,7 @@ class Digraph:
 
     @staticmethod
     def from_arcs(n, arc_pairs):
+        _check_count(n)
         arcs = set()
         for u, v in arc_pairs:
             _check_vertex(u, n)

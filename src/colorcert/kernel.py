@@ -87,7 +87,10 @@ def kp_line_characterization(d, root, origin=None):
 
     The orientation must cover the line graph of `root` exactly (every
     edge gets one or both arc directions); `origin` may relabel the
-    line-graph vertices by giving the root edge of each.
+    line-graph vertices by giving the root edge of each.  An
+    orientation of another graph, or an `origin` that is not a
+    relabelling of the root's edge copies, is no kernel-perfect
+    orientation of L(root): False.
 
     For a bipartite root B, L(B) and all its induced subgraphs are
     perfect (König).  By Boros and Gurvich ("Perfect graphs are kernel
@@ -98,9 +101,12 @@ def kp_line_characterization(d, root, origin=None):
     are its stars, and the test runs star by star.  Any other root gets
     the exhaustive `is_kernel_perfect`, which raises above its cap.
     """
-    lg, origin = line_graph(root, origin)
+    try:
+        lg, origin = line_graph(root, origin)
+    except ValueError:
+        return False
     if d.support_masks() != lg.adjacency_masks():
-        raise ValueError("digraph support is not the line graph of the root")
+        return False
     if bipartition(root) is None:
         return is_kernel_perfect(d)[0]
     one_way = [o & ~i for o, i in zip(*d.arc_masks())]

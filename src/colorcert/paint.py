@@ -388,7 +388,8 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
     once per distinct listed mask.  The sweep and `_play` keep the uncolored
     mask with the tokens packed by `_pack`, clamped at 0 and with the
     fields of colored vertices cleared; a listed vertex left uncolored
-    loses once its tokens run out, whether it had 1 or fewer.
+    loses once its tokens run out, whether it had 1 or fewer, and so
+    does any vertex left uncolored that started with none.
     """
     d = cert.digraph
     if d.n != g.n:
@@ -437,11 +438,23 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
                 if child[0] and child not in visited:
                     sweep(*child)
 
+        # The sweep tests only listed vertices, since an unlisted one
+        # keeps its tokens.  A vertex that starts with none loses, as
+        # `_play` rules, once another vertex is listed alone and painted.
+        # In sweep order that is the first listing, [0], unless vertex 0
+        # alone starts with none: then [0] paints it, its line is swept
+        # as usual, and [1] loses.
+        full = (1 << g.n) - 1
+        broke = _at_most(full, tokens, width, 0)
+        if broke & ~1:
+            raise AssertionError("kernel painter lost after listing [0]")
+        if broke and g.n > 1:
+            sweep(full ^ 1, tokens)
+            raise AssertionError("kernel painter lost after listing [1]")
         if g.n:
-            sweep((1 << g.n) - 1, tokens)
+            sweep(full, tokens)
         # one full line for the transcript: every uncolored vertex listed
-        return _play(tokens, width, (1 << g.n) - 1,
-                     lambda mask, _tokens: (mask, kernel_of(mask)))
+        return _play(tokens, width, full, lambda mask, _tokens: (mask, kernel_of(mask)))
 
     if adversary.startswith("random:"):
         seed = int(adversary.split(":", 1)[1])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorcert import alon_tarsi, catalog
 from colorcert.alon_tarsi import eulerian_counts, is_f_AT, poly_coefficient_expand
@@ -577,3 +579,119 @@ def test_eulerian_counts_match_oracle_on_shuffled_catalog(rng):
             e = Digraph.from_arcs(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
             assert alon_tarsi.eulerian_counts(e) == _eulerian_counts_oracle(e) \
                 == (entry.ee, entry.eo), entry.tag
+
+
+# ---------------------------------------------------------------------------
+# is_f_AT before it raised vertex 0's cap step by step: one expansion
+# with the full caps, kept verbatim as the oracle
+
+def _is_f_AT_single_pass(g, f):
+    """Decide whether g has an orientation certificate within budget f.
+
+    True iff some coefficient with exponents e_i <= f(i) - 1 is nonzero.
+    Returns (answer, certificate-or-None); the certificate uses the
+    lexicographically least qualifying exponent vector and the
+    lexicographically first orientation realizing it.  A budget below 1
+    has no orientation: no out-degree is negative.
+    """
+    caps = tuple(f(v) - 1 for v in range(g.n))
+    if min(caps, default=0) < 0:
+        return False, None
+    monos, decode = alon_tarsi._capped_expansion(g, caps)
+    if not monos:
+        return False, None
+    key = min(monos)
+    target = decode(key)
+    d = alon_tarsi.orientation_with_outdegrees(g, target)
+    if d is None:
+        raise RuntimeError(f"no orientation has out-degrees {target}")
+    ee, eo = eulerian_counts(d)
+    if abs(ee - eo) != abs(monos[key]):
+        raise RuntimeError(
+            f"|EE - EO| = {abs(ee - eo)} differs from the coefficient "
+            f"{monos[key]} at {target}")
+    return True, alon_tarsi.ATCertificate(g, f, d, ee, eo)
+
+
+def _verdict(g, f, solve=is_f_AT):
+    """(ok, target, orientation, ee, eo) of one call."""
+    ok, cert = solve(g, f)
+    if not ok:
+        return False, None, None, None, None
+    d = cert.digraph
+    return True, tuple(d.out_degrees()), d, cert.ee, cert.eo
+
+
+def _counting_expansion(monkeypatch):
+    """Record the caps of every `_capped_expansion` call."""
+    calls = []
+    expand = alon_tarsi._capped_expansion
+    monkeypatch.setattr(alon_tarsi, "_capped_expansion",
+                        lambda g, caps: calls.append(list(caps)) or expand(g, caps))
+    return calls
+
+
+# vertex 0 needs out-degree 3 at budget 4 although the caps allow 0;
+# only the fourth run, at cap 3, is not empty
+_LATE_FIRST_RUN = SimpleGraph.from_edges(8, [
+    (0, 1), (0, 2), (0, 3), (0, 4), (0, 6), (0, 7), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+    (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7)])
+
+
+def test_is_f_AT_raises_vertex_0_cap_until_a_run_is_not_empty(monkeypatch):
+    g, f = _LATE_FIRST_RUN, ListSizeFn.constant(8, 4)
+    want = _verdict(g, f, _is_f_AT_single_pass)
+    calls = _counting_expansion(monkeypatch)
+    assert _verdict(g, f) == want and want[0]
+    assert [caps[0] for caps in calls] == [0, 1, 2, 3]
+    assert want[1][0] == 3
+
+
+def test_is_f_AT_runs_no_expansion_below_the_edge_count(monkeypatch):
+    # L(K_{3,3}) at budget 2: 9 vertices with caps 1, 18 edges
+    lk33, _ = line_graph(MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list()))
+    cases = ((lk33, ListSizeFn.constant(9, 2)), (complete_graph(4), ListSizeFn.constant(4, 2)))
+    assert all(_is_f_AT_single_pass(g, f) == (False, None) for g, f in cases)
+    calls = _counting_expansion(monkeypatch)
+    assert all(is_f_AT(g, f) == (False, None) for g, f in cases)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, edges, budget", [
+    (0, [], ()), (1, [], (1,)), (1, [], (3,)),
+    # vertex 0 isolated
+    (4, [(1, 2), (2, 3), (1, 3)], (1, 3, 3, 3)), (4, [(1, 2), (2, 3), (1, 3)], (2, 2, 2, 2)),
+    # caps[0] = 0 with edges at vertex 0
+    (3, [(0, 1), (0, 2), (1, 2)], (1, 2, 3)), (3, [(0, 1), (0, 2), (1, 2)], (1, 2, 2)),
+    (5, [(0, 1), (0, 2), (0, 3), (0, 4)], (1, 2, 2, 2, 2)),
+    # slack < 0
+    (3, [(0, 1), (0, 2), (1, 2)], (2, 2, 1)), (4, [(0, 1), (1, 2), (2, 3), (0, 3)], (1, 2, 1, 2)),
+])
+def test_is_f_AT_matches_the_single_pass_on_edge_cases(n, edges, budget):
+    g, f = SimpleGraph.from_edges(n, edges), ListSizeFn(budget)
+    assert _verdict(g, f) == _verdict(g, f, _is_f_AT_single_pass)
+
+
+def test_is_f_AT_matches_the_single_pass_on_relabelled_families(rng):
+    seen = {True: 0, False: 0}
+    for g0, k in _families() + [(_LATE_FIRST_RUN, 4)]:
+        for _ in range(3):
+            g = _relabel(g0, rng)
+            for f in (ListSizeFn.constant(g.n, k), ListSizeFn.constant(g.n, k - 1),
+                      ListSizeFn(tuple(rng.randint(max(k - 1, 1), k + 1) for _ in range(g.n)))):
+                got = _verdict(g, f)
+                assert got == _verdict(g, f, _is_f_AT_single_pass), (g.edge_list(), f.values)
+                seen[got[0]] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_is_f_AT_matches_the_single_pass_fuzz(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = SimpleGraph.from_edges(n, edges)
+    deg = g.degrees()
+    budget = tuple(data.draw(st.integers(0, d + 2)) for d in deg)
+    f = ListSizeFn(budget)
+    assert _verdict(g, f) == _verdict(g, f, _is_f_AT_single_pass), (edges, budget)

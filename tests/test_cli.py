@@ -291,6 +291,20 @@ def test_structure_claw_and_quasi_line_report_bytes(command, digest, tmp_path, m
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"n": 2, "arcs": [["a", 1]]}, "vertex 'a' is not an int"),
+    ({"n": 2, "arcs": [[0, 1.0]]}, "vertex 1.0 is not an int"),
+    ({"n": -1, "arcs": []}, "vertex count -1"),
+], ids=["str-id", "float-id", "negative-n"])
+def test_kp_check_refuses_a_bad_digraph_with_exit_2(doc, named, tmp_path, capsys):
+    ok = write(tmp_path, "ok.json", json.dumps({"n": 2, "arcs": [[0, 1]]}))
+    assert run(["kp", "check", ok]) == 0
+    capsys.readouterr()
+    assert run(["kp", "check", write(tmp_path, "bad.json", json.dumps(doc))]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_kp_subcommands(tmp_path, capsys):
     b = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
     path = write(tmp_path, "k33.txt", emit_edge_list(b))
@@ -488,6 +502,17 @@ def test_a_certificate_on_another_vertex_count_exits_2(probe, tmp_path, capsys):
     argv[-1] = write(tmp_path, "bad.json", json.dumps(resized(doc, probe)))
     assert run(argv) == 2
     assert SIZE_PROBES[probe] in capsys.readouterr().err
+
+
+def test_paint_play_reports_a_root_off_the_graph_as_a_failed_check(tmp_path):
+    b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
+    doc = kernel.galvin_orientation(b).to_json()
+    doc["root"] = {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]}
+    rep = str(tmp_path / "rep.json")
+    assert run(["paint", "play", "--cert", write(tmp_path, "doc.json", json.dumps(doc)),
+                "--json", rep]) == 1
+    [result] = json.loads(open(rep).read())["results"]
+    assert result["payload"] == {"error": "certificate fails its check"}
 
 
 @pytest.mark.parametrize("hub_edges", [[[0, 3]], [[0, 0], [-1, 0]], [[0]], [["0", 0]], [0]])

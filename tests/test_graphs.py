@@ -32,6 +32,20 @@ def test_simple_graph_rejects_loops_and_bad_vertices():
         SimpleGraph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("build", [SimpleGraph.from_edges, MultiGraph.from_edges, Digraph.from_arcs])
+def test_constructors_reject_a_negative_count_and_ids_that_are_not_ints(build):
+    with pytest.raises(ValueError, match="vertex count -1"):
+        build(-1, [])
+    with pytest.raises(ValueError, match="vertex count '2'"):
+        build("2", [])
+    for bad in ("a", 1.0, True, None):
+        with pytest.raises(ValueError, match="is not an int"):
+            build(2, [(bad, 1)])
+        with pytest.raises(ValueError, match="is not an int"):
+            build(2, [(0, bad)])
+    assert build(0, []).n == 0
+
+
 def test_complement_and_induced():
     g = cycle_graph(5)
     c = g.complement()

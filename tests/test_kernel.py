@@ -497,6 +497,21 @@ def test_directed_line_c5_certificate_fails_its_check():
     assert not cert.check()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("root", {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]}),
+    ("origin", [[0, 2], [0, 3], [1, 2], [1, 3]]),
+])
+def test_a_certificate_whose_root_is_not_its_graph_fails_its_check(key, value):
+    # the same number of edge copies, so the graph has the right size;
+    # a root whose line graph is another graph fails, and so does an
+    # origin that is not a relabelling of the root's copies
+    b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
+    doc = kernel.galvin_orientation(b).to_json()
+    assert kernel.KPCertificate.from_json(doc).check()
+    doc[key] = value
+    assert not kernel.KPCertificate.from_json(doc).check()
+
+
 def test_certificate_json_names_the_route_its_check_takes():
     # a C5 root is not bipartite, so check() runs the exhaustive test
     c, d, origin = _directed_line_cycle(5)

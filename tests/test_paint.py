@@ -557,8 +557,8 @@ def _kernel_play_per_listing(g, f, cert, adversary="exhaustive"):
                     if kernel is None:
                         raise RuntimeError("certificate digraph lost its kernel")
                     remaining = uncolored - set(kernel)
-                    if any(new_tokens[v] <= 0 and v in remaining for v in listed):
-                        # a listed-but-unpainted vertex hit zero tokens
+                    if any(new_tokens[v] <= 0 for v in remaining):
+                        # an unpainted vertex hit zero tokens
                         raise AssertionError(
                             f"kernel painter lost after listing {sorted(listed)}"
                         )
@@ -736,6 +736,40 @@ def test_an_unlisted_vertex_without_a_token_loses_a_kernel_game():
         with pytest.raises(AssertionError, match="lost a random game"):
             paint.kernel_painter_play(cert.graph, ListSizeFn((low, 2)), cert,
                                       adversary="random:1")
+
+
+def test_the_kernel_sweep_loses_on_an_unlisted_vertex_without_a_token():
+    # two isolated vertices: listing vertex 1 alone leaves vertex 0
+    # uncolored with no token, in the sweep as in a random game
+    g = SimpleGraph.from_edges(2, [])
+    cert = kernel.KPCertificate(g, ListSizeFn((1, 1)), Digraph.from_arcs(2, []))
+    assert cert.check()
+    for low in (0, -1):
+        f = ListSizeFn((low, 1))
+        with pytest.raises(AssertionError, match="lost a random game"):
+            paint.kernel_painter_play(g, f, cert, adversary="random:1")
+        with pytest.raises(AssertionError, match=r"lost after listing \[1\]"):
+            paint.kernel_painter_play(g, f, cert, adversary="exhaustive")
+
+
+def test_kernel_adversaries_agree_on_budgets_below_one(rng):
+    # one or two budgets lowered to 0 or -1: the sweep matches the
+    # per-listing sweep, and the random lister wins exactly when it does
+    lone = kernel.KPCertificate(path_graph(1), ListSizeFn((1,)), Digraph.from_arcs(1, []))
+    certs = _kernel_certificates(rng)
+    seen = {"[0]": 0, "[1]": 0, "Painter": 0}
+    for cert in [lone] + [next(certs) for _ in range(40)]:
+        g, values = cert.graph, list(cert.f.values)
+        for v in rng.sample(range(g.n), min(g.n, rng.randint(1, 2))):
+            values[v] = rng.choice((0, -1))
+        f = ListSizeFn(tuple(values))
+        got = _sweep(paint.kernel_painter_play, g, f, cert)
+        assert got == _sweep(_kernel_play_per_listing, g, f, cert), (g.edge_list(), f.values)
+        won = _sweep(paint.kernel_painter_play, g, f, cert, adversary="random:3")
+        assert (got[0] == "AssertionError") == (won[0] == "AssertionError"), (g.edge_list(), f.values)
+        outcome = got[1].split("listing ")[-1] if got[0] == "AssertionError" else got[1]
+        seen[outcome] = seen.get(outcome, 0) + 1
+    assert min(seen[k] for k in ("[0]", "[1]", "Painter")) >= 1, seen
 
 
 def test_choosable_rejects_a_negative_budget():
