@@ -12,7 +12,8 @@ orientation realizing that exponent vector is the portable certificate.
 """
 
 from .graphs import (
-    Digraph, ListSizeFn, SimpleGraph, digraph_from_json, digraph_to_json, require, require_sizes,
+    Digraph, ListSizeFn, SimpleGraph, digraph_from_json, digraph_to_json, require, require_ints,
+    require_pairs, require_sizes,
 )
 
 
@@ -82,7 +83,7 @@ def poly_coefficient_expand(g, exponents):
     0..n-1; 0 when the exponents do not sum to the edge count.
     """
     exponents = tuple(exponents)
-    if sum(exponents) != len(g.edges):
+    if sum(exponents) != sum(g.degrees()) // 2:
         return 0
     return _capped_coefficients(g, exponents).get(exponents, 0)
 
@@ -125,7 +126,7 @@ def _capped_expansion(g, caps):
     def decode(key):
         return tuple((key >> o) & field for o in off)
 
-    slack = sum(caps) - len(g.edges)
+    slack = sum(caps) - sum(remaining) // 2
     if slack < 0:
         return {}, decode
     monos = {0: 1}
@@ -262,8 +263,8 @@ class ATCertificate:
     @staticmethod
     def from_json(doc):
         n = require(doc, "n")
-        g = SimpleGraph.from_edges(n, require(doc, "edges"))
-        f = ListSizeFn(tuple(require(doc, "f")))
+        g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
+        f = ListSizeFn(tuple(require_ints(doc, "f")))
         d = digraph_from_json(require(doc, "orientation"))
         require_sizes(n, f, d)
         return ATCertificate(g, f, d, require(doc, "ee"), require(doc, "eo"))
@@ -293,7 +294,7 @@ def is_f_AT(g, f):
     caps = [min(f(v) - 1, dv) for v, dv in enumerate(g.degrees())]
     if min(caps, default=0) < 0:
         return False, None
-    slack = sum(caps) - len(g.edges)
+    slack = sum(caps) - sum(g.degrees()) // 2
     if slack < 0:
         return False, None
     # with no vertex 0 the one run has caps [0], which the zip in

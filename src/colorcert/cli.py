@@ -92,7 +92,9 @@ def parse_f_spec(spec, g):
     elif spec.startswith("file:"):
         with open(spec.split(":", 1)[1]) as fh:
             data = json.load(fh)
-        vals = tuple(int(x) for x in data)
+        if not (isinstance(data, list) and all(type(x) is int for x in data)):
+            raise FormatError("budget file is not a JSON list of ints")
+        vals = tuple(data)
         if len(vals) != g.n:
             raise FormatError("budget file length does not match the graph")
     elif spec.startswith("lowset:"):
@@ -210,8 +212,9 @@ def cmd_corpus(args):
             g = read_graph(report.add_input(path))
             if args.cap_vertices and g.n > args.cap_vertices:
                 raise ValueError(f"over --cap-vertices ({g.n})")
-            if args.cap_edges and len(g.edges) > args.cap_edges:
-                raise ValueError(f"over --cap-edges ({len(g.edges)})")
+            m = sum(g.degrees()) // 2
+            if args.cap_edges and m > args.cap_edges:
+                raise ValueError(f"over --cap-edges ({m})")
             f = parse_f_spec(args.f, g)
             if args.task == "at":
                 ok, cert = alon_tarsi.is_f_AT(g, f)
@@ -252,7 +255,7 @@ def cmd_at(args):
         exps = tuple(int(x) for x in args.exponents.split(","))
         if len(exps) != g.n:
             raise ValueError("exponent vector length mismatch")
-        if sum(exps) != len(g.edges):
+        if sum(exps) != sum(g.degrees()) // 2:
             raise ValueError("exponents must sum to the edge count")
         c = alon_tarsi.poly_coefficient_expand(g, exps)
         report.add("coefficient", True, {"exponents": list(exps), "value": c})

@@ -35,70 +35,62 @@ def _check_count(n):
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Loopless simple graph on vertices 0..n-1.
-
-    The neighbour masks are worked out from the edges on first use and
-    kept.  They are not a field, so equality, hashing and repr see only
-    n and the edges.
-    """
+    """Loopless simple graph on vertices 0..n-1, stored as one neighbour
+    bitmask per vertex: bit w of _masks[v] is set iff vw is an edge.
+    Only the builders in this module call the constructor."""
 
     n: int
-    edges: frozenset  # frozenset of frozenset({u, v})
+    _masks: tuple
 
     @staticmethod
     def from_edges(n, edge_pairs):
         _check_count(n)
-        edges = set()
+        adj = [0] * n
         for u, v in edge_pairs:
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            edges.add(frozenset((u, v)))
-        return SimpleGraph(n, frozenset(edges))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return SimpleGraph(n, tuple(adj))
 
     def edge_list(self):
         """Sorted (u, v) pairs with u < v."""
-        return sorted(tuple(sorted(e)) for e in self.edges)
+        pairs = []
+        for u, m in enumerate(self._masks):
+            m >>= u + 1
+            while m:
+                pairs.append((u, u + (m & -m).bit_length()))
+                m &= m - 1
+        return pairs
 
     def has_edge(self, u, v):
-        return frozenset((u, v)) in self.edges
-
-    @cached_property
-    def _adj(self):
-        adj = [0] * self.n
-        for e in self.edges:
-            u, v = e
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
+        """False also for an id outside 0..n-1 and for u == v."""
+        return 0 <= u < self.n and v >= 0 and self._masks[u] >> v & 1 == 1
 
     def neighbors(self, v):
         _check_vertex(v, self.n)
-        m = self._adj[v]
+        m = self._masks[v]
         return {w for w in range(self.n) if m >> w & 1}
 
     def adjacency_masks(self):
         """Neighbor bitmask per vertex, as the stored tuple."""
-        return self._adj
+        return self._masks
 
     def degree(self, v):
         _check_vertex(v, self.n)
-        return self._adj[v].bit_count()
+        return self._masks[v].bit_count()
 
     def degrees(self):
-        return [m.bit_count() for m in self._adj]
+        return [m.bit_count() for m in self._masks]
 
     def max_degree(self):
         return max(self.degrees(), default=0)
 
     def complement(self):
-        edges = {
-            frozenset((u, v))
-            for u, v in combinations(range(self.n), 2)
-            if not self.has_edge(u, v)
-        }
-        return SimpleGraph(self.n, frozenset(edges))
+        full = (1 << self.n) - 1
+        return SimpleGraph(self.n, tuple(full ^ m ^ (1 << v) for v, m in enumerate(self._masks)))
 
     def induced(self, vertices):
         """Induced subgraph; returns (graph, old-vertex list in new order).
@@ -108,10 +100,10 @@ class SimpleGraph:
         order = sorted(vertices)
         for v in order:
             _check_vertex(v, self.n)
-        adj = self._adj
-        edges = [(i, j) for i, j in combinations(range(len(order)), 2)
-                 if adj[order[i]] >> order[j] & 1]
-        return SimpleGraph.from_edges(len(order), edges), order
+        adj = self._masks
+        masks = tuple(sum(1 << j for j, w in enumerate(order) if adj[v] >> w & 1)
+                      for v in order)
+        return SimpleGraph(len(order), masks), order
 
     def is_clique(self, vertices):
         vs = list(vertices)
@@ -144,8 +136,7 @@ class MultiGraph:
     """Loopless multigraph; one record per pair, multiplicity >= 1.
 
     The support masks and the pair -> multiplicity dict are worked out
-    from the records on first use and kept; like SimpleGraph's masks
-    they are not fields.
+    from the records on first use and kept; they are not fields.
     """
 
     n: int
@@ -207,7 +198,7 @@ class MultiGraph:
         return sum(m for _, _, m in self.edges)
 
     def support(self):
-        return SimpleGraph.from_edges(self.n, [(a, b) for a, b, _ in self.edges])
+        return SimpleGraph(self.n, self._adj)
 
     def simple(self):
         """As SimpleGraph; requires every multiplicity 1."""
@@ -259,7 +250,7 @@ class Digraph:
         return [m.bit_count() for m in self._masks[0]]
 
     def support(self):
-        return SimpleGraph.from_edges(self.n, list(self.arcs))
+        return SimpleGraph(self.n, self.support_masks())
 
     def support_masks(self):
         """Neighbour bitmask per vertex of the support: out | in."""
@@ -336,11 +327,9 @@ def two_coloring(masks, verts):
 
 def join(g1, g2):
     """Disjoint union plus all edges between the two vertex sets."""
-    n = g1.n + g2.n
-    edges = list(g1.edge_list())
-    edges += [(u + g1.n, v + g1.n) for u, v in g2.edge_list()]
-    edges += [(u, v + g1.n) for u in range(g1.n) for v in range(g2.n)]
-    return SimpleGraph.from_edges(n, edges)
+    low, high = (1 << g1.n) - 1, ((1 << g2.n) - 1) << g1.n
+    return SimpleGraph(g1.n + g2.n, tuple(m | high for m in g1.adjacency_masks())
+                       + tuple(m << g1.n | low for m in g2.adjacency_masks()))
 
 
 def complete_graph(n):
@@ -410,10 +399,12 @@ def line_graph(h, origin=None):
         origin = copies
     elif sorted(copies) != sorted(tuple(sorted(e)) for e in origin):
         raise ValueError("origin does not match the root's edge copies")
-    edges = set()
+    adj = [0] * len(origin)
     for star in copy_stars(h.n, origin):
-        edges.update(map(frozenset, combinations(star, 2)))
-    return SimpleGraph(len(origin), frozenset(edges)), tuple(origin)
+        clique = sum(1 << i for i in star)
+        for i in star:
+            adj[i] |= clique
+    return SimpleGraph(len(origin), tuple(m ^ (1 << i) for i, m in enumerate(adj))), tuple(origin)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +480,8 @@ def parse_graph6(text):
 def emit_graph6(g):
     """Encode a SimpleGraph as one graph6 word (string)."""
     out = bytearray(_g6_number(g.n))
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
+    adj = g.adjacency_masks()
+    bits = [adj[v] >> u & 1 for v in range(1, g.n) for u in range(v)]
     while len(bits) % 6:
         bits.append(0)
     for i in range(0, len(bits), 6):
@@ -543,12 +532,7 @@ def digraph_to_json(d):
 
 
 def digraph_from_json(doc):
-    try:
-        n = doc["n"]
-        arcs = doc["arcs"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"bad digraph document: {exc}")
-    return Digraph.from_arcs(n, [tuple(a) for a in arcs])
+    return Digraph.from_arcs(require(doc, "n"), require_pairs(doc, "arcs"))
 
 
 def require(doc, key, where=""):
@@ -557,6 +541,25 @@ def require(doc, key, where=""):
     if not isinstance(doc, dict) or key not in doc:
         raise FormatError(f"JSON document lacks the key '{where}{key}'")
     return doc[key]
+
+
+def require_ints(doc, key, where=""):
+    """doc[key] when it is a list of ints, else FormatError naming
+    `where` + key; the reader checks the values."""
+    ints = require(doc, key, where)
+    if not (isinstance(ints, list) and all(type(x) is int for x in ints)):
+        raise FormatError(f"JSON key '{where}{key}' is not a list of ints")
+    return ints
+
+
+def require_pairs(doc, key, where=""):
+    """doc[key] as a list of 2-tuples when it is a list of pairs (lists,
+    or tuples as `to_json` writes), else FormatError naming `where` + key."""
+    pairs = require(doc, key, where)
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
+        raise FormatError(f"JSON key '{where}{key}' is not a list of pairs")
+    return [tuple(p) for p in pairs]
 
 
 def require_sizes(n, f, d):

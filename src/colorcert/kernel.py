@@ -12,7 +12,8 @@ from itertools import combinations
 
 from .graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
-    digraph_to_json, edge_copies, line_graph, require, require_sizes, two_coloring,
+    digraph_to_json, edge_copies, line_graph, require, require_ints, require_pairs, require_sizes,
+    two_coloring,
 )
 
 
@@ -179,21 +180,17 @@ class KPCertificate:
     @staticmethod
     def from_json(doc):
         n = require(doc, "n")
-        g = SimpleGraph.from_edges(n, require(doc, "edges"))
-        f = ListSizeFn(tuple(require(doc, "f")))
+        g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
+        f = ListSizeFn(tuple(require_ints(doc, "f")))
         d = digraph_from_json(require(doc, "orientation"))
         require_sizes(n, f, d)
         root = None
         if "root" in doc:
             root = MultiGraph.from_edges(require(doc["root"], "n", "root."),
                                          require(doc["root"], "edges", "root."))
-        origin = None
-        if "origin" in doc:
-            origin = [tuple(e) for e in doc["origin"]]
-        return KPCertificate(
-            g, f, d, [tuple(e) for e in doc.get("doubled", [])],
-            root=root, origin=origin,
-        )
+        origin = require_pairs(doc, "origin") if "origin" in doc else None
+        doubled = require_pairs(doc, "doubled") if "doubled" in doc else ()
+        return KPCertificate(g, f, d, doubled, root=root, origin=origin)
 
 
 F_KP_VERTICES = 8

@@ -13,7 +13,7 @@ from itertools import combinations
 from .alon_tarsi import is_f_AT
 from .graphs import (
     FormatError, ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph, require,
-    two_coloring,
+    require_ints, require_pairs, two_coloring,
 )
 from .kernel import F_KP_VERTICES, is_f_KP
 
@@ -62,11 +62,6 @@ def recognize_line_graph(g):
     """
     if g.n > LINE_GRAPH_VERTICES:
         raise ValueError(f"recognition capped at {LINE_GRAPH_VERTICES} vertices")
-    edges = g.edge_list()
-    if not edges:
-        # n isolated vertices: root is a matching of n edges
-        return MultiGraph.from_edges(2 * g.n, [(2 * i, 2 * i + 1) for i in range(g.n)]) if g.n else MultiGraph.from_edges(0, [])
-
     all_cliques = [frozenset(c) for c in g.cliques() if len(c) >= 2]
 
     def cover(remaining, used, load):
@@ -75,13 +70,13 @@ def recognize_line_graph(g):
         # of their cliques)
         if not remaining:
             return list(used)
-        pivot = min(remaining, key=lambda e: tuple(sorted(e)))
+        a, b = min(remaining)
         for cl in all_cliques:
-            if not pivot <= cl:
+            if a not in cl or b not in cl:
                 continue
             if any(load[v] >= 2 for v in cl):
                 continue
-            inside = {frozenset(p) for p in combinations(sorted(cl), 2)}
+            inside = set(combinations(sorted(cl), 2))
             for v in cl:
                 load[v] += 1
             used.append(cl)
@@ -94,7 +89,7 @@ def recognize_line_graph(g):
         return None
 
     load = [0] * g.n
-    parts = cover(set(g.edges), [], load)
+    parts = cover(set(g.edge_list()), [], load)
     if parts is None:
         return None
     # every vertex must end in exactly two parts; vertices in fewer
@@ -109,7 +104,7 @@ def recognize_line_graph(g):
             extra += 1
         origin.append((min(ms), max(ms)))
     root = MultiGraph.from_edges(extra, origin)
-    if line_graph(root, origin)[0].edges != g.edges:
+    if line_graph(root, origin)[0] != g:
         return None
     return root
 
@@ -299,7 +294,7 @@ class TwoJoin:
 
     @staticmethod
     def from_json(doc):
-        return TwoJoin(*(frozenset(require(doc, key)) for key in ("H", "A1", "A2", "B1", "B2")))
+        return TwoJoin(*(frozenset(require_ints(doc, key)) for key in ("H", "A1", "A2", "B1", "B2")))
 
 
 STRIP_VERTICES = 10
@@ -439,9 +434,9 @@ class CompositionSpec:
         strips = []
         for i, s in enumerate(require(doc, "strips")):
             where = f"strips[{i}]."
-            graph = SimpleGraph.from_edges(require(s, "n", where), require(s, "edges", where))
-            strips.append(Strip(graph, frozenset(require(s, "X", where)),
-                                frozenset(require(s, "Y", where))))
+            graph = SimpleGraph.from_edges(require(s, "n", where), require_pairs(s, "edges", where))
+            strips.append(Strip(graph, frozenset(require_ints(s, "X", where)),
+                                frozenset(require_ints(s, "Y", where))))
         hub_n = require(doc, "hub_n")
         if not isinstance(hub_n, int) or hub_n < 0:
             raise FormatError(f"hub_n = {hub_n!r} is not a vertex count")

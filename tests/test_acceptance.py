@@ -136,7 +136,7 @@ def test_criterion_07_cross_oracle_equality():
     while queries < 500:
         n = rng.randint(2, 6)
         g = random_simple_graph(rng, n, p=0.5)
-        m = len(g.edges)
+        m = len(g.edge_list())
         if m == 0:
             continue
         exps = [0] * n
@@ -149,7 +149,7 @@ def test_criterion_07_cross_oracle_equality():
     while checked < 200:
         n = rng.randint(2, 7)
         g = random_simple_graph(rng, n, p=0.5)
-        if not g.edges:
+        if not g.edge_list():
             continue
         arcs = [(u, v) if rng.random() < 0.5 else (v, u)
                 for u, v in g.edge_list()]

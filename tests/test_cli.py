@@ -527,6 +527,58 @@ def test_compose_with_a_hub_edge_outside_the_hub_exits_2(hub_edges, tmp_path, ca
     assert f"hub_edges[{bad}]" in capsys.readouterr().err
 
 
+def _with(doc, value, *path):
+    """A copy of a JSON document with the key at `path` set to `value`."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, value, named", [
+    ("kp check", ("arcs",), 5, "'arcs'"),
+    ("at count", ("arcs",), 5, "'arcs'"),
+    ("2join", ("H",), 5, "'H'"),
+    ("certificate", ("f",), 5, "'f'"),
+    ("certificate", ("f",), ["2", "2"], "'f'"),
+    ("certificate", ("origin",), 3, "'origin'"),
+    ("certificate", ("doubled",), 3, "'doubled'"),
+    ("compose", ("strips", 0, "X"), 5, "'strips[0].X'"),
+], ids=["kp-check-arcs", "at-count-arcs", "2join-H", "cert-f", "cert-f-strings",
+        "cert-origin", "cert-doubled", "compose-X"])
+def test_a_json_value_of_the_wrong_shape_exits_2(kind, path, value, named, tmp_path, capsys):
+    from colorcert.catalog import two_join_catalog
+
+    if kind in ("kp check", "at count"):
+        argv = kind.split()
+        doc = {"n": 3, "arcs": [[0, 1]]}
+    elif kind == "2join":
+        _, _, g, tj = two_join_catalog()[1]
+        argv = ["structure", "2join", "verify", write(tmp_path, "g.g6", emit_graph6(g))]
+        doc = tj.to_json()
+    elif kind == "compose":
+        argv = ["structure", "compose"]
+        doc = {"hub_n": 2, "hub_edges": [[0, 1]],
+               "strips": [{"n": 2, "edges": [[0, 1]], "X": [0], "Y": [1]}]}
+    else:
+        argv = ["paint", "play", "--cert"]
+        doc = kernel.galvin_orientation(MultiGraph.from_edges(3, [(0, 1), (1, 2)])).to_json()
+    argv.append(write(tmp_path, "doc.json", json.dumps(doc)))
+    assert run(argv) == 0
+    capsys.readouterr()
+    argv[-1] = write(tmp_path, "bad.json", json.dumps(_with(doc, value, *path)))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_a_budget_file_that_is_not_a_list_exits_2(c5_file, tmp_path, capsys):
+    assert run(["at", "check", c5_file, "--f", "file:" + write(tmp_path, "b.json", "7")]) == 2
+    assert "not a JSON list of ints" in capsys.readouterr().err
+
+
 def test_discharge_and_pipeline(tmp_path, capsys):
     k77 = MultiGraph.from_edges(14, complete_bipartite(7, 7).edge_list())
     path = write(tmp_path, "k77.txt", emit_edge_list(k77))

@@ -49,9 +49,9 @@ def test_constructors_reject_a_negative_count_and_ids_that_are_not_ints(build):
 def test_complement_and_induced():
     g = cycle_graph(5)
     c = g.complement()
-    assert len(c.edges) == 10 - 5
+    assert len(c.edge_list()) == 10 - 5
     sub, order = g.induced({1, 2, 3})
-    assert sub.n == 3 and len(sub.edges) == 2
+    assert sub.n == 3 and len(sub.edge_list()) == 2
     assert list(order) == [1, 2, 3]
 
 
@@ -85,12 +85,12 @@ def test_cliques_match_the_subset_scan(rng):
 # the stored neighbour masks against the earlier edge scans
 
 def _neighbors_oracle(g, v):
-    return {w for e in g.edges if v in e for w in e if w != v}
+    return {w for e in g.edge_list() if v in e for w in e if w != v}
 
 
 def _adjacency_masks_oracle(g):
     adj = [0] * g.n
-    for e in g.edges:
+    for e in g.edge_list():
         u, v = tuple(e)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
@@ -98,12 +98,12 @@ def _adjacency_masks_oracle(g):
 
 
 def _degree_oracle(g, v):
-    return sum(1 for e in g.edges if v in e)
+    return sum(1 for e in g.edge_list() if v in e)
 
 
 def _degrees_oracle(g):
     d = [0] * g.n
-    for e in g.edges:
+    for e in g.edge_list():
         for v in e:
             d[v] += 1
     return d
@@ -164,6 +164,101 @@ def test_stored_masks_leave_equality_and_hashing_alone():
     assert {read: 1}[fresh] == 1
 
 
+# ---------------------------------------------------------------------------
+# the neighbour masks are the stored form: equality and hashing on them
+# agree with equality on the edge sets, whichever builder made the graph
+
+@st.composite
+def _edge_sets(draw, max_n=7):
+    """(n, set of 2-element frozensets) for a random graph."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return n, frozenset(map(frozenset, chosen))
+
+
+def _from_pairs(rnd, n, edges):
+    """from_edges on the edge set written in a random order, each pair
+    either way round and some of them repeated."""
+    pairs = [tuple(e)[::rnd.choice((1, -1))] for e in edges]
+    pairs += rnd.choices(pairs, k=rnd.randint(0, len(pairs))) if pairs else []
+    rnd.shuffle(pairs)
+    return SimpleGraph.from_edges(n, pairs)
+
+
+def _assert_same_relation(g1, key1, g2, key2):
+    assert (g1 == g2) == (key1 == key2)
+    if key1 == key2:
+        assert hash(g1) == hash(g2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edge_sets(), _edge_sets(), st.randoms(use_true_random=False))
+def test_from_edges_equality_and_hashing_follow_the_edge_set(a, b, rnd):
+    ga, again, gb = _from_pairs(rnd, *a), _from_pairs(rnd, *a), _from_pairs(rnd, *b)
+    _assert_same_relation(ga, a, again, a)
+    _assert_same_relation(ga, a, gb, b)
+    n, edges = a
+    assert {frozenset(e) for e in ga.edge_list()} == edges
+    for u in range(-2, n + 2):
+        for v in range(-2, n + 2):
+            assert ga.has_edge(u, v) == (frozenset((u, v)) in edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edge_sets(), st.randoms(use_true_random=False))
+def test_complement_and_induced_equal_the_graphs_of_their_edge_sets(a, rnd):
+    n, edges = a
+    g = _from_pairs(rnd, n, edges)
+    others = frozenset(map(frozenset, combinations(range(n), 2))) - edges
+    _assert_same_relation(g.complement(), (n, others), _from_pairs(rnd, n, others), (n, others))
+    assert g.complement().complement() == g
+    vs = rnd.sample(range(n), rnd.randint(0, n))
+    sub, order = g.induced(vs)
+    inside = frozenset(frozenset((i, j)) for i, j in combinations(range(len(order)), 2)
+                       if frozenset((order[i], order[j])) in edges)
+    want = (len(order), inside)
+    _assert_same_relation(sub, want, _from_pairs(rnd, *want), want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edge_sets(), st.randoms(use_true_random=False))
+def test_supports_equal_the_graph_of_their_edge_set(a, rnd):
+    n, edges = a
+    g = _from_pairs(rnd, n, edges)
+    h = MultiGraph.from_edges(n, [tuple(e) + (rnd.randint(1, 3),) for e in edges])
+    arcs = []
+    for e in edges:
+        u, v = tuple(e)
+        arcs += rnd.choice(([(u, v)], [(v, u)], [(u, v), (v, u)]))
+    d = Digraph.from_arcs(n, arcs)
+    _assert_same_relation(h.support(), a, g, a)
+    _assert_same_relation(d.support(), a, g, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_sets(max_n=5), st.randoms(use_true_random=False))
+def test_line_graphs_equal_the_graphs_of_their_edge_sets(a, rnd):
+    n, edges = a
+    h = MultiGraph.from_edges(n, [tuple(e) + (rnd.randint(1, 2),) for e in edges])
+    g, origin = line_graph(h)
+    relabelled = list(origin)
+    rnd.shuffle(relabelled)
+    for got, copies in ((g, origin), (line_graph(h, relabelled)[0], relabelled)):
+        meet = frozenset(frozenset((i, j)) for i, j in combinations(range(len(copies)), 2)
+                         if set(copies[i]) & set(copies[j]))
+        want = (len(copies), meet)
+        _assert_same_relation(got, want, _from_pairs(rnd, *want), want)
+
+
+def test_has_edge_is_false_off_the_vertex_range_and_on_a_loop():
+    # vertex 1 is adjacent to 0, so reading masks[-1] would say yes
+    g = path_graph(2)
+    assert g.has_edge(0, 1) and g.has_edge(1, 0)
+    for u, v in ((-1, 0), (0, -1), (-2, 1), (2, 0), (0, 2), (1, 5), (0, 0), (1, 1)):
+        assert not g.has_edge(u, v)
+
+
 def test_multigraph_basics():
     h = MultiGraph.from_edges(3, [(0, 1, 2), (1, 2, 1), (0, 1, 1)])
     assert h.multiplicity(0, 1) == 3
@@ -195,16 +290,16 @@ def test_list_size_fn():
 
 
 def test_generators():
-    assert len(complete_graph(5).edges) == 10
-    assert len(complete_bipartite(3, 4).edges) == 12
-    assert len(path_graph(4).edges) == 3
+    assert len(complete_graph(5).edge_list()) == 10
+    assert len(complete_bipartite(3, 4).edge_list()) == 12
+    assert len(path_graph(4).edge_list()) == 3
     k2t = complete_multipartite_2t(3)
     assert k2t.n == 6
-    assert len(k2t.edges) == 15 - 3
+    assert len(k2t.edge_list()) == 15 - 3
     for i in range(3):
         assert not k2t.has_edge(2 * i, 2 * i + 1)
     j = join(complete_graph(2), cycle_graph(4))
-    assert j.n == 6 and len(j.edges) == 1 + 4 + 8
+    assert j.n == 6 and len(j.edge_list()) == 1 + 4 + 8
 
 
 def test_line_graph_degree_formula(rng):
@@ -298,7 +393,7 @@ def test_line_graph_matches_networkx():
     g, origin = line_graph(h)
     nxg = nx.line_graph(nx.Graph([(u, v) for u, v, _ in h.edges]))
     assert g.n == nxg.number_of_nodes()
-    assert len(g.edges) == nxg.number_of_edges()
+    assert len(g.edge_list()) == nxg.number_of_edges()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,8 +3,9 @@ function imports again from a module that its file imports at module
 level, every module-level private function or class is used somewhere
 in the package, every public one and every public method is read by the
 package or the benchmark or is listed library API, every function reads
-each of its parameters, and no module holds an `assert`; brute force
-kept only for cross-checking lives in the tests."""
+each of its parameters, no module holds an `assert`, and only `graphs.py`
+calls the raw `SimpleGraph` constructor; brute force kept only for
+cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -347,6 +348,43 @@ def test_the_check_sees_unread_parameters():
         (2, "m", "extra"), (2, "m", "rest"), (2, "m", "unused"),
         (4, "outer", "b"), (5, "inner", "c"), (8, "<lambda>", "z"),
     ]
+
+
+def _raw_simple_graph_calls(trees):
+    """(module, line) of each call of the `SimpleGraph` constructor
+    itself, by name or as an attribute, outside `graphs.py`.
+
+    The builders in `graphs.py` (`from_edges`, `complement`, `induced`,
+    the supports, `line_graph`) check the masks they store, so every
+    other module goes through one of them.
+    """
+    return sorted(
+        (module, node.lineno) for module, tree in trees.items() if module != "graphs.py"
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        and "SimpleGraph" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_only_graphs_calls_the_raw_simple_graph_constructor():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    trees.update((f"perfbench/{p.name}", ast.parse(p.read_text(), filename=str(p)))
+                 for p in sorted(PERFBENCH.glob("*.py")))
+    assert _raw_simple_graph_calls(trees) == []
+
+
+def test_the_check_sees_raw_simple_graph_calls():
+    trees = {
+        "graphs.py": ast.parse("def build(n):\n    return SimpleGraph(n, (0,) * n)\n"),
+        "kernel.py": ast.parse(
+            "from . import graphs\n"
+            "from .graphs import SimpleGraph\n"
+            "a = SimpleGraph.from_edges(2, [(0, 1)])\n"
+            "b = SimpleGraph(2, (2, 1))\n"
+            "def f():\n"
+            "    return graphs.SimpleGraph(1, (0,))\n"
+            "ok = isinstance(a, SimpleGraph)\n"
+        ),
+    }
+    assert _raw_simple_graph_calls(trees) == [("kernel.py", 4), ("kernel.py", 6)]
 
 
 def _asserts(tree):

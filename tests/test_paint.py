@@ -92,7 +92,7 @@ def test_AT_implies_paintable_small(rng):
     for _ in range(10):
         n = rng.randint(2, 5)
         g = random_simple_graph(rng, n, p=0.5)
-        if not g.edges:
+        if not g.edge_list():
             continue
         f = ListSizeFn(tuple(max(1, g.degree(v)) for v in range(n)))
         ok, cert = alon_tarsi.is_f_AT(g, f)

@@ -19,7 +19,7 @@ from conftest import (
 
 def _isomorphic(g1, g2, return_map=False):
     """Brute-force isomorphism test for small graphs."""
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
+    if g1.n != g2.n or len(g1.edge_list()) != len(g2.edge_list()):
         return (False, None) if return_map else False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return (False, None) if return_map else False
@@ -161,6 +161,14 @@ def test_recognize_line_graph_shuffled_k34(seed):
     assert _isomorphic(root.support(), k34)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_recognize_line_graph_roots_an_edgeless_graph_in_a_matching(n):
+    # the cover of no edges has no parts, so each vertex gets two
+    # private pendant parts: the root edge (2i, 2i+1)
+    root = structure.recognize_line_graph(SimpleGraph.from_edges(n, []))
+    assert root == MultiGraph.from_edges(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
+
+
 def test_recognize_line_graph_negative():
     assert structure.recognize_line_graph(complete_bipartite(1, 3)) is None
     # K5 minus a perfect matching-ish: C5 complement is C5, a line graph
@@ -230,7 +238,7 @@ def recognize_line_graph(g, cap=12):
         return None
 
     load = [0] * g.n
-    parts = cover(set(g.edges), [], load)
+    parts = cover(set(map(frozenset, g.edge_list())), [], load)
     if parts is None:
         return None
     # every vertex must end in exactly two parts; vertices in fewer
@@ -245,7 +253,7 @@ def recognize_line_graph(g, cap=12):
             extra += 1
         origin.append((min(ms), max(ms)))
     root = MultiGraph.from_edges(extra, origin)
-    if line_graph(root, origin)[0].edges != g.edges:
+    if line_graph(root, origin)[0].edge_list() != g.edge_list():
         return None
     return root
 
@@ -283,7 +291,7 @@ def _homogeneous(g, aset, other=frozenset()):
 def _contains_induced_c4(g, verts):
     for quad in combinations(sorted(verts), 4):
         sub, _ = g.induced(quad)
-        if sorted(sub.degrees()) == [2, 2, 2, 2] and len(sub.edges) == 4 and _connected(sub):
+        if sorted(sub.degrees()) == [2, 2, 2, 2] and len(sub.edge_list()) == 4 and _connected(sub):
             return True
     return False
 
@@ -620,7 +628,7 @@ def test_compose_trivial_cases():
         hub_n=2, hub_edges=((0, 1),),
         strips=(structure.Strip(complete_graph(1), (0,), (0,)),))
     g = structure.compose(spec)
-    assert g.n == 1 and not g.edges
+    assert g.n == 1 and not g.edge_list()
 
     # triangle hub with K1 strips gives the line graph of the triangle
     spec = structure.CompositionSpec(
@@ -628,7 +636,7 @@ def test_compose_trivial_cases():
         strips=tuple(structure.Strip(complete_graph(1), (0,), (0,))
                      for _ in range(3)))
     g = structure.compose(spec)
-    assert g.n == 3 and len(g.edges) == 3  # K3
+    assert g.n == 3 and len(g.edge_list()) == 3  # K3
 
 
 def test_compose_matches_line_graph_of_replicated_hub():
