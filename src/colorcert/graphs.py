@@ -543,23 +543,36 @@ def require(doc, key, where=""):
     return doc[key]
 
 
+def require_list(doc, key, where="", what="a list", item=lambda _x: True):
+    """doc[key] when it is a list whose items all pass `item`, else
+    FormatError naming `where` + key and saying it is not `what`."""
+    items = require(doc, key, where)
+    if not (isinstance(items, list) and all(item(x) for x in items)):
+        raise FormatError(f"JSON key '{where}{key}' is not {what}")
+    return items
+
+
 def require_ints(doc, key, where=""):
     """doc[key] when it is a list of ints, else FormatError naming
     `where` + key; the reader checks the values."""
-    ints = require(doc, key, where)
-    if not (isinstance(ints, list) and all(type(x) is int for x in ints)):
-        raise FormatError(f"JSON key '{where}{key}' is not a list of ints")
-    return ints
+    return require_list(doc, key, where, "a list of ints", lambda x: type(x) is int)
 
 
 def require_pairs(doc, key, where=""):
     """doc[key] as a list of 2-tuples when it is a list of pairs (lists,
     or tuples as `to_json` writes), else FormatError naming `where` + key."""
-    pairs = require(doc, key, where)
-    if not (isinstance(pairs, list)
-            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)):
-        raise FormatError(f"JSON key '{where}{key}' is not a list of pairs")
+    pairs = require_list(doc, key, where, "a list of pairs",
+                         lambda p: isinstance(p, (list, tuple)) and len(p) == 2)
     return [tuple(p) for p in pairs]
+
+
+def require_records(doc, key, where=""):
+    """doc[key] when it is a list of edge records, (u, v) or
+    (u, v, multiplicity) lists or tuples of ints, else FormatError naming
+    `where` + key; `MultiGraph.from_edges` checks the values."""
+    return require_list(doc, key, where, "a list of edge records",
+                        lambda r: isinstance(r, (list, tuple)) and len(r) in (2, 3)
+                        and all(type(x) is int for x in r))
 
 
 def require_sizes(n, f, d):

@@ -12,8 +12,8 @@ from itertools import combinations
 
 from .graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
-    digraph_to_json, edge_copies, line_graph, require, require_ints, require_pairs, require_sizes,
-    two_coloring,
+    digraph_to_json, edge_copies, line_graph, require, require_ints, require_pairs,
+    require_records, require_sizes, two_coloring,
 )
 
 
@@ -187,7 +187,7 @@ class KPCertificate:
         root = None
         if "root" in doc:
             root = MultiGraph.from_edges(require(doc["root"], "n", "root."),
-                                         require(doc["root"], "edges", "root."))
+                                         require_records(doc["root"], "edges", "root."))
         origin = require_pairs(doc, "origin") if "origin" in doc else None
         doubled = require_pairs(doc, "doubled") if "doubled" in doc else ()
         return KPCertificate(g, f, d, doubled, root=root, origin=origin)

@@ -259,54 +259,22 @@ def is_f_paintable(g, f):
     return False, _play(tokens, width, size - 1, refute)
 
 
-CHOOSABLE_VERTICES = 9
+def _list_colorer(adj, sizes):
+    """(lists, color, colorable) for list colorings of the graph with
+    neighbour masks `adj`, where every list of v has sizes[v] colors.
 
-
-def is_f_choosable(g, f):
-    """Exhaustive list-assignment check.
-
-    Returns (True, None) or (False, failing assignment).  Assignments
-    are enumerated in a canonical form — colors are introduced in
-    ascending order without gaps — which covers every intersection
-    pattern over a universe of size sum(f).  Lists and colors are
-    bitmasks over that universe.  A graph that _greedy_reduce empties is
-    choosable without enumeration.
-
-    The lists of the last vertex are not enumerated.  Once every other
-    list is fixed, with `used` colors introduced, the last vertex gets
-    a spare color that no other list can hold and the lists are colored
-    once; this colors G - last.  If G - last has no coloring, no list
-    of the last vertex helps, and the first leaf below, the all-fresh
-    list, is returned.  Otherwise let `blocked` be the colors that this
-    coloring puts on the neighbors of the last vertex.  A list with a
-    color outside `blocked` extends the coloring, and every fresh color
-    is outside it.  So only the all-old lists inside `blocked` can fail.
-    They come in the same lex order as the old lists of the enumeration,
-    and each is tested in turn; the first that fails is the first
-    failing leaf.  A budget above `used` leaves no all-old list.  A
-    negative budget raises ValueError.
+    Fill `lists` with one color bitmask per vertex; colorable(0) says
+    whether they have a proper coloring and, when they do, leaves one in
+    `color`, one color bit per vertex.  The coloring order and each
+    vertex's earlier-colored neighbors depend only on the sizes, so they
+    are fixed for every fill.
     """
-    if g.n > CHOOSABLE_VERTICES:
-        raise ValueError(f"solver capped at {CHOOSABLE_VERTICES} vertices")
-    n = g.n
-    sizes = [f(v) for v in range(n)]
-    for v, k in enumerate(sizes):
-        if k < 0:
-            raise ValueError(f"vertex {v} has a negative list size {k}")
-    adj = g.adjacency_masks()
-    full = (1 << n) - 1
-    if not _greedy_reduce(adj, full, *_pack(sizes), full)[0]:
-        return True, None
-
-    # every list of v has sizes[v] colors, so the coloring order and
-    # each vertex's earlier-colored neighbors are fixed for the call
+    n = len(adj)
     order = sorted(range(n), key=lambda v: sizes[v])
     earlier = [[w for w in order[:k] if adj[v] >> w & 1]
                for k, v in enumerate(order)]
     lists = [0] * n
     color = [0] * n
-    last = n - 1
-    spare = 1 << sum(sizes)
 
     def colorable(k):
         if k == n:
@@ -323,8 +291,38 @@ def is_f_choosable(g, f):
             avail ^= c
         return False
 
-    def failing():
-        return [set(_mask_vertices(m)[::-1]) for m in lists]
+    return lists, color, colorable
+
+
+def _as_sets(lists):
+    return [set(_mask_vertices(m)[::-1]) for m in lists]
+
+
+def _canonical_search(adj, sizes):
+    """Exhaustive list-assignment check on at least one vertex.
+
+    Returns (True, None) or (False, the first failing assignment).
+    Assignments are enumerated in a canonical form — colors are
+    introduced in ascending order without gaps — which covers every
+    intersection pattern over a universe of size sum(sizes).  Lists and
+    colors are bitmasks over that universe.
+
+    The lists of the last vertex are not enumerated.  Once every other
+    list is fixed, with `used` colors introduced, the last vertex gets
+    a spare color that no other list can hold and the lists are colored
+    once; this colors G - last.  If G - last has no coloring, no list
+    of the last vertex helps, and the first leaf below, the all-fresh
+    list, is returned.  Otherwise let `blocked` be the colors that this
+    coloring puts on the neighbors of the last vertex.  A list with a
+    color outside `blocked` extends the coloring, and every fresh color
+    is outside it.  So only the all-old lists inside `blocked` can fail.
+    They come in the same lex order as the old lists of the enumeration,
+    and each is tested in turn; the first that fails is the first
+    failing leaf.  A budget above `used` leaves no all-old list.
+    """
+    lists, color, colorable = _list_colorer(adj, sizes)
+    last = len(adj) - 1
+    spare = 1 << sum(sizes)
 
     def settle_last(used):
         """The first failing list of the last vertex, else None."""
@@ -332,7 +330,7 @@ def is_f_choosable(g, f):
         lists[last] = spare
         if not colorable(0):
             lists[last] = ((1 << k) - 1) << used
-            return failing()
+            return _as_sets(lists)
         blocked = 0
         for w in _mask_vertices(adj[last]):
             blocked |= color[w]
@@ -340,7 +338,7 @@ def is_f_choosable(g, f):
         for old_set in combinations(old, k):
             lists[last] = sum(old_set)
             if not colorable(0):
-                return failing()
+                return _as_sets(lists)
         return None
 
     old_masks = {}
@@ -370,6 +368,52 @@ def is_f_choosable(g, f):
     if bad is None:
         return True, None
     return False, bad
+
+
+def is_f_choosable(g, f):
+    """Whether every assignment of lists of sizes f has a proper coloring.
+
+    Returns (True, None) or (False, a failing assignment), the lists as
+    sets of colors.  It tries four routes, cheapest first, and the first
+    that decides answers:
+
+    1. A negative budget raises ValueError.  A graph that
+       `_greedy_reduce` empties is choosable.
+    2. The nested lists L(v) = {0..f(v)-1} are colored once.  If they
+       have no coloring, they are returned: a failing assignment of the
+       budgeted sizes.
+    3. The online game: a painter win from the budgets f means yes.  The
+       lister can play any fixed assignment, listing in round c the
+       uncolored vertices whose lists hold color c, so the painter's
+       winning answers color from the lists (Schauz, "Mr. Paint and
+       Mrs. Correct", EJC 16, 2009; Zhu, "On-line list colouring of
+       graphs", EJC 16, 2009).  Every budget is at least 1 here, since
+       a budget of 0 fails at route 2.
+    4. `_canonical_search` enumerates what is left: the graphs that are
+       choosable but not paintable, and the failing assignments that
+       the nested lists miss.
+
+    So a failing assignment is the nested one whenever that one fails,
+    else the enumeration's first.
+    """
+    if g.n > PAINTABLE_VERTICES:
+        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
+    n = g.n
+    sizes = [f(v) for v in range(n)]
+    for v, k in enumerate(sizes):
+        if k < 0:
+            raise ValueError(f"vertex {v} has a negative list size {k}")
+    adj = g.adjacency_masks()
+    full = (1 << n) - 1
+    if not _greedy_reduce(adj, full, *_pack(sizes), full)[0]:
+        return True, None
+    lists, _, colorable = _list_colorer(adj, sizes)
+    lists[:] = [(1 << k) - 1 for k in sizes]
+    if not colorable(0):
+        return False, _as_sets(lists)
+    if is_f_paintable(g, f)[0]:
+        return True, None
+    return _canonical_search(adj, sizes)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations
 from .alon_tarsi import is_f_AT
 from .graphs import (
     FormatError, ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph, require,
-    require_ints, require_pairs, two_coloring,
+    require_ints, require_list, require_pairs, two_coloring,
 )
 from .kernel import F_KP_VERTICES, is_f_KP
 
@@ -432,7 +432,7 @@ class CompositionSpec:
     @staticmethod
     def from_json(doc):
         strips = []
-        for i, s in enumerate(require(doc, "strips")):
+        for i, s in enumerate(require_list(doc, "strips")):
             where = f"strips[{i}]."
             graph = SimpleGraph.from_edges(require(s, "n", where), require_pairs(s, "edges", where))
             strips.append(Strip(graph, frozenset(require_ints(s, "X", where)),
@@ -441,7 +441,7 @@ class CompositionSpec:
         if not isinstance(hub_n, int) or hub_n < 0:
             raise FormatError(f"hub_n = {hub_n!r} is not a vertex count")
         hub_edges = []
-        for i, e in enumerate(require(doc, "hub_edges")):
+        for i, e in enumerate(require_list(doc, "hub_edges")):
             if not (isinstance(e, list) and len(e) == 2
                     and all(isinstance(v, int) and 0 <= v < hub_n for v in e)):
                 raise FormatError(

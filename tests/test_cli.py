@@ -546,8 +546,13 @@ def _with(doc, value, *path):
     ("certificate", ("origin",), 3, "'origin'"),
     ("certificate", ("doubled",), 3, "'doubled'"),
     ("compose", ("strips", 0, "X"), 5, "'strips[0].X'"),
+    ("compose", ("strips",), 5, "'strips'"),
+    ("compose", ("hub_edges",), 5, "'hub_edges'"),
+    ("certificate", ("root", "edges"), 5, "'root.edges'"),
+    ("certificate", ("root", "edges"), [[0, 1, "2"]], "'root.edges'"),
 ], ids=["kp-check-arcs", "at-count-arcs", "2join-H", "cert-f", "cert-f-strings",
-        "cert-origin", "cert-doubled", "compose-X"])
+        "cert-origin", "cert-doubled", "compose-X", "compose-strips", "compose-hub-edges",
+        "cert-root-edges", "cert-root-edges-strings"])
 def test_a_json_value_of_the_wrong_shape_exits_2(kind, path, value, named, tmp_path, capsys):
     from colorcert.catalog import two_join_catalog
 

@@ -322,10 +322,16 @@ def _oracle_instances(rng):
             yield g, ListSizeFn.constant(g.n, 2)
 
 
+def _enumerated(g, f):
+    """The canonical enumeration alone, as `is_f_choosable` runs it
+    when no cheaper route decides."""
+    return paint._canonical_search(g.adjacency_masks(), list(f.values))
+
+
 def test_choosable_matches_oracle(rng):
     failures = 0
     for g, f in _oracle_instances(rng):
-        ok, lists = paint.is_f_choosable(g, f)
+        ok, lists = _enumerated(g, f)
         want_ok, want_lists = _choosable_oracle(g, f)
         assert (ok, lists) == (want_ok, want_lists), (g.edge_list(), f.values)
         if ok:
@@ -781,6 +787,13 @@ def test_choosable_rejects_a_negative_budget():
     assert not paint.is_f_choosable(path_graph(3), ListSizeFn((2, 0, 2)))[0]
 
 
+def test_choosable_is_capped_before_any_route():
+    # the nested lists of K_10 at f=1 fail, and would answer first
+    with pytest.raises(ValueError, match=f"capped at {PAINTABLE_VERTICES} vertices"):
+        paint.is_f_choosable(complete_graph(PAINTABLE_VERTICES + 1),
+                             ListSizeFn.constant(PAINTABLE_VERTICES + 1, 1))
+
+
 def _sweep(play, g, f, cert, adversary="exhaustive"):
     """The outcome of a kernel-painter play: its transcript, or the text
     of the error it raised."""
@@ -872,8 +885,8 @@ def _choosable_leafwise(g, f):
     bitmasks over that universe.  A graph that _greedy_reduce empties is
     choosable without enumeration.
     """
-    if g.n > paint.CHOOSABLE_VERTICES:
-        raise ValueError(f"solver capped at {paint.CHOOSABLE_VERTICES} vertices")
+    if g.n > PAINTABLE_VERTICES:
+        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
     n = g.n
     sizes = [f(v) for v in range(n)]
     adj = g.adjacency_masks()
@@ -920,6 +933,120 @@ def _choosable_leafwise(g, f):
                 old_masks[used, old] = [
                     sum(1 << c for c in old_set)
                     for old_set in itertools.combinations(range(used), old)
+                ]
+            for old_mask in old_masks[used, old]:
+                lists[v] = old_mask | fresh_mask
+                res = choose_lists(v + 1, used + fresh)
+                if res is not None:
+                    return res
+        return None
+
+    bad = choose_lists(0, 0)
+    if bad is None:
+        return True, None
+    return False, bad
+
+
+# the solver before it tried the nested lists and the online game: the
+# canonical enumeration behind the greedy shortcut, as `is_f_choosable`
+# ran it, with the package names it read qualified by `paint.`
+
+def _choosable_enumerating(g, f):
+    """Exhaustive list-assignment check.
+
+    Returns (True, None) or (False, failing assignment).  Assignments
+    are enumerated in a canonical form — colors are introduced in
+    ascending order without gaps — which covers every intersection
+    pattern over a universe of size sum(f).  Lists and colors are
+    bitmasks over that universe.  A graph that _greedy_reduce empties is
+    choosable without enumeration.
+
+    The lists of the last vertex are not enumerated.  Once every other
+    list is fixed, with `used` colors introduced, the last vertex gets
+    a spare color that no other list can hold and the lists are colored
+    once; this colors G - last.  If G - last has no coloring, no list
+    of the last vertex helps, and the first leaf below, the all-fresh
+    list, is returned.  Otherwise let `blocked` be the colors that this
+    coloring puts on the neighbors of the last vertex.  A list with a
+    color outside `blocked` extends the coloring, and every fresh color
+    is outside it.  So only the all-old lists inside `blocked` can fail.
+    They come in the same lex order as the old lists of the enumeration,
+    and each is tested in turn; the first that fails is the first
+    failing leaf.  A budget above `used` leaves no all-old list.  A
+    negative budget raises ValueError.
+    """
+    if g.n > PAINTABLE_VERTICES:
+        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
+    n = g.n
+    sizes = [f(v) for v in range(n)]
+    for v, k in enumerate(sizes):
+        if k < 0:
+            raise ValueError(f"vertex {v} has a negative list size {k}")
+    adj = g.adjacency_masks()
+    full = (1 << n) - 1
+    if not paint._greedy_reduce(adj, full, *paint._pack(sizes), full)[0]:
+        return True, None
+
+    # every list of v has sizes[v] colors, so the coloring order and
+    # each vertex's earlier-colored neighbors are fixed for the call
+    order = sorted(range(n), key=lambda v: sizes[v])
+    earlier = [[w for w in order[:k] if adj[v] >> w & 1]
+               for k, v in enumerate(order)]
+    lists = [0] * n
+    color = [0] * n
+    last = n - 1
+    spare = 1 << sum(sizes)
+
+    def colorable(k):
+        if k == n:
+            return True
+        v = order[k]
+        avail = lists[v]
+        for w in earlier[k]:
+            avail &= ~color[w]
+        while avail:
+            c = avail & -avail
+            color[v] = c
+            if colorable(k + 1):
+                return True
+            avail ^= c
+        return False
+
+    def failing():
+        return [set(paint._mask_vertices(m)[::-1]) for m in lists]
+
+    def settle_last(used):
+        """The first failing list of the last vertex, else None."""
+        k = sizes[last]
+        lists[last] = spare
+        if not colorable(0):
+            lists[last] = ((1 << k) - 1) << used
+            return failing()
+        blocked = 0
+        for w in paint._mask_vertices(adj[last]):
+            blocked |= color[w]
+        old = [1 << c for c in reversed(paint._mask_vertices(blocked))]
+        for old_set in combinations(old, k):
+            lists[last] = sum(old_set)
+            if not colorable(0):
+                return failing()
+        return None
+
+    old_masks = {}
+
+    def choose_lists(v, used):
+        if v == last:
+            return settle_last(used)
+        # candidate colors: all already-introduced colors plus enough
+        # fresh ones; fresh colors are interchangeable, so only the
+        # count of fresh colors matters
+        for old in range(min(sizes[v], used) + 1):
+            fresh = sizes[v] - old
+            fresh_mask = ((1 << fresh) - 1) << used
+            if (used, old) not in old_masks:
+                old_masks[used, old] = [
+                    sum(1 << c for c in old_set)
+                    for old_set in combinations(range(used), old)
                 ]
             for old_mask in old_masks[used, old]:
                 lists[v] = old_mask | fresh_mask
@@ -982,7 +1109,7 @@ def _last_vertex_instances(rng):
 def test_choosable_matches_leafwise(rng):
     outcomes = set()
     for g, f in _last_vertex_instances(rng):
-        got = paint.is_f_choosable(g, f)
+        got = _enumerated(g, f)
         want = _choosable_leafwise(g, f)
         assert got == want, (g.edge_list(), f.values)
         if not got[0]:
@@ -991,16 +1118,29 @@ def test_choosable_matches_leafwise(rng):
     assert outcomes == {True, False}
 
 
+def _check_all_fresh(rest, solve, oracle):
+    """The last vertex (5 colors, one neighbor) never fails where the
+    rest is colorable, so the first failing leaf lies under the first
+    lists of size 2 on the rest with no coloring, and holds the
+    all-fresh list."""
+    m = rest.n
+    g = SimpleGraph.from_edges(m + 1, rest.edge_list() + [(0, m)])
+    f = ListSizeFn((2,) * m + (5,))
+    ok, lists = solve(g, f)
+    assert (ok, lists) == oracle(g, f)
+    used = max(max(s) for s in lists[:m]) + 1
+    assert not ok and lists[m] == set(range(used, used + 5))
+
+
 def test_choosable_fails_at_the_all_fresh_list_when_the_rest_has_no_coloring():
-    # the last vertex (5 colors, one neighbor) never fails where the K4
-    # is colorable, so the first failing leaf lies under the first K4
-    # lists of size 2 with no coloring, and holds the all-fresh list
-    g = SimpleGraph.from_edges(5, complete_graph(4).edge_list() + [(0, 4)])
-    f = ListSizeFn((2, 2, 2, 2, 5))
-    ok, lists = paint.is_f_choosable(g, f)
-    assert (ok, lists) == _choosable_leafwise(g, f)
-    used = max(max(s) for s in lists[:4]) + 1
-    assert not ok and lists[4] == set(range(used, used + 5))
+    _check_all_fresh(complete_graph(4), _enumerated, _choosable_leafwise)
+
+
+def test_choosable_reaches_the_all_fresh_list_past_its_routes():
+    # nested lists of size 2 color K_{2,4}, and it is not 2-paintable,
+    # so is_f_choosable itself reaches the enumeration here; the
+    # leafwise oracle takes some 15 s on it, the enumerating solver 0.2 s
+    _check_all_fresh(complete_bipartite(2, 4), paint.is_f_choosable, _choosable_enumerating)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1022,5 +1162,96 @@ def test_choosable_matches_leafwise_fuzz(m, kind, data):
             "high": st.integers(m, m + 2), "k4": st.integers(0, 4)}[kind]
     g = SimpleGraph.from_edges(m + 1, edges)
     f = ListSizeFn(tuple(budgets) + (data.draw(last),))
-    got = paint.is_f_choosable(g, f)
+    got = _enumerated(g, f)
     assert got == _choosable_leafwise(g, f), (g.edge_list(), f.values)
+
+
+def _nested_lists(g, f):
+    """The lists {0..f(v)-1}, when they have no coloring, else None."""
+    lists = [set(range(f(v))) for v in range(g.n)]
+    return None if next(_list_colorings(g, lists), None) is not None else lists
+
+
+def _check_choosable_spec(g, f):
+    """is_f_choosable returns the failing nested lists when there are
+    some, else what the enumerating solver returns."""
+    got = paint.is_f_choosable(g, f)
+    nested = _nested_lists(g, f)
+    want = (False, nested) if nested is not None else _choosable_enumerating(g, f)
+    assert got == want, (g.edge_list(), f.values)
+    if not got[0]:
+        assert [len(s) for s in got[1]] == list(f.values)
+        assert next(_list_colorings(g, got[1]), None) is None
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_choosable_meets_its_spec_fuzz(n, data):
+    # budgets up to 3 on 5 vertices, up to 2 on 6 and 7, so that the
+    # enumerating solver stays within a few milliseconds
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    budget = data.draw(st.lists(st.integers(0, 3 if n <= 5 else 2), min_size=n, max_size=n))
+    _check_choosable_spec(SimpleGraph.from_edges(n, edges), ListSizeFn(tuple(budget)))
+
+
+def test_choosable_meets_its_spec_on_relabelled_classics(rng):
+    outcomes = set()
+    for classic, k, copies in ((cycle_graph(5), 2, 3), (complete_bipartite(2, 3), 2, 3),
+                               (complete_bipartite(2, 4), 2, 1), (complete_graph(4), 3, 2)):
+        for _ in range(copies):
+            g = _relabel(classic, rng)
+            outcomes.add(_check_choosable_spec(g, ListSizeFn.constant(g.n, k))[0])
+    assert outcomes == {True, False}
+
+
+def _theta(rng):
+    """θ_{2,2,4}, relabelled: two vertices joined by internally disjoint
+    paths of 2, 2 and 4 edges."""
+    return _relabel(SimpleGraph.from_edges(
+        7, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 5), (5, 6), (6, 1)]), rng)
+
+
+def _k3_join_e3():
+    return SimpleGraph.from_edges(
+        6, [(0, 1), (0, 2), (1, 2)] + [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def _refuse_enumeration(adj, sizes):
+    raise AssertionError(f"enumerated {adj} at {sizes}")
+
+
+@pytest.mark.parametrize("g, budget", [
+    (cycle_graph(5), (2,) * 5),
+    (SimpleGraph.from_edges(6, [e for e in complete_graph(6).edge_list() if e != (0, 1)]),
+     (4,) * 6),
+], ids=["c5", "k6-minus-edge"])
+def test_choosable_settles_no_by_the_nested_lists(g, budget, monkeypatch):
+    monkeypatch.setattr(paint, "_canonical_search", _refuse_enumeration)
+    ok, lists = paint.is_f_choosable(g, ListSizeFn(budget))
+    assert not ok and lists == [set(range(k)) for k in budget]
+
+
+@pytest.mark.parametrize("g, budget", [
+    (complete_bipartite(2, 3), (2,) * 5),
+    (_k3_join_e3(), (4, 4, 4, 3, 3, 3)),
+], ids=["k23", "k3-join-e3"])
+def test_choosable_settles_yes_by_the_online_game(g, budget, monkeypatch):
+    monkeypatch.setattr(paint, "_canonical_search", _refuse_enumeration)
+    assert paint.is_f_paintable(g, ListSizeFn(budget))[0]
+    assert paint.is_f_choosable(g, ListSizeFn(budget)) == (True, None)
+
+
+def test_choosable_enumerates_what_the_routes_leave(rng, monkeypatch):
+    # θ_{2,2,4} is 2-choosable but not 2-paintable, and the nested lists
+    # of size 2 color it, so only the enumeration settles it
+    calls = []
+    g = _theta(rng)
+    f = ListSizeFn.constant(7, 2)
+    assert not paint.is_f_paintable(g, f)[0]
+    search = paint._canonical_search
+    monkeypatch.setattr(paint, "_canonical_search",
+                        lambda adj, sizes: calls.append(sizes) or search(adj, sizes))
+    assert paint.is_f_choosable(g, f) == (True, None)
+    assert calls == [[2] * 7]
