@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Exit codes: 0 everything verified, 1 a verification failed, 2 bad usage
-or unreadable input.  Reports are plain JSON and deterministic for
-fixed inputs and seeds; wall-clock timing is printed to the terminal
-but kept out of the machine-readable report so reports stay
-byte-identical across runs.
+Exit codes: 0 everything verified, 1 a verification failed, 2 bad usage,
+unreadable input or a report that cannot be written.  Reports are plain
+JSON and deterministic for fixed inputs and seeds; wall-clock timing is
+printed to stderr and kept out of stdout and the machine-readable
+report, so both stay byte-identical across runs.
 """
 
 import argparse
 import json
 import os
+import stat
 import sys
 import time
 
@@ -64,50 +65,82 @@ class RunReport:
         }
 
     def emit(self, args):
+        """Print each result and the pass count on stdout and the elapsed
+        time on stderr, then write the report to `args.json` if given.
+
+        The report is written over PATH in place: opened without
+        truncating, written, then cut at the end of what was written.
+        On ext4, truncating a file that holds data and writing it again
+        makes its close flush, which costs more than a small command's
+        whole solve.  Only a regular file is cut: a pipe, a FIFO or a
+        device needs no cut, and /dev/null, though seekable, refuses one.
+        A PATH that cannot be written exits 2.
+        """
         elapsed = time.time() - self.started
         for r in self.results:
             status = "pass" if r["pass"] else "FAIL"
             print(f"{status}  {r['item']}")
         print(f"{len(self.results)} item(s), "
-              f"{sum(r['pass'] for r in self.results)} passed  "
-              f"[{elapsed:.2f}s]")
+              f"{sum(r['pass'] for r in self.results)} passed")
+        print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
         if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            data = (json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n").encode()
+            try:
+                fd = os.open(args.json, os.O_WRONLY | os.O_CREAT, 0o666)
+                try:
+                    view = memoryview(data)
+                    while view:
+                        view = view[os.write(fd, view):]
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, len(data))
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                print(f"cannot write report {args.json}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 2
         return 0 if self.all_pass else 1
 
 
-def parse_f_spec(spec, g):
-    """Budget specifiers: d1, const:<k>, file:<path>, lowset:<ids>.
+def budget_fn(spec, report):
+    """The budgets a specifier names, as a function of the graph:
+    d1, const:<k>, file:<path>, lowset:<ids>.
 
     d1 gives every vertex degree minus one; lowset gives the listed
-    vertices their full degree and everyone else degree minus one.
+    vertices their full degree and everyone else degree minus one.  A
+    budget file is read here, once, through `report`, so the report
+    records its sha256 once however many graphs it is applied to.
     """
-    degs = g.degrees()
-    if spec == "d1":
-        vals = tuple(d - 1 for d in degs)
-    elif spec.startswith("const:"):
-        vals = (int(spec.split(":", 1)[1]),) * g.n
-    elif spec.startswith("file:"):
-        with open(spec.split(":", 1)[1]) as fh:
-            data = json.load(fh)
+    from_file = None
+    if spec.startswith("file:"):
+        data = json.loads(report.add_input(spec.split(":", 1)[1]))
         if not (isinstance(data, list) and all(type(x) is int for x in data)):
             raise FormatError("budget file is not a JSON list of ints")
-        vals = tuple(data)
-        if len(vals) != g.n:
-            raise FormatError("budget file length does not match the graph")
-    elif spec.startswith("lowset:"):
-        ids = spec.split(":", 1)[1]
-        lows = {int(x) for x in ids.split(",")} if ids else set()
-        if any(not 0 <= v < g.n for v in lows):
-            raise FormatError(f"lowset names a vertex outside 0..{g.n - 1}")
-        vals = tuple(degs[v] if v in lows else degs[v] - 1 for v in range(g.n))
-    else:
-        raise FormatError(f"unknown budget specifier {spec!r}")
-    if any(x < 1 for x in vals):
-        raise FormatError("budget specifier produced a value below 1")
-    return ListSizeFn(vals)
+        from_file = tuple(data)
+
+    def budgets(g):
+        degs = g.degrees()
+        if spec == "d1":
+            vals = tuple(d - 1 for d in degs)
+        elif spec.startswith("const:"):
+            vals = (int(spec.split(":", 1)[1]),) * g.n
+        elif spec.startswith("file:"):
+            vals = from_file
+            if len(vals) != g.n:
+                raise FormatError("budget file length does not match the graph")
+        elif spec.startswith("lowset:"):
+            ids = spec.split(":", 1)[1]
+            lows = {int(x) for x in ids.split(",")} if ids else set()
+            if any(not 0 <= v < g.n for v in lows):
+                raise FormatError(f"lowset names a vertex outside 0..{g.n - 1}")
+            vals = tuple(degs[v] if v in lows else degs[v] - 1 for v in range(g.n))
+        else:
+            raise FormatError(f"unknown budget specifier {spec!r}")
+        if any(x < 1 for x in vals):
+            raise FormatError("budget specifier produced a value below 1")
+        return ListSizeFn(vals)
+
+    return budgets
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +237,7 @@ def cmd_corpus(args):
     except OSError as exc:
         print(f"cannot read corpus directory: {exc}", file=sys.stderr)
         return 2
+    budgets = budget_fn(args.f, report)
     for name in names:
         path = os.path.join(args.dir, name)
         if not os.path.isfile(path):
@@ -215,7 +249,7 @@ def cmd_corpus(args):
             m = sum(g.degrees()) // 2
             if args.cap_edges and m > args.cap_edges:
                 raise ValueError(f"over --cap-edges ({m})")
-            f = parse_f_spec(args.f, g)
+            f = budgets(g)
             if args.task == "at":
                 ok, cert = alon_tarsi.is_f_AT(g, f)
                 report.add(name, True, {"f_AT": ok})
@@ -244,7 +278,7 @@ def cmd_at(args):
         report.add("eulerian counts", ee != eo, {"even": ee, "odd": eo})
     elif args.at_cmd == "check":
         g = read_graph(report.add_input(args.graph))
-        f = parse_f_spec(args.f, g)
+        f = budget_fn(args.f, report)(g)
         ok, cert = alon_tarsi.is_f_AT(g, f)
         payload = {"f_AT": ok}
         if cert:
@@ -271,7 +305,7 @@ def cmd_kp(args):
                    {"failing_set": sorted(failing) if failing else None})
     elif args.kp_cmd == "search":
         g = read_graph(report.add_input(args.graph))
-        f = parse_f_spec(args.f, g)
+        f = budget_fn(args.f, report)(g)
         cert = kernel.is_f_KP(g, f, allow_doubling=args.double)
         report.add("kernel certificate", cert is not None,
                    cert.to_json() if cert else None)
@@ -294,7 +328,7 @@ def cmd_paint(args):
     report = RunReport(f"paint {args.paint_cmd}")
     if args.paint_cmd == "solve":
         g = read_graph(report.add_input(args.graph))
-        f = parse_f_spec(args.f, g)
+        f = budget_fn(args.f, report)(g)
         ok, transcript = paint.is_f_paintable(g, f)
         report.add("paintable", ok, {"transcript": transcript.to_json()})
     elif args.paint_cmd == "play":
@@ -314,7 +348,7 @@ def cmd_paint(args):
 def cmd_choose(args):
     report = RunReport("choose solve")
     g = read_graph(report.add_input(args.graph))
-    f = parse_f_spec(args.f, g)
+    f = budget_fn(args.f, report)(g)
     ok, failing = paint.is_f_choosable(g, f)
     payload = {"choosable": ok}
     if failing is not None:

@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -664,6 +666,175 @@ def test_f_spec_file(tmp_path, c5_file, capsys):
     short = write(tmp_path, "short.json", json.dumps([3, 3]))
     assert run(["at", "check", c5_file, "--f", "file:" + short]) == 2
 
+
+
+def test_a_budget_file_is_hashed_once_per_run(tmp_path, c5_file, capsys):
+    budget = tmp_path / "f.json"
+    budget.write_text(json.dumps([3, 3, 3, 3, 3]))
+    digest = hashlib.sha256(budget.read_bytes()).hexdigest()
+    rep = tmp_path / "rep.json"
+    assert run(["at", "check", c5_file, "--f", f"file:{budget}", "--json", str(rep)]) == 0
+    inputs = json.loads(rep.read_bytes())["inputs"]
+    assert [i["sha256"] for i in inputs][1:] == [digest]
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for name, graph in (("c5.g6", cycle_graph(5)), ("k5.g6", complete_graph(5)),
+                        ("c4.g6", cycle_graph(4))):
+        (d / name).write_text(emit_graph6(graph))
+    # the length check stays per graph: only C4 fails it
+    assert run(["corpus", str(d), "--task", "at", "--f", f"file:{budget}",
+                "--json", str(rep)]) == 1
+    doc = json.loads(rep.read_bytes())
+    assert [i["sha256"] for i in doc["inputs"]].count(digest) == 1
+    assert len(doc["inputs"]) == 4
+    byname = {r["item"]: r for r in doc["results"]}
+    assert byname["c5.g6"]["pass"] and byname["k5.g6"]["pass"]
+    assert byname["c4.g6"]["payload"] == {
+        "error": "budget file length does not match the graph"}
+
+
+
+@pytest.mark.parametrize("text, named", [(None, "No such file"),
+                                         ("7", "not a JSON list of ints")])
+def test_corpus_exits_2_on_a_bad_budget_file_before_any_graph(text, named, tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    budget = tmp_path / "f.json"
+    if text is not None:
+        budget.write_text(text)
+    rep = tmp_path / "rep.json"
+    assert run(["corpus", str(d), "--task", "at", "--f", f"file:{budget}",
+                "--json", str(rep)]) == 2
+    assert named in capsys.readouterr().err
+    assert not rep.exists()
+
+# --- the report writer: PATH is rewritten in place, never truncated first
+
+ENTRY_1F = ["catalog", "verify", "--entry", "1f"]
+
+
+def _fresh_report(tmp_path):
+    path = tmp_path / "fresh.json"
+    assert run(ENTRY_1F + ["--json", str(path)]) == 0
+    return path.read_bytes()
+
+
+def test_a_report_over_a_longer_stale_file_equals_a_fresh_one(tmp_path, capsys):
+    fresh = _fresh_report(tmp_path)
+    stale = tmp_path / "stale.json"
+    stale.write_bytes(b"x" * (3 * len(fresh)))
+    stale.chmod(0o600)
+    assert run(ENTRY_1F + ["--json", str(stale)]) == 0
+    assert stale.read_bytes() == fresh
+    assert (hashlib.sha256(stale.read_bytes()).hexdigest()
+            == hashlib.sha256(fresh).hexdigest())
+    # an existing file keeps its mode; a new one gets what open(..., "w") gives
+    assert stat.S_IMODE(stale.stat().st_mode) == 0o600
+    with open(tmp_path / "by_open.json", "w"):
+        pass
+    assert (stat.S_IMODE((tmp_path / "fresh.json").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "by_open.json").stat().st_mode))
+
+
+def test_a_symlinked_report_path_is_written_through_the_link(tmp_path, capsys):
+    fresh = _fresh_report(tmp_path)
+    target = tmp_path / "target.json"
+    target.write_bytes(b"{" * (2 * len(fresh)))
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run(ENTRY_1F + ["--json", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh
+
+
+def test_a_report_to_a_fifo_arrives_whole(tmp_path, capsys):
+    fresh = _fresh_report(tmp_path)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run(ENTRY_1F + ["--json", str(fifo)]) == 0
+    finally:
+        # a reader still waiting for a writer gets its end of file
+        try:
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+        reader.join(10)
+    assert got == [fresh]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_a_report_to_dev_stdout_through_a_pipe(tmp_path, capsys):
+    fresh = _fresh_report(tmp_path)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorcert.cli"] + ENTRY_1F + ["--json", "/dev/stdout"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert fresh in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+def test_a_report_to_dev_null_exits_0(capsys):
+    # /dev/null is seekable, but it refuses to be truncated
+    assert run(ENTRY_1F + ["--json", "/dev/null"]) == 0
+
+
+@pytest.mark.parametrize("path", ["dir", "missing/dir/rep.json"])
+def test_a_report_path_that_cannot_be_written_exits_2(path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert run(ENTRY_1F + ["--json", path]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write report {path}: " in err and "input error" not in err
+
+
+def test_stdout_is_byte_identical_across_runs(c5_file, tmp_path, capsys):
+    outs = []
+    for _ in range(2):
+        assert run(["at", "check", c5_file, "--f", "const:3",
+                    "--json", str(tmp_path / "rep.json")]) == 0
+        captured = capsys.readouterr()
+        outs.append(captured.out)
+        assert "elapsed " in captured.err
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines() == ["pass  orientation certificate", "1 item(s), 1 passed"]
+
+
+def test_a_json_run_opens_no_file_truncating(c5_file, tmp_path, monkeypatch, capsys):
+    import builtins
+
+    budget = write(tmp_path, "f.json", json.dumps([3] * 5))
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    rep = str(tmp_path / "rep.json")
+    opens = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def os_open(path, flags, *args, **kwargs):
+        opens.append((str(path), bool(flags & os.O_TRUNC)))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def open_(file, mode="r", *args, **kwargs):
+        opens.append((str(file), "w" in mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", open_)
+    for argv in (ENTRY_1F, ["at", "check", c5_file, "--f", "file:" + budget],
+                 ["corpus", str(d), "--task", "at", "--f", "file:" + budget]):
+        # twice: the second run rewrites a report that already holds data
+        for _ in range(2):
+            opens.clear()
+            assert run(argv + ["--json", rep]) == 0
+            assert (rep, False) in opens
+            assert [path for path, truncating in opens if truncating] == []
 
 def _readme_cli_examples():
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

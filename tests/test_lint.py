@@ -3,9 +3,9 @@ function imports again from a module that its file imports at module
 level, every module-level private function or class is used somewhere
 in the package, every public one and every public method is read by the
 package or the benchmark or is listed library API, every function reads
-each of its parameters, no module holds an `assert`, and only `graphs.py`
-calls the raw `SimpleGraph` constructor; brute force kept only for
-cross-checking lives in the tests."""
+each of its parameters, no module holds an `assert`, only `graphs.py`
+calls the raw `SimpleGraph` constructor, and only `cli.RunReport` opens
+files; brute force kept only for cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -386,6 +386,64 @@ def test_the_check_sees_raw_simple_graph_calls():
     }
     assert _raw_simple_graph_calls(trees) == [("kernel.py", 4), ("kernel.py", 6)]
 
+
+
+def _file_opens(trees):
+    """(module, line) of each call of `open`, `io.open`, `os.open` or
+    `os.fdopen` outside the methods of `cli.RunReport`.
+
+    `RunReport.add_input` reads every input file, so its sha256 goes in
+    the report, and `RunReport.emit` writes the report; no other code in
+    the package touches a file.
+    """
+    allowed = {id(node) for module, tree in trees.items() if module == "cli.py"
+               for top in tree.body if isinstance(top, ast.ClassDef) and top.name == "RunReport"
+               for method in _methods(top) for node in ast.walk(method)}
+    return sorted(
+        (module, node.lineno) for module, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in allowed
+        and (getattr(node.func, "id", None) == "open"
+             or isinstance(node.func, ast.Attribute)
+             and getattr(node.func.value, "id", None) in ("io", "os")
+             and node.func.attr in ("open", "fdopen")))
+
+
+def test_only_the_run_report_opens_files():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _file_opens(trees) == []
+
+
+def test_the_check_sees_file_opens():
+    trees = {
+        "cli.py": ast.parse(
+            "import os\n"
+            "class RunReport:\n"
+            "    template = open('t.json').read()\n"
+            "    def add_input(self, path):\n"
+            "        with open(path, 'rb') as fh:\n"
+            "            return fh.read()\n"
+            "    def emit(self, path):\n"
+            "        os.close(os.open(path, os.O_WRONLY))\n"
+            "def parse_budget(path):\n"
+            "    return open(path).read()\n"
+            "class Other:\n"
+            "    def save(self, path):\n"
+            "        return os.fdopen(os.open(path, 0))\n"
+        ),
+        "graphs.py": ast.parse(
+            "import io\n"
+            "def load(path):\n"
+            "    return io.open(path)\n"
+            "class RunReport:\n"
+            "    def add_input(self, path):\n"
+            "        return open(path)\n"
+            "opened = self.open(path)\n"
+        ),
+    }
+    assert _file_opens(trees) == [
+        ("cli.py", 3), ("cli.py", 10), ("cli.py", 13), ("cli.py", 13), ("graphs.py", 3),
+        ("graphs.py", 6),
+    ]
 
 def _asserts(tree):
     """Line of each `assert` statement; `python -O` strips them, so a
