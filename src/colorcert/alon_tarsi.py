@@ -23,43 +23,63 @@ def eulerian_counts(d):
     A sub-digraph qualifies when every vertex has equal in- and
     out-degree within it; parity is the parity of its arc count.  Exact
     integers; the empty sub-digraph counts as even.
+
+    The arcs are decided one at a time, each taken or skipped.  A state
+    is the imbalance vector imb (out - in per vertex) of the arcs taken
+    so far.  With outs[v] and ins[v] the undecided out- and in-arcs at
+    v, the final imbalance of v lies in [imb[v] - ins[v], imb[v] +
+    outs[v]], so a state can still reach the zero vector only if
+
+        -outs[v] <= imb[v] <= ins[v]   for every v.
+
+    Every kept state meets this invariant, and a state that breaks it
+    is dropped; that loses no Eulerian sub-digraph, so the counts are
+    exact.  Deciding arc u->v lowers outs[u] and ins[v] by one and
+    moves no other bound.  Skipping it leaves imb as it is, so only
+    u's floor and v's ceiling can break.  Taking it raises imb[u] and
+    lowers imb[v] by one, which keeps u's floor and v's ceiling, so
+    only u's ceiling and v's floor can break.  Each branch thus tests
+    two bounds, and the take branch tests them on the state before the
+    step, so no state outside the invariant is ever built.
+
+    The counts do not depend on the arc order.  Taking arcs in
+    (min, max) endpoint order finishes each vertex early, and a
+    finished vertex's imbalance is pinned to 0, so few states survive.
     """
-    # The counts do not depend on the arc order.  Taking arcs in
-    # (min, max) endpoint order finishes each vertex early, and a
-    # finished vertex's imbalance is pinned to 0, so few states survive.
     arcs = sorted(d.arcs, key=lambda a: (min(a), max(a), a))
-    # remaining[v] = number of not-yet-decided arcs incident to v.  A
-    # state packs the imbalance vector (out - in per vertex) into one
-    # int, vertex v in the field at width * v biased by `bias`, and
-    # maps it to (even_count, odd_count) weights.  A field stays within
-    # [0, 2 * bias] even one step past the bound, so it never borrows
-    # from or carries into its neighbour.
-    remaining = [0] * d.n
+    # A state packs imb into one int, vertex v in the field at width * v
+    # biased by `bias`, and maps it to (even_count, odd_count) weights.
+    # Under the invariant a field stays within [1, 2 * bias - 1], so it
+    # never borrows from or carries into its neighbour.
+    outs = [0] * d.n
+    ins = [0] * d.n
     for u, v in arcs:
-        remaining[u] += 1
-        remaining[v] += 1
-    bias = max(remaining, default=0) + 1
+        outs[u] += 1
+        ins[v] += 1
+    bias = max(outs + ins, default=0) + 1
     width = (2 * bias).bit_length()
     field = (1 << width) - 1
     zero = sum(bias << (width * v) for v in range(d.n))
     states = {zero: (1, 0)}
     for u, v in arcs:
-        remaining[u] -= 1
-        remaining[v] -= 1
+        outs[u] -= 1
+        ins[v] -= 1
         ou, ov = width * u, width * v
         mu, mv = field << ou, field << ov
-        # |imbalance| <= remaining, as bounds on the biased fields
-        lo_u, hi_u = (bias - remaining[u]) << ou, (bias + remaining[u]) << ou
-        lo_v, hi_v = (bias - remaining[v]) << ov, (bias + remaining[v]) << ov
-        step = (1 << ou) - (1 << ov)  # take the arc: out(u) += 1, in(v) += 1
+        # skip: imb[u] >= -outs[u] and imb[v] <= ins[v], after the step
+        floor_u, ceil_v = (bias - outs[u]) << ou, (bias + ins[v]) << ov
+        # take: imb[u] + 1 <= ins[u] and imb[v] - 1 >= -outs[v], before it
+        below_u, above_v = (bias + ins[u]) << ou, (bias - outs[v]) << ov
+        step = (1 << ou) - (1 << ov)  # out(u) += 1, in(v) += 1
         nxt = {}
         get = nxt.get
         for imb, (ev, od) in states.items():
-            if lo_u <= imb & mu <= hi_u and lo_v <= imb & mv <= hi_v:
+            iu, iv = imb & mu, imb & mv
+            if iu >= floor_u and iv <= ceil_v:
                 e0, o0 = get(imb, (0, 0))
                 nxt[imb] = (e0 + ev, o0 + od)
-            imb += step
-            if lo_u <= imb & mu <= hi_u and lo_v <= imb & mv <= hi_v:
+            if iu < below_u and iv > above_v:
+                imb += step
                 e0, o0 = get(imb, (0, 0))
                 nxt[imb] = (e0 + od, o0 + ev)
         states = nxt
@@ -192,36 +212,49 @@ def orientation_with_outdegrees(g, target):
 
     Edges are taken in sorted order; at each edge the lower-endpoint
     direction is tried first.  Returns a Digraph or None.
+
+    The search is a depth-first walk over the edges, kept on an explicit
+    stack so that its depth is not bounded by the interpreter's.  With
+    need[v] the out-arcs v still owes and left[v] its edges not yet
+    placed, a branch is dropped once need[v] > left[v] for some v.
+    Placing an edge lowers left at both ends and need at its tail only,
+    so only the head can newly break that bound.  Pruning cuts only
+    subtrees without a solution, so the first orientation found is the
+    same.
     """
     edges = g.edge_list()
     need = list(target)
-    suffix_inc = [[0] * g.n]
-    for i, j in reversed(edges):
-        row = list(suffix_inc[0])
-        row[i] += 1
-        row[j] += 1
-        suffix_inc.insert(0, row)
-
-    choice = [None] * len(edges)
-
-    def place(k):
-        if k == len(edges):
-            return all(x == 0 for x in need)
-        if any(need[v] > suffix_inc[k][v] for v in range(g.n)):
-            return False
-        i, j = edges[k]
-        for tail, head in ((i, j), (j, i)):
-            if need[tail] > 0:
-                need[tail] -= 1
-                choice[k] = (tail, head)
-                if place(k + 1):
-                    return True
-                need[tail] += 1
-        return False
-
-    if not place(0):
+    left = g.degrees()
+    # each edge pays one out-arc, and a negative need is never paid off
+    if (min(need, default=0) < 0 or sum(need) != len(edges)
+            or any(need[v] > left[v] for v in range(g.n))):
         return None
-    return Digraph.from_arcs(g.n, choice)
+    tails = []
+    # side = 0 tries the lower endpoint as the tail, 1 the higher one,
+    # 2 backs out of the edge
+    side = 0
+    while len(tails) < len(edges):
+        i, j = edges[len(tails)]
+        if side < 2:
+            tail, head = (i, j) if side == 0 else (j, i)
+            side += 1
+            if need[tail] > 0 and need[head] < left[head]:
+                need[tail] -= 1
+                left[i] -= 1
+                left[j] -= 1
+                tails.append(tail)
+                side = 0
+            continue
+        if not tails:
+            return None
+        tail = tails.pop()
+        i, j = edges[len(tails)]
+        need[tail] += 1
+        left[i] += 1
+        left[j] += 1
+        side = 1 if tail == i else 2
+    return Digraph.from_arcs(g.n, [(i, j) if t == i else (j, i)
+                                   for (i, j), t in zip(edges, tails)])
 
 
 class ATCertificate:

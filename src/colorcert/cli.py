@@ -14,6 +14,16 @@ import stat
 import sys
 import time
 
+# CPython's own sha256, without the OpenSSL library that hashlib loads
+# (about 3.6 MB of resident memory for one digest per input)
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from . import alon_tarsi, catalog, discharging, kernel, paint, structure
 from .graphs import FormatError, ListSizeFn, digraph_from_json, read_graph, read_multigraph
 
@@ -34,17 +44,13 @@ class RunReport:
         An unreadable file is recorded with a null digest, and its
         OSError propagates.
         """
-        # imported on first use: hashlib loads the OpenSSL library, about
-        # 3 MB of resident memory that library callers never need
-        import hashlib
-
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
         except OSError:
             self.inputs.append({"path": str(path), "sha256": None})
             raise
-        self.inputs.append({"path": str(path), "sha256": hashlib.sha256(data).hexdigest()})
+        self.inputs.append({"path": str(path), "sha256": sha256(data).hexdigest()})
         return data
 
     def add(self, item, ok, payload=None):

@@ -11,7 +11,7 @@ online game version of it.
 from itertools import combinations
 
 from .graphs import (
-    Digraph, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
+    Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
     digraph_to_json, edge_copies, line_graph, require, require_ints, require_pairs,
     require_records, require_sizes, two_coloring,
 )
@@ -179,16 +179,27 @@ class KPCertificate:
 
     @staticmethod
     def from_json(doc):
+        """Read a certificate document; FormatError naming the key when
+        a value has the wrong shape or size, or when the line graph of
+        'root', labelled by 'origin', is not the graph."""
         n = require(doc, "n")
         g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
         f = ListSizeFn(tuple(require_ints(doc, "f")))
         d = digraph_from_json(require(doc, "orientation"))
         require_sizes(n, f, d)
         root = None
+        origin = require_pairs(doc, "origin") if "origin" in doc else None
         if "root" in doc:
             root = MultiGraph.from_edges(require(doc["root"], "n", "root."),
                                          require_records(doc["root"], "edges", "root."))
-        origin = require_pairs(doc, "origin") if "origin" in doc else None
+            try:
+                lg, _ = line_graph(root, origin)
+            except ValueError:
+                raise FormatError("JSON key 'origin' is not a relabelling of the "
+                                  "edge copies of 'root'") from None
+            if lg != g:
+                raise FormatError("JSON key 'root' has a line graph other than the "
+                                  "certificate's graph")
         doubled = require_pairs(doc, "doubled") if "doubled" in doc else ()
         return KPCertificate(g, f, d, doubled, root=root, origin=origin)
 
@@ -323,9 +334,11 @@ def galvin_orientation(b):
     on the other; if that misses the per-edge bound (possible on
     irregular inputs), a backtracking search over per-vertex star
     orders takes over (`_search_star_orders`, pruned to the subtrees
-    that can still meet every rank-sum bound).  Either orientation is
-    re-checked through the line-graph characterization, which needs only
-    its star test here because the root is bipartite.
+    that can still meet every rank-sum bound; it raises ValueError on a
+    root with more than STAR_ORDER_DEPTH vertices, or more copies at a
+    vertex).  Either orientation is re-checked through the line-graph
+    characterization, which needs only its star test here because the
+    root is bipartite.
     """
     parts = bipartition(b)
     if parts is None:
@@ -362,6 +375,11 @@ def _doubled_pairs(d):
     return [(u, v) for u, v in d.arcs if u < v and d.is_bidirected(u, v)]
 
 
+# The star-order search recurses once per root vertex and, inside that,
+# once per copy at the vertex being ordered; both counts stay at most this.
+STAR_ORDER_DEPTH = 300
+
+
 def _search_star_orders(b, origin, f):
     """Backtracking over per-vertex star orders meeting the budget.
 
@@ -384,6 +402,9 @@ def _search_star_orders(b, origin, f):
     position 0.
     """
     incident = copy_stars(b.n, origin)
+    if max([b.n, *map(len, incident)]) > STAR_ORDER_DEPTH:
+        raise ValueError(f"star-order search capped at {STAR_ORDER_DEPTH} root vertices "
+                         f"and as many edge copies at a vertex")
     limit = [f(i) - 1 for i in range(len(origin))]
     order_pos = {}
     verts = sorted(range(b.n), key=lambda v: -len(incident[v]))

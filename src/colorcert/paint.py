@@ -419,13 +419,19 @@ def is_f_choosable(g, f):
 # ---------------------------------------------------------------------------
 # strategy play from certificates
 
+# The exhaustive sweep lists every subset of the uncolored vertices and
+# recurses once per round, so at most once per vertex.
+KERNEL_SWEEP_VERTICES = 20
+
+
 def kernel_painter_play(g, f, cert, adversary="exhaustive"):
     """Play the online game with the kernel strategy for the painter.
 
     The painter always colors a kernel of the certificate digraph
     induced on the listed set (restricted to uncolored vertices).
     `adversary` is "exhaustive" (sweep every lister line; returns the
-    first transcript, raising if any line is lost) or "random:<seed>"
+    first transcript, raising if any line is lost; ValueError above
+    KERNEL_SWEEP_VERTICES vertices) or "random:<seed>"
     (play RANDOM_GAMES random games).  Returns a painter-winning transcript.
 
     The kernel depends only on the listed set, so `find_kernel` runs
@@ -458,6 +464,8 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
         return (steps.get(listed) or step(listed))[0]
 
     if adversary == "exhaustive":
+        if g.n > KERNEL_SWEEP_VERTICES:
+            raise ValueError(f"exhaustive sweep capped at {KERNEL_SWEEP_VERTICES} vertices")
         # the painter's reply is deterministic, so game states repeat
         visited = set()
         listings = {}

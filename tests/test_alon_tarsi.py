@@ -457,6 +457,58 @@ def _eulerian_counts_oracle(d):
     return states.get((0,) * d.n, (0, 0))
 
 
+# eulerian_counts before it bounded each vertex by its undecided out- and
+# in-arcs apart: the symmetric pruning, kept verbatim as an oracle
+
+def _eulerian_counts_symmetric(d):
+    """Return (even, odd) counts of spanning Eulerian sub-digraphs.
+
+    A sub-digraph qualifies when every vertex has equal in- and
+    out-degree within it; parity is the parity of its arc count.  Exact
+    integers; the empty sub-digraph counts as even.
+    """
+    # The counts do not depend on the arc order.  Taking arcs in
+    # (min, max) endpoint order finishes each vertex early, and a
+    # finished vertex's imbalance is pinned to 0, so few states survive.
+    arcs = sorted(d.arcs, key=lambda a: (min(a), max(a), a))
+    # remaining[v] = number of not-yet-decided arcs incident to v.  A
+    # state packs the imbalance vector (out - in per vertex) into one
+    # int, vertex v in the field at width * v biased by `bias`, and
+    # maps it to (even_count, odd_count) weights.  A field stays within
+    # [0, 2 * bias] even one step past the bound, so it never borrows
+    # from or carries into its neighbour.
+    remaining = [0] * d.n
+    for u, v in arcs:
+        remaining[u] += 1
+        remaining[v] += 1
+    bias = max(remaining, default=0) + 1
+    width = (2 * bias).bit_length()
+    field = (1 << width) - 1
+    zero = sum(bias << (width * v) for v in range(d.n))
+    states = {zero: (1, 0)}
+    for u, v in arcs:
+        remaining[u] -= 1
+        remaining[v] -= 1
+        ou, ov = width * u, width * v
+        mu, mv = field << ou, field << ov
+        # |imbalance| <= remaining, as bounds on the biased fields
+        lo_u, hi_u = (bias - remaining[u]) << ou, (bias + remaining[u]) << ou
+        lo_v, hi_v = (bias - remaining[v]) << ov, (bias + remaining[v]) << ov
+        step = (1 << ou) - (1 << ov)  # take the arc: out(u) += 1, in(v) += 1
+        nxt = {}
+        get = nxt.get
+        for imb, (ev, od) in states.items():
+            if lo_u <= imb & mu <= hi_u and lo_v <= imb & mv <= hi_v:
+                e0, o0 = get(imb, (0, 0))
+                nxt[imb] = (e0 + ev, o0 + od)
+            imb += step
+            if lo_u <= imb & mu <= hi_u and lo_v <= imb & mv <= hi_v:
+                e0, o0 = get(imb, (0, 0))
+                nxt[imb] = (e0 + od, o0 + ev)
+        states = nxt
+    return states.get(zero, (0, 0))
+
+
 def _relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
@@ -695,3 +747,204 @@ def test_is_f_AT_matches_the_single_pass_fuzz(n, data):
     budget = tuple(data.draw(st.integers(0, d + 2)) for d in deg)
     f = ListSizeFn(budget)
     assert _verdict(g, f) == _verdict(g, f, _is_f_AT_single_pass), (edges, budget)
+
+
+# ---------------------------------------------------------------------------
+# eulerian_counts against the symmetric pruning and the tuple-based oracle,
+# on digraphs aimed at the one-sided bounds: a source has no in-arcs, so
+# its ceiling is 0 from the start, and a sink's floor is
+
+def _all_three(d):
+    """(EE, EO) from eulerian_counts, after checking that the symmetric
+    pruning and the tuple-based oracle agree with it."""
+    got = eulerian_counts(d)
+    assert got == _eulerian_counts_symmetric(d) == _eulerian_counts_oracle(d), sorted(d.arcs)
+    return got
+
+
+def _relabelled_digraph(d, rng):
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return Digraph.from_arcs(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+def _sources_and_sinks(rng, n):
+    """A random digraph, some pairs bidirected, with about a third of
+    its vertices made sources and a third sinks (the later vertex wins
+    a pair of both)."""
+    role = [rng.choice("ois") for _ in range(n)]
+    arcs = set()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.6:
+                r = rng.random()
+                arcs.update([(u, v), (v, u)] if r < 0.2 else [(u, v) if r < 0.6 else (v, u)])
+    for w in range(n):
+        if role[w] != "i":
+            touching = [a for a in arcs if w in a]
+            arcs.difference_update(touching)
+            arcs.update((w, a[0] + a[1] - w) if role[w] == "o" else (a[0] + a[1] - w, w)
+                        for a in touching)
+    return Digraph.from_arcs(n, arcs)
+
+
+def _transitive_tournament(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Digraph.from_arcs(n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def _bidirected(rng, n):
+    g = random_simple_graph(rng, n, p=rng.uniform(0.3, 0.9))
+    return Digraph.from_arcs(n, [a for u, v in g.edge_list() for a in ((u, v), (v, u))])
+
+
+def _with_isolated(rng, d):
+    """d on more vertices: the new ones isolated, the labels shuffled."""
+    return _relabelled_digraph(Digraph.from_arcs(d.n + rng.randint(1, 3), d.arcs), rng)
+
+
+def test_eulerian_counts_agree_on_sources_and_sinks(rng):
+    for _ in range(150):
+        d = _sources_and_sinks(rng, rng.randint(2, 7))
+        assert _all_three(d) == _all_three(_with_isolated(rng, d))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_eulerian_counts_of_a_transitive_tournament_are_the_empty_set(n, rng):
+    # acyclic, so the empty sub-digraph is the only Eulerian one
+    for _ in range(3):
+        assert _all_three(_transitive_tournament(rng, n)) == (1, 0)
+
+
+def test_eulerian_counts_agree_on_bidirected_digraphs(rng):
+    # every pair both ways: no arc is one-sided, and odd counts come
+    # only from cycles of length 3 and more
+    for _ in range(40):
+        d = _bidirected(rng, rng.randint(1, 7))
+        # any union of 2-cycles is Eulerian and even
+        ee, eo = _all_three(d)
+        assert ee >= 2 ** (len(d.arcs) // 2)
+        assert (ee, eo) == _all_three(_with_isolated(rng, d))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_eulerian_counts_with_at_most_one_vertex(n):
+    assert _all_three(Digraph.from_arcs(n, [])) == (1, 0)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_eulerian_counts_agree_on_relabelled_k2t_certificates(t, rng):
+    for _ in range(3):
+        g = _relabel(complete_multipartite_2t(t), rng)
+        ok, cert = is_f_AT(g, ListSizeFn.constant(g.n, t))
+        assert ok
+        d = cert.digraph
+        reverse = Digraph.from_arcs(d.n, [(v, u) for u, v in d.arcs])
+        # reversing every arc swaps sources and sinks and keeps the counts
+        assert _all_three(d) == _all_three(reverse) == (cert.ee, cert.eo)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_eulerian_counts_agree_fuzz(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    _all_three(Digraph.from_arcs(n, arcs))
+
+
+# ---------------------------------------------------------------------------
+# orientation_with_outdegrees before its search kept an explicit stack:
+# the recursive version, kept verbatim as an oracle
+
+def _orientation_with_outdegrees_recursive(g, target):
+    """Lexicographically first orientation realizing an out-degree vector.
+
+    Edges are taken in sorted order; at each edge the lower-endpoint
+    direction is tried first.  Returns a Digraph or None.
+    """
+    edges = g.edge_list()
+    need = list(target)
+    suffix_inc = [[0] * g.n]
+    for i, j in reversed(edges):
+        row = list(suffix_inc[0])
+        row[i] += 1
+        row[j] += 1
+        suffix_inc.insert(0, row)
+
+    choice = [None] * len(edges)
+
+    def place(k):
+        if k == len(edges):
+            return all(x == 0 for x in need)
+        if any(need[v] > suffix_inc[k][v] for v in range(g.n)):
+            return False
+        i, j = edges[k]
+        for tail, head in ((i, j), (j, i)):
+            if need[tail] > 0:
+                need[tail] -= 1
+                choice[k] = (tail, head)
+                if place(k + 1):
+                    return True
+                need[tail] += 1
+        return False
+
+    if not place(0):
+        return None
+    return Digraph.from_arcs(g.n, choice)
+
+
+def _targets(g, rng):
+    """Out-degree vectors for g: one realized by a random orientation,
+    one unit moved between two vertices (often unrealizable), one with
+    the wrong sum and one with a negative entry."""
+    outs = _outdegree_vector(g, rng)
+    moved = list(outs)
+    if g.n > 1:
+        a, b = rng.sample(range(g.n), 2)
+        moved[a] += 1
+        moved[b] -= 1
+    more = list(outs)
+    more[rng.randrange(g.n)] += 1
+    negative = [x - 1 if v == 0 else x + (v == 1) for v, x in enumerate(outs)]
+    return [outs, moved, more, negative]
+
+
+def test_orientation_search_matches_the_recursive_one_random(rng):
+    found = 0
+    for _ in range(300):
+        g = random_simple_graph(rng, rng.randint(1, 8), p=rng.uniform(0.2, 0.9))
+        for target in _targets(g, rng):
+            got = alon_tarsi.orientation_with_outdegrees(g, target)
+            assert got == _orientation_with_outdegrees_recursive(g, target), \
+                (g.edge_list(), target)
+            if got is not None:
+                assert got.out_degrees() == target
+                found += 1
+    assert found > 300
+
+
+def test_orientation_search_matches_the_recursive_one_on_families(rng):
+    for g0, k in _families() + [(_LATE_FIRST_RUN, 4)]:
+        for _ in range(3):
+            g = _relabel(g0, rng)
+            targets = _targets(g, rng)
+            ok, cert = is_f_AT(g, ListSizeFn.constant(g.n, k))
+            if ok:
+                targets.append(cert.digraph.out_degrees())
+            for target in targets:
+                assert alon_tarsi.orientation_with_outdegrees(g, target) == \
+                    _orientation_with_outdegrees_recursive(g, target), (g.edge_list(), target)
+
+
+def test_orientation_search_is_not_bounded_by_the_recursion_limit():
+    # a path with more edges than the interpreter's default depth
+    n = 1500
+    g = SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    target = [1] * (n - 1) + [0]
+    d = alon_tarsi.orientation_with_outdegrees(g, target)
+    assert d.arcs == frozenset((v, v + 1) for v in range(n - 1))
+    # the last edge must point back, so the search backs out of one step
+    target = [1] * (n - 2) + [0, 1]
+    d = alon_tarsi.orientation_with_outdegrees(g, target)
+    assert d.out_degrees() == target and (n - 1, n - 2) in d.arcs

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from colorcert import cli, kernel, paint
+from colorcert.alon_tarsi import ATCertificate
 from colorcert.graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
@@ -506,15 +507,20 @@ def test_a_certificate_on_another_vertex_count_exits_2(probe, tmp_path, capsys):
     assert SIZE_PROBES[probe] in capsys.readouterr().err
 
 
-def test_paint_play_reports_a_root_off_the_graph_as_a_failed_check(tmp_path):
+def test_paint_play_refuses_a_root_off_the_graph(tmp_path, capsys):
+    # the same number of edge copies, so only the comparison of the
+    # root's line graph with the graph can refuse them
     b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
     doc = kernel.galvin_orientation(b).to_json()
-    doc["root"] = {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]}
-    rep = str(tmp_path / "rep.json")
-    assert run(["paint", "play", "--cert", write(tmp_path, "doc.json", json.dumps(doc)),
-                "--json", rep]) == 1
-    [result] = json.loads(open(rep).read())["results"]
-    assert result["payload"] == {"error": "certificate fails its check"}
+    argv = ["paint", "play", "--cert", write(tmp_path, "doc.json", json.dumps(doc))]
+    assert run(argv) == 0
+    capsys.readouterr()
+    for key, value in (("root", {"n": 4, "edges": [[0, 2], [0, 3], [1, 2], [1, 3]]}),
+                       ("origin", [[0, 2], [0, 3], [1, 2], [1, 3]])):
+        argv[-1] = write(tmp_path, "bad.json", json.dumps(_with(doc, value, key)))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("hub_edges", [[[0, 3]], [[0, 0], [-1, 0]], [[0]], [["0", 0]], [0]])
@@ -907,11 +913,47 @@ def test_choose_solve_report_bytes(name, graph, failing, digest, tmp_path, monke
 
 
 def test_importing_the_package_loads_no_hashing_library():
-    # hashlib maps the OpenSSL library (about 3 MB resident); only a
-    # command that reads an input file needs it
+    # hashlib maps the OpenSSL library (about 3 MB resident)
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import sys, colorcert, colorcert.cli, colorcert.discharging; "
             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_input_digests_match_hashlib(tmp_path):
+    report = cli.RunReport("test")
+    blobs = [b"", b"abc", emit_graph6(cycle_graph(5)).encode(), bytes(range(256)) * 300]
+    for i, data in enumerate(blobs):
+        path = tmp_path / f"in{i}"
+        path.write_bytes(data)
+        assert report.add_input(str(path)) == data
+    assert [r["sha256"] for r in report.inputs] == [hashlib.sha256(b).hexdigest() for b in blobs]
+
+
+def test_a_run_that_hashes_its_input_loads_no_openssl(tmp_path):
+    # CPython's built-in sha256 gives the report's digest
+    write(tmp_path, "c5.g6", emit_graph6(cycle_graph(5)))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import sys; from colorcert import cli; "
+            "code = cli.main(['at', 'check', 'c5.g6', '--f', 'const:3', '--json', 'rep.json']); "
+            "print(code, sorted({'hashlib', '_hashlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+    [entry] = json.loads((tmp_path / "rep.json").read_text())["inputs"]
+    assert entry["sha256"] == hashlib.sha256((tmp_path / "c5.g6").read_bytes()).hexdigest()
+
+
+def test_at_check_decides_a_path_longer_than_the_recursion_limit(tmp_path, capsys):
+    # 1099 edges: the orientation search is deeper than Python's default
+    # recursion limit of 1000
+    n = 1100
+    lines = [f"{n} {n - 1}"] + [f"{v} {v + 1}" for v in range(n - 1)]
+    path = write(tmp_path, "p1100.txt", "\n".join(lines) + "\n")
+    rep = str(tmp_path / "rep.json")
+    assert run(["at", "check", path, "--f", "const:2", "--json", rep]) == 0
+    [result] = json.loads(open(rep).read())["results"]
+    cert = ATCertificate.from_json(result["payload"]["certificate"])
+    assert cert.graph.n == n and cert.check()

@@ -507,9 +507,17 @@ def test_a_certificate_whose_root_is_not_its_graph_fails_its_check(key, value):
     # origin that is not a relabelling of the root's copies
     b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
     doc = kernel.galvin_orientation(b).to_json()
-    assert kernel.KPCertificate.from_json(doc).check()
+    good = kernel.KPCertificate.from_json(doc)
+    assert good.check()
+    parts = {"root": good.root, "origin": good.origin}
+    parts[key] = MultiGraph.from_edges(value["n"], value["edges"]) if key == "root" else value
+    cert = kernel.KPCertificate(good.graph, good.f, good.digraph, good.supergraph_edges,
+                                **parts)
+    assert not cert.check()
+    # read from JSON, the mismatch is malformed input, named by its key
     doc[key] = value
-    assert not kernel.KPCertificate.from_json(doc).check()
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        kernel.KPCertificate.from_json(doc)
 
 
 def test_certificate_json_names_the_route_its_check_takes():
@@ -680,3 +688,17 @@ def test_bipartition_matches_the_record_scan(rng):
         assert kernel.bipartition(b) == want, b.edges
         bipartite += want is not None
     assert 100 < bipartite < 300
+
+
+def test_the_star_order_search_is_capped_below_the_recursion_limit():
+    # one level per root vertex, and one per copy at a vertex
+    cap = kernel.STAR_ORDER_DEPTH
+    for b in (MultiGraph.from_edges(cap + 1, [(0, 1, 1)]),
+              MultiGraph.from_edges(2, [(0, 1, cap + 1)])):
+        _, origin = line_graph(b)
+        with pytest.raises(ValueError, match=f"capped at {cap}"):
+            kernel._search_star_orders(b, origin, ListSizeFn.constant(len(origin), cap + 1))
+    # at the cap the search runs, cap levels deep
+    b = MultiGraph.from_edges(cap, [(0, 1, 1)])
+    _, origin = line_graph(b)
+    assert kernel._search_star_orders(b, origin, ListSizeFn.constant(1, 1)) is not None

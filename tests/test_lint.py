@@ -4,8 +4,10 @@ level, every module-level private function or class is used somewhere
 in the package, every public one and every public method is read by the
 package or the benchmark or is listed library API, every function reads
 each of its parameters, no module holds an `assert`, only `graphs.py`
-calls the raw `SimpleGraph` constructor, and only `cli.RunReport` opens
-files; brute force kept only for cross-checking lives in the tests."""
+calls the raw `SimpleGraph` constructor, only `cli.RunReport` opens
+files, and every function that calls itself has its depth capped by a
+module constant; brute force kept only for cross-checking lives in the
+tests."""
 
 import ast
 from pathlib import Path
@@ -466,3 +468,104 @@ def test_the_check_sees_asserts():
         "    return 'assert x'\n"
     )
     assert _asserts(tree) == [1, 4]
+
+
+def _self_calling_functions(tree):
+    """Qualified name of each function that calls itself by name.
+
+    The name joins the enclosing classes and functions with dots, as
+    `SimpleGraph.cliques.extend`.  A call anywhere in the body counts,
+    nested functions included; a method that calls itself through
+    `self.` is not seen, and neither is mutual recursion.
+    """
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == child.name for n in ast.walk(child)):
+                    found.append(name)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+# Every function that calls itself, with the module constants whose
+# ValueError cap bounds its depth far below Python's recursion limit.
+# A recursion whose depth grows with the input has to be a loop instead.
+RECURSION_CAPS = {
+    ("graphs.py", "SimpleGraph.cliques.extend"):
+        ([("structure.py", "LINE_GRAPH_VERTICES"), ("structure.py", "HOMOGENEOUS_PAIR_VERTICES")],
+         "one level per clique vertex; only the two capped structure searches list cliques"),
+    ("kernel.py", "is_f_KP.place"):
+        ([("kernel.py", "F_KP_VERTICES")], "one level per edge of a graph on at most 8 vertices"),
+    ("kernel.py", "_search_star_orders.place"):
+        ([("kernel.py", "STAR_ORDER_DEPTH")], "one level per root vertex"),
+    ("kernel.py", "_search_star_orders.star_orders.extend"):
+        ([("kernel.py", "STAR_ORDER_DEPTH")], "one level per edge copy at one root vertex"),
+    ("paint.py", "_list_colorer.colorable"):
+        ([("paint.py", "PAINTABLE_VERTICES")], "one level per vertex; only is_f_choosable calls it"),
+    ("paint.py", "_canonical_search.choose_lists"):
+        ([("paint.py", "PAINTABLE_VERTICES")], "one level per vertex; only is_f_choosable calls it"),
+    ("paint.py", "kernel_painter_play.sweep"):
+        ([("paint.py", "KERNEL_SWEEP_VERTICES")], "each round colors a vertex"),
+    ("structure.py", "recognize_line_graph.cover"):
+        ([("structure.py", "LINE_GRAPH_VERTICES")], "each level covers an edge of the capped graph"),
+    ("structure.py", "_first_order"):
+        ([("structure.py", "LINEAR_INTERVAL_VERTICES"), ("structure.py", "CIRCULAR_INTERVAL_VERTICES"),
+          ("structure.py", "STRIP_VERTICES")], "one level per vertex placed"),
+}
+
+
+def _module_int_constants(tree):
+    """Name -> value of each module-level assignment of an int literal."""
+    return {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int
+            for t in node.targets if isinstance(t, ast.Name)}
+
+
+def test_every_recursion_is_capped():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    found = sorted((module, name) for module, tree in trees.items()
+                   for name in _self_calling_functions(tree))
+    # equal, not a subset: a recursion that becomes a loop leaves the list
+    assert found == sorted(RECURSION_CAPS)
+    constants = {module: _module_int_constants(tree) for module, tree in trees.items()}
+    for caps, _why in RECURSION_CAPS.values():
+        for module, name in caps:
+            # well inside the default limit of 1000, callers' frames included
+            assert 0 < constants[module].get(name, 0) <= 300, (module, name)
+
+
+def test_the_check_sees_self_calling_functions():
+    tree = ast.parse(
+        "def walk(k):\n"
+        "    return walk(k - 1) if k else 0\n"
+        "def outer(xs):\n"
+        "    def place(i):\n"
+        "        return i == len(xs) or place(i + 1)\n"
+        "    return place(0)\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        return 1 + sum(c.size() for c in self.children)\n"
+        "    def flat(self):\n"
+        "        def go(node):\n"
+        "            return [node] + [x for c in node.children for x in go(c)]\n"
+        "        return go(self)\n"
+        "def ping(k):\n"
+        "    return pong(k)\n"
+        "def pong(k):\n"
+        "    return ping(k)\n"
+        "def loop(k):\n"
+        "    while k:\n"
+        "        k -= 1\n"
+        "    return outer([k])\n"
+    )
+    assert _self_calling_functions(tree) == ["Tree.flat.go", "outer.place", "walk"]

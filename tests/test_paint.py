@@ -1255,3 +1255,12 @@ def test_choosable_enumerates_what_the_routes_leave(rng, monkeypatch):
                         lambda adj, sizes: calls.append(sizes) or search(adj, sizes))
     assert paint.is_f_choosable(g, f) == (True, None)
     assert calls == [[2] * 7]
+
+
+def test_the_exhaustive_kernel_sweep_is_capped():
+    n = paint.KERNEL_SWEEP_VERTICES + 1
+    g = SimpleGraph.from_edges(n, [])
+    f = ListSizeFn.constant(n, 1)
+    cert = kernel.KPCertificate(g, f, Digraph.from_arcs(n, []))
+    with pytest.raises(ValueError, match=f"capped at {n - 1} vertices"):
+        paint.kernel_painter_play(g, f, cert)
