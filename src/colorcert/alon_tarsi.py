@@ -46,16 +46,16 @@ def eulerian_counts(d):
     (min, max) endpoint order finishes each vertex early, and a
     finished vertex's imbalance is pinned to 0, so few states survive.
     """
-    arcs = sorted(d.arcs, key=lambda a: (min(a), max(a), a))
+    out, into = d.arc_masks()
+    # (min, max) endpoint order, u->v before v->u
+    arcs = [(u, v) if forward else (v, u) for u in range(d.n) for v in range(u + 1, d.n)
+            for forward in (True, False) if (out[u] if forward else into[u]) >> v & 1]
     # A state packs imb into one int, vertex v in the field at width * v
     # biased by `bias`, and maps it to (even_count, odd_count) weights.
     # Under the invariant a field stays within [1, 2 * bias - 1], so it
     # never borrows from or carries into its neighbour.
-    outs = [0] * d.n
-    ins = [0] * d.n
-    for u, v in arcs:
-        outs[u] += 1
-        ins[v] += 1
+    outs = [m.bit_count() for m in out]
+    ins = [m.bit_count() for m in into]
     bias = max(outs + ins, default=0) + 1
     width = (2 * bias).bit_length()
     field = (1 << width) - 1

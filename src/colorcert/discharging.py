@@ -321,7 +321,7 @@ def witness_to_kp(h, w, delta):
             )
         fvals.append(fv)
     f = ListSizeFn(tuple(fvals))
-    cert = KPCertificate(base.graph, f, base.digraph, base.supergraph_edges, root=b)
+    cert = KPCertificate(base.graph, f, base.digraph, root=b)
     if not cert.check():
         raise RuntimeError("orientation failed verification")
     return cert

@@ -33,6 +33,14 @@ def _check_count(n):
         raise ValueError(f"vertex count {n!r} is not an int >= 0")
 
 
+def _bits(mask):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Loopless simple graph on vertices 0..n-1, stored as one neighbour
@@ -57,13 +65,7 @@ class SimpleGraph:
 
     def edge_list(self):
         """Sorted (u, v) pairs with u < v."""
-        pairs = []
-        for u, m in enumerate(self._masks):
-            m >>= u + 1
-            while m:
-                pairs.append((u, u + (m & -m).bit_length()))
-                m &= m - 1
-        return pairs
+        return [(u, v) for u, m in enumerate(self._masks) for v in _bits(m) if v > u]
 
     def has_edge(self, u, v):
         """False also for an id outside 0..n-1 and for u == v."""
@@ -209,56 +211,54 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Arc set over 0..n-1; both (u,v) and (v,u) may be present.
-
-    The out- and in-neighbour masks are worked out from the arcs on
-    first use and kept; they are not fields.
-    """
+    """Digraph on vertices 0..n-1, stored as out- and in-neighbour
+    bitmasks: bit v of _out[u] and bit u of _in[v] are set iff (u, v) is
+    an arc, and (v, u) may be one too.  Only `from_arcs` calls this."""
 
     n: int
-    arcs: frozenset  # frozenset of (u, v) tuples
+    _out: tuple
+    _in: tuple
 
     @staticmethod
     def from_arcs(n, arc_pairs):
         _check_count(n)
-        arcs = set()
+        out = [0] * n
+        into = [0] * n
         for u, v in arc_pairs:
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
                 raise ValueError(f"loop arc at vertex {u}")
-            arcs.add((u, v))
-        return Digraph(n, frozenset(arcs))
-
-    @cached_property
-    def _masks(self):
-        out = [0] * self.n
-        into = [0] * self.n
-        for u, v in self.arcs:
             out[u] |= 1 << v
             into[v] |= 1 << u
-        return tuple(out), tuple(into)
+        return Digraph(n, tuple(out), tuple(into))
+
+    @property
+    def arcs(self):
+        """The (u, v) arcs in ascending order."""
+        return [(u, v) for u, m in enumerate(self._out) for v in _bits(m)]
 
     def arc_masks(self):
         """(out-neighbour masks, in-neighbour masks), the stored tuples."""
-        return self._masks
+        return self._out, self._in
 
     def out_degree(self, v):
-        return self._masks[0][v].bit_count()
+        return self._out[v].bit_count()
 
     def out_degrees(self):
-        return [m.bit_count() for m in self._masks[0]]
+        return [m.bit_count() for m in self._out]
 
     def support(self):
         return SimpleGraph(self.n, self.support_masks())
 
     def support_masks(self):
         """Neighbour bitmask per vertex of the support: out | in."""
-        out, into = self._masks
-        return tuple(o | i for o, i in zip(out, into))
+        return tuple(o | i for o, i in zip(self._out, self._in))
 
-    def is_bidirected(self, u, v):
-        return (u, v) in self.arcs and (v, u) in self.arcs
+    def doubled_pairs(self):
+        """The bidirected pairs (u, v), u < v, in ascending order."""
+        return [(u, v) for u, (o, i) in enumerate(zip(self._out, self._in))
+                for v in _bits(o & i) if v > u]
 
 
 @dataclass(frozen=True)
@@ -310,11 +310,8 @@ def two_coloring(masks, verts):
             sides[side] |= layer
             rest &= ~layer
             reach = 0
-            todo = layer
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                reach |= masks[low.bit_length() - 1]
+            for v in _bits(layer):
+                reach |= masks[v]
             if reach & layer:
                 return None
             side ^= 1
@@ -528,7 +525,7 @@ def emit_edge_list(h):
 # JSON documents
 
 def digraph_to_json(d):
-    return {"n": d.n, "arcs": sorted([u, v] for u, v in d.arcs)}
+    return {"n": d.n, "arcs": [[u, v] for u, v in d.arcs]}
 
 
 def digraph_from_json(doc):

@@ -8,8 +8,6 @@ out-degrees below a list-size budget certify both choosability and the
 online game version of it.
 """
 
-from itertools import combinations
-
 from .graphs import (
     Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
     digraph_to_json, edge_copies, line_graph, require, require_ints, require_pairs,
@@ -18,25 +16,40 @@ from .graphs import (
 
 
 def find_kernel(d, s=None):
-    """Kernel of the subdigraph induced on s (default: all vertices).
+    """The least kernel, by size and then lexicographically, of the
+    subdigraph induced on s (default: all vertices), as a set; else None.
 
-    Candidates are tried by increasing size, lexicographically within a
-    size; the first kernel found is returned, else None.
+    The search grows a partial kernel k.  The lowest vertex v of s that
+    k does not absorb (v is not in k and has no arc into k) is in every
+    kernel holding k, or one of its out-neighbours in s is, so the
+    branches take each of these.  A branch blocks the support
+    neighbours of what it takes and the vertices that the branches
+    before it took, so every kernel is met once.  A branch is dropped
+    once it would be larger than the best kernel found.
     """
-    verts = sorted(set(s)) if s is not None else range(d.n)
     out, into = d.arc_masks()
-    whole = sum(1 << v for v in verts)
-    for size in range(0, len(verts) + 1):
-        for cand in combinations(verts, size):
-            k = near = reach = 0
-            for v in cand:
-                k |= 1 << v
-                near |= out[v] | into[v]
-                reach |= into[v]
-            # independent, and every other vertex of s has an arc into k
-            if not near & k and not whole & ~k & ~reach:
-                return set(cand)
-    return None
+    whole = (1 << d.n) - 1 if s is None else sum(1 << v for v in set(s))
+    best, limit = None, d.n + 1  # the best kernel found and its size
+    stack = [(0, 0, 0)]  # (partial kernel, blocked, absorbed) vertex masks
+    while stack:
+        k, blocked, absorbed = stack.pop()
+        size = k.bit_count()
+        rest = whole & ~absorbed
+        if not rest:
+            # of two kernels of one size, the one holding the least
+            # vertex of their difference comes first
+            if size < limit or size == limit and k & (k ^ best) & -(k ^ best):
+                best, limit = k, size
+        elif size < limit:
+            low = rest & -rest
+            options = (low | out[low.bit_length() - 1] & whole) & ~blocked
+            # pushed from the highest, so the lowest vertex taken is popped first
+            while options:
+                w = options.bit_length() - 1
+                options ^= 1 << w
+                stack.append((k | 1 << w, blocked | options | 1 << w | out[w] | into[w],
+                              absorbed | 1 << w | into[w]))
+    return None if best is None else {v for v in range(d.n) if best >> v & 1}
 
 
 KERNEL_PERFECT_VERTICES = 12
@@ -129,29 +142,31 @@ class KPCertificate:
     """A kernel-perfect orientation with out-degrees below a budget.
 
     `digraph` may contain bidirected pairs, which model doubled edges
-    of a supergraph of `graph`; `supergraph_edges` records the doubled
-    pairs.  `root` (optional) is a multigraph whose line graph is the
+    of a supergraph of `graph`; `supergraph_edges` reads them off the
+    digraph.  `root` (optional) is a multigraph whose line graph is the
     underlying graph; `check()` then goes through
     `kp_line_characterization`, which tests stars when the root is
     bipartite and runs the exhaustive check otherwise.  `to_json` names
     the route `check()` takes.
     """
 
-    def __init__(self, graph, f, digraph, supergraph_edges=(), root=None, origin=None):
+    def __init__(self, graph, f, digraph, root=None, origin=None):
         self.graph = graph
         self.f = f
         self.digraph = digraph
-        self.supergraph_edges = tuple(sorted(tuple(sorted(e)) for e in supergraph_edges))
         self.root = root
         self.origin = tuple(origin) if origin is not None else None
+
+    @property
+    def supergraph_edges(self):
+        """The doubled (bidirected) pairs (u, v), u < v, ascending."""
+        return self.digraph.doubled_pairs()
 
     def check(self):
         """Re-verify all claims: support, out-degree bound, kernel-perfection.
         A digraph or budget on another vertex count fails."""
         if (self.digraph.support_masks() != self.graph.adjacency_masks()
                 or self.f.n != self.graph.n):
-            return False
-        if set(_doubled_pairs(self.digraph)) != set(self.supergraph_edges):
             return False
         outs = self.digraph.out_degrees()
         if any(outs[v] > self.f(v) - 1 for v in range(self.graph.n)):
@@ -180,8 +195,9 @@ class KPCertificate:
     @staticmethod
     def from_json(doc):
         """Read a certificate document; FormatError naming the key when
-        a value has the wrong shape or size, or when the line graph of
-        'root', labelled by 'origin', is not the graph."""
+        a value has the wrong shape or size, when the line graph of
+        'root', labelled by 'origin', is not the graph, or when 'doubled'
+        (empty when absent) is not the orientation's bidirected pairs."""
         n = require(doc, "n")
         g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
         f = ListSizeFn(tuple(require_ints(doc, "f")))
@@ -200,8 +216,11 @@ class KPCertificate:
             if lg != g:
                 raise FormatError("JSON key 'root' has a line graph other than the "
                                   "certificate's graph")
-        doubled = require_pairs(doc, "doubled") if "doubled" in doc else ()
-        return KPCertificate(g, f, d, doubled, root=root, origin=origin)
+        doubled = require_pairs(doc, "doubled") if "doubled" in doc else []
+        if not (all(type(x) is int for e in doubled for x in e)
+                and {tuple(sorted(e)) for e in doubled} == set(d.doubled_pairs())):
+            raise FormatError("JSON key 'doubled' is not the bidirected pairs of 'orientation'")
+        return KPCertificate(g, f, d, root=root, origin=origin)
 
 
 F_KP_VERTICES = 8
@@ -250,9 +269,7 @@ def is_f_KP(g, f, allow_doubling=False):
 
     if not place(0):
         return None
-    arcs = [a for group in chosen for a in group]
-    d = Digraph.from_arcs(g.n, arcs)
-    return KPCertificate(g, f, d, _doubled_pairs(d))
+    return KPCertificate(g, f, Digraph.from_arcs(g.n, [a for group in chosen for a in group]))
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +375,17 @@ def galvin_orientation(b):
                reverse=True)
         for v, star in enumerate(copy_stars(b.n, origin))
     ])
-    cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b)
+    cert = KPCertificate(lg, f, d, root=b)
     if cert.check():
         return cert
 
     d = _search_star_orders(b, origin, f)
     if d is None:
         raise RuntimeError("no orientation met the degree bound")
-    cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=b)
+    cert = KPCertificate(lg, f, d, root=b)
     if not cert.check():
         raise RuntimeError("star-order orientation failed its certificate check")
     return cert
-
-
-def _doubled_pairs(d):
-    return [(u, v) for u, v in d.arcs if u < v and d.is_bidirected(u, v)]
 
 
 # The star-order search recurses once per root vertex and, inside that,
@@ -500,8 +513,7 @@ def mu3_kp_certificates():
         if entry.expected_outdegrees is not None and outs != entry.expected_outdegrees:
             raise AssertionError(f"{entry.name}: out-degree row {outs} != {entry.expected_outdegrees}")
         f = ListSizeFn.degree_minus_one_on_high(lg, entry.emphasized)
-        cert = KPCertificate(lg, f, d, _doubled_pairs(d), root=entry.root,
-                             origin=entry.edge_origin)
+        cert = KPCertificate(lg, f, d, root=entry.root, origin=entry.edge_origin)
         if not cert.check():
             raise AssertionError(f"{entry.name}: certificate fails its check")
         certs.append(cert)

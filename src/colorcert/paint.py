@@ -469,6 +469,10 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
         # the painter's reply is deterministic, so game states repeat
         visited = set()
         listings = {}
+        full = (1 << g.n) - 1
+        # only a listed vertex pays a token, and one left without any loses
+        # at once, so only the vertices that start with none ever have none
+        broke = _at_most(full, tokens, width, 0)
 
         def sweep(mask, tokens):
             visited.add((mask, tokens))
@@ -481,8 +485,8 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
             low = _at_most(mask, tokens, width, 1)
             for listed in listings[mask]:
                 kernel, left, keep, unit = steps.get(listed) or step(listed)
-                if left & low:
-                    # a listed-but-unpainted vertex hit zero tokens
+                if left & low or broke & mask & ~kernel:
+                    # `_play`'s rule: a vertex left uncolored without a token
                     raise AssertionError(
                         f"kernel painter lost after listing {_mask_vertices(listed)[::-1]}"
                     )
@@ -490,21 +494,7 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
                 if child[0] and child not in visited:
                     sweep(*child)
 
-        # The sweep tests only listed vertices, since an unlisted one
-        # keeps its tokens.  A vertex that starts with none loses, as
-        # `_play` rules, once another vertex is listed alone and painted.
-        # In sweep order that is the first listing, [0], unless vertex 0
-        # alone starts with none: then [0] paints it, its line is swept
-        # as usual, and [1] loses.
-        full = (1 << g.n) - 1
-        broke = _at_most(full, tokens, width, 0)
-        if broke & ~1:
-            raise AssertionError("kernel painter lost after listing [0]")
-        if broke and g.n > 1:
-            sweep(full ^ 1, tokens)
-            raise AssertionError("kernel painter lost after listing [1]")
-        if g.n:
-            sweep(full, tokens)
+        sweep(full, tokens)
         # one full line for the transcript: every uncolored vertex listed
         return _play(tokens, width, full, lambda mask, _tokens: (mask, kernel_of(mask)))
 

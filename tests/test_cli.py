@@ -507,6 +507,18 @@ def test_a_certificate_on_another_vertex_count_exits_2(probe, tmp_path, capsys):
     assert SIZE_PROBES[probe] in capsys.readouterr().err
 
 
+def test_paint_play_refuses_doubled_pairs_off_the_orientation(tmp_path, capsys):
+    g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    doc = kernel.is_f_KP(g, ListSizeFn(tuple(g.degrees())), allow_doubling=True).to_json()
+    argv = ["paint", "play", "--cert", write(tmp_path, "doc.json", json.dumps(doc))]
+    assert run(argv) == 0
+    capsys.readouterr()
+    argv[-1] = write(tmp_path, "bad.json", json.dumps(_with(doc, [], "doubled")))
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "'doubled'" in err and "Traceback" not in err
+
+
 def test_paint_play_refuses_a_root_off_the_graph(tmp_path, capsys):
     # the same number of edge copies, so only the comparison of the
     # root's line graph with the graph can refuse them

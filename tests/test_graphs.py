@@ -236,6 +236,37 @@ def test_supports_equal_the_graph_of_their_edge_set(a, rnd):
     _assert_same_relation(d.support(), a, g, a)
 
 
+@st.composite
+def _arc_sets(draw, max_n=7):
+    """(n, frozenset of (u, v) arcs) for a random digraph; some pairs
+    get both arcs."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return n, frozenset(draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+def _from_arcs(rnd, n, arcs):
+    """from_arcs on the arc set written in a random order, some arcs
+    repeated."""
+    listed = list(arcs)
+    listed += rnd.choices(listed, k=rnd.randint(0, len(listed))) if listed else []
+    rnd.shuffle(listed)
+    return Digraph.from_arcs(n, listed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_arc_sets(), _arc_sets(), st.randoms(use_true_random=False))
+def test_from_arcs_equality_and_hashing_follow_the_arc_set(a, b, rnd):
+    da, again, db = _from_arcs(rnd, *a), _from_arcs(rnd, *a), _from_arcs(rnd, *b)
+    _assert_same_relation(da, a, again, a)
+    _assert_same_relation(da, a, db, b)
+    n, arcs = a
+    # ascending, and read back into the same digraph
+    assert da.arcs == sorted(arcs)
+    assert Digraph.from_arcs(n, da.arcs) == da
+    assert da.doubled_pairs() == [(u, v) for u, v in sorted(arcs) if u < v and (v, u) in arcs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(_edge_sets(max_n=5), st.randoms(use_true_random=False))
 def test_line_graphs_equal_the_graphs_of_their_edge_sets(a, rnd):
@@ -273,10 +304,19 @@ def test_multigraph_basics():
 def test_digraph_basics():
     d = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert d.out_degrees() == [1, 1, 1]
-    assert not d.is_bidirected(0, 1)
+    assert d.doubled_pairs() == []
     d2 = Digraph.from_arcs(2, [(0, 1), (1, 0)])
-    assert d2.is_bidirected(0, 1)
+    assert d2.doubled_pairs() == [(0, 1)]
     assert d2.support().edge_list() == [(0, 1)]
+    # the masks are the stored tuples
+    d3 = Digraph.from_arcs(3, [(0, 1), (1, 0), (2, 1)])
+    out, into = d3.arc_masks()
+    assert d3.arc_masks()[0] is out and d3.arc_masks()[1] is into
+    assert (out, into) == ((0b010, 0b001, 0b010), (0b010, 0b101, 0b000))
+    for n in (0, 1):
+        empty = Digraph.from_arcs(n, [])
+        assert empty.arcs == [] and empty.doubled_pairs() == []
+        assert empty.arc_masks() == ((0,) * n, (0,) * n) and empty != Digraph.from_arcs(n + 1, [])
 
 
 def test_list_size_fn():

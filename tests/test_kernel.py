@@ -6,7 +6,7 @@ import pytest
 from colorcert import alon_tarsi, kernel
 from colorcert.graphs import (
     Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite,
-    complete_graph, cycle_graph, line_graph,
+    complete_graph, cycle_graph, edge_copies, line_graph,
 )
 from conftest import (
     SIZE_PROBES, certificate_parts, random_multigraph, random_simple_graph, resized,
@@ -168,11 +168,28 @@ def test_a_certificate_on_another_vertex_count_is_refused(probe):
     b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
     doc = kernel.galvin_orientation(b).to_json()
     del doc["root"]
-    assert kernel.KPCertificate(*certificate_parts(doc), doc["doubled"]).check()
+    assert kernel.KPCertificate(*certificate_parts(doc)).check()
     bad = resized(doc, probe)
     with pytest.raises(FormatError, match=SIZE_PROBES[probe]):
         kernel.KPCertificate.from_json(bad)
-    assert not kernel.KPCertificate(*certificate_parts(bad), doc["doubled"]).check()
+    assert not kernel.KPCertificate(*certificate_parts(bad)).check()
+
+
+@pytest.mark.parametrize("doubled", [[], [[1, 2], [0, 1]], [[0, 1]], [["1", 2]]],
+                         ids=["dropped", "extra", "other", "strings"])
+def test_a_certificate_whose_doubled_pairs_are_not_its_orientations_is_refused(doubled):
+    # the pairs are read off the orientation, so a document that lists
+    # others is malformed, named by its key
+    g = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    doc = kernel.is_f_KP(g, ListSizeFn(tuple(g.degrees())), allow_doubling=True).to_json()
+    assert doc["doubled"] == [[1, 2]]
+    for same in ([[1, 2]], [[2, 1]], [[1, 2], [2, 1]]):
+        assert kernel.KPCertificate.from_json({**doc, "doubled": same}).supergraph_edges == [(1, 2)]
+    with pytest.raises(FormatError, match="'doubled'"):
+        kernel.KPCertificate.from_json({**doc, "doubled": doubled})
+    # an absent list means no pair is doubled
+    with pytest.raises(FormatError, match="'doubled'"):
+        kernel.KPCertificate.from_json({k: v for k, v in doc.items() if k != "doubled"})
 
 
 def test_galvin_orientation_raises_when_its_checks_fail(monkeypatch):
@@ -511,8 +528,7 @@ def test_a_certificate_whose_root_is_not_its_graph_fails_its_check(key, value):
     assert good.check()
     parts = {"root": good.root, "origin": good.origin}
     parts[key] = MultiGraph.from_edges(value["n"], value["edges"]) if key == "root" else value
-    cert = kernel.KPCertificate(good.graph, good.f, good.digraph, good.supergraph_edges,
-                                **parts)
+    cert = kernel.KPCertificate(good.graph, good.f, good.digraph, **parts)
     assert not cert.check()
     # read from JSON, the mismatch is malformed input, named by its key
     doc[key] = value
@@ -652,6 +668,65 @@ def test_find_kernel_matches_the_set_search(rng):
             assert kernel.find_kernel(d, s) == want, (sorted(d.arcs), s)
             outcomes[want is None] += 1
     assert outcomes[True] > 100 and outcomes[False] > 500
+
+
+# ---------------------------------------------------------------------------
+# the branching find_kernel against the search by size it replaced
+
+def _find_kernel_by_size(d, s=None):
+    """Kernel of the subdigraph induced on s (default: all vertices).
+
+    Candidates are tried by increasing size, lexicographically within a
+    size; the first kernel found is returned, else None.
+    """
+    verts = sorted(set(s)) if s is not None else range(d.n)
+    out, into = d.arc_masks()
+    whole = sum(1 << v for v in verts)
+    for size in range(0, len(verts) + 1):
+        for cand in combinations(verts, size):
+            k = near = reach = 0
+            for v in cand:
+                k |= 1 << v
+                near |= out[v] | into[v]
+                reach |= into[v]
+            # independent, and every other vertex of s has an arc into k
+            if not near & k and not whole & ~k & ~reach:
+                return set(cand)
+    return None
+
+
+def _kernel_search_digraphs(rng):
+    """Digraphs of each kind the branching search meets: random ones
+    with bidirected pairs, one-way odd cycles, scattered components,
+    undirected graphs (every maximal independent set is a kernel, so
+    sizes tie often) and Galvin orientations of bipartite roots."""
+    while True:
+        yield "random", _random_digraph(rng, rng.randint(1, 10))
+        yield "odd cycle", _one_way_odd_cycle_digraph(rng, rng.randint(3, 10))
+        yield "scattered", _scattered_digraph(rng)
+        n = rng.randint(1, 10)
+        p = rng.uniform(0.2, 0.7)
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+        yield "undirected", Digraph.from_arcs(n, _random_arcs(rng, edges, 1))
+        b = _irregular_bipartite(rng, rng.randint(1, 3), rng.randint(2, 4))
+        if len(edge_copies(b)) <= 12:
+            yield "galvin", kernel.galvin_orientation(b).digraph
+
+
+def test_find_kernel_matches_the_search_by_size(rng):
+    found = {}
+    digraphs = _kernel_search_digraphs(rng)
+    for _ in range(600):
+        kind, d = next(digraphs)
+        subsets = [None, [], list(range(d.n))[::-1]]
+        subsets += [rng.sample(range(d.n), rng.randint(1, d.n)) for _ in range(3)]
+        for s in subsets:
+            want = _find_kernel_by_size(d, s)
+            assert kernel.find_kernel(d, s) == want, (kind, d.arcs, s)
+            found[kind, want is None] = found.get((kind, want is None), 0) + 1
+    # every kind has kernels, and the directed kinds also lack some
+    assert min(found[kind, False] for kind, _ in found) >= 100, found
+    assert min(found[kind, True] for kind in ("random", "odd cycle", "scattered")) >= 20, found
 
 
 def _odd_cycle_records(rng):

@@ -353,17 +353,18 @@ def test_the_check_sees_unread_parameters():
 
 
 def _raw_simple_graph_calls(trees):
-    """(module, line) of each call of the `SimpleGraph` constructor
-    itself, by name or as an attribute, outside `graphs.py`.
+    """(module, line) of each call of the `SimpleGraph` or `Digraph`
+    constructor itself, by name or as an attribute, outside `graphs.py`.
 
-    The builders in `graphs.py` (`from_edges`, `complement`, `induced`,
-    the supports, `line_graph`) check the masks they store, so every
-    other module goes through one of them.
+    The builders in `graphs.py` (`from_edges`, `from_arcs`, `complement`,
+    `induced`, the supports, `line_graph`) check the masks they store,
+    so every other module goes through one of them.
     """
     return sorted(
         (module, node.lineno) for module, tree in trees.items() if module != "graphs.py"
         for node in ast.walk(tree) if isinstance(node, ast.Call)
-        and "SimpleGraph" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+        and {"SimpleGraph", "Digraph"} & {getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None)})
 
 
 def test_only_graphs_calls_the_raw_simple_graph_constructor():
@@ -375,7 +376,8 @@ def test_only_graphs_calls_the_raw_simple_graph_constructor():
 
 def test_the_check_sees_raw_simple_graph_calls():
     trees = {
-        "graphs.py": ast.parse("def build(n):\n    return SimpleGraph(n, (0,) * n)\n"),
+        "graphs.py": ast.parse("def build(n):\n    return SimpleGraph(n, (0,) * n)\n"
+                               "def orient(n):\n    return Digraph(n, (0,) * n, (0,) * n)\n"),
         "kernel.py": ast.parse(
             "from . import graphs\n"
             "from .graphs import SimpleGraph\n"
@@ -384,9 +386,13 @@ def test_the_check_sees_raw_simple_graph_calls():
             "def f():\n"
             "    return graphs.SimpleGraph(1, (0,))\n"
             "ok = isinstance(a, SimpleGraph)\n"
+            "c = graphs.Digraph.from_arcs(2, [(0, 1)])\n"
+            "d = Digraph(2, (2, 0), (0, 1))\n"
+            "e = graphs.Digraph(1, (0,), (0,))\n"
         ),
     }
-    assert _raw_simple_graph_calls(trees) == [("kernel.py", 4), ("kernel.py", 6)]
+    assert _raw_simple_graph_calls(trees) == [
+        ("kernel.py", 4), ("kernel.py", 6), ("kernel.py", 9), ("kernel.py", 10)]
 
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -136,6 +137,16 @@ def test_kernel_painter_random_adversary():
     tr = paint.kernel_painter_play(
         cert.graph, cert.f, cert, adversary="random:11")
     assert tr.winner == "Painter"
+
+
+def test_the_random_kernel_painter_wins_on_k66():
+    # 36 line-graph vertices; a search through every vertex set by size
+    # gave no answer here within a minute
+    b = MultiGraph.from_edges(12, complete_bipartite(6, 6).edge_list())
+    cert = kernel.galvin_orientation(b)
+    start = time.perf_counter()
+    tr = paint.kernel_painter_play(cert.graph, cert.f, cert, adversary="random:1")
+    assert tr.winner == "Painter" and time.perf_counter() - start < 30
 
 
 def test_kernel_painter_rejects_mismatched_cert():

@@ -701,6 +701,18 @@ def test_bk_free_scan_skips_only_oversized_kernel_searches(monkeypatch):
     assert sizes == [3]
 
 
+def test_the_kernel_route_certifies_a_budget_that_no_orientation_does():
+    # the f_H shape of an induced subgraph whose vertex 0 has degree
+    # Delta - 1 in G and the rest Delta; the scan's kernel route is the
+    # only one that certifies it, with no edge doubled
+    g = SimpleGraph.from_edges(8, [(0, 1), (0, 7), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+                                   (2, 4), (2, 6), (3, 4), (3, 5), (4, 7), (5, 6), (5, 7), (6, 7)])
+    f = ListSizeFn((2, 4, 2, 3, 3, 3, 3, 3))
+    assert not is_f_AT(g, f)[0]
+    kind, cert = structure._reducible(g, f)
+    assert kind == "kernel" and cert.check() and cert.supergraph_edges == []
+
+
 def test_bk_free_scan_empty_on_small_clique():
     # a lone triangle with delta 3: f_H values fall below 1 on some
     # subgraphs, nothing is flagged
