@@ -11,10 +11,9 @@ some coefficient with exponents k_i <= f(i) - 1 is nonzero; the
 orientation realizing that exponent vector is the portable certificate.
 """
 
-from .graphs import (
-    Digraph, ListSizeFn, SimpleGraph, digraph_from_json, digraph_to_json, require, require_ints,
-    require_pairs, require_sizes,
-)
+from dataclasses import dataclass
+
+from .graphs import Digraph, OrientationCertificate, require
 
 
 def eulerian_counts(d):
@@ -257,50 +256,32 @@ def orientation_with_outdegrees(g, target):
                                    for (i, j), t in zip(edges, tails)])
 
 
-class ATCertificate:
+@dataclass(eq=False)
+class ATCertificate(OrientationCertificate):
     """A verified orientation witness for list-colorability bounds.
 
     Holds the graph, the list-size budget it certifies against, the
     witnessing orientation, and its Eulerian counts.
     """
 
-    def __init__(self, graph, f, digraph, ee, eo):
-        self.graph = graph
-        self.f = f
-        self.digraph = digraph
-        self.ee = ee
-        self.eo = eo
+    ee: int
+    eo: int
 
     def check(self):
         """Re-verify every claim from scratch; a digraph or budget on
         another vertex count fails."""
-        if (self.digraph.support_masks() != self.graph.adjacency_masks()
-                or self.f.n != self.graph.n):
-            return False
-        outs = self.digraph.out_degrees()
-        if any(outs[v] >= self.f(v) for v in range(self.graph.n)):
+        if not self.fits():
             return False
         ee, eo = eulerian_counts(self.digraph)
         return (ee, eo) == (self.ee, self.eo) and ee != eo
 
     def to_json(self):
-        return {
-            "n": self.graph.n,
-            "edges": self.graph.edge_list(),
-            "f": list(self.f.values),
-            "orientation": digraph_to_json(self.digraph),
-            "ee": self.ee,
-            "eo": self.eo,
-        }
+        return {**super().to_json(), "ee": self.ee, "eo": self.eo}
 
     @staticmethod
     def from_json(doc):
-        n = require(doc, "n")
-        g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
-        f = ListSizeFn(tuple(require_ints(doc, "f")))
-        d = digraph_from_json(require(doc, "orientation"))
-        require_sizes(n, f, d)
-        return ATCertificate(g, f, d, require(doc, "ee"), require(doc, "eo"))
+        return ATCertificate(*OrientationCertificate.read(doc), require(doc, "ee"),
+                             require(doc, "eo"))
 
 
 def is_f_AT(g, f):

@@ -572,13 +572,46 @@ def require_records(doc, key, where=""):
                         and all(type(x) is int for x in r))
 
 
-def require_sizes(n, f, d):
-    """FormatError naming the key when a certificate document's digraph
-    'orientation' or budget 'f' is not on its n vertices."""
-    if d.n != n:
-        raise FormatError(f"JSON key 'orientation.n' is {d.n}, but 'n' is {n}")
-    if f.n != n:
-        raise FormatError(f"JSON key 'f' has {f.n} values, but 'n' is {n}")
+@dataclass(eq=False)
+class OrientationCertificate:
+    """A graph, a list-size budget f and an orientation of the graph with
+    out-degrees below f: the part Alon–Tarsi and kernel-perfect
+    certificates share.  Each subclass adds its proof and a `check()`."""
+
+    graph: SimpleGraph
+    f: ListSizeFn
+    digraph: Digraph
+
+    def fits(self):
+        """The digraph's support is the graph (a bidirected pair is one
+        edge), f is on its vertices and every out-degree is below f."""
+        return (self.digraph.support_masks() == self.graph.adjacency_masks()
+                and self.f.n == self.graph.n
+                and all(o < k for o, k in zip(self.digraph.out_degrees(), self.f.values)))
+
+    def to_json(self):
+        """The document keys 'n', 'edges', 'f' and 'orientation'."""
+        return {
+            "n": self.graph.n,
+            "edges": self.graph.edge_list(),
+            "f": list(self.f.values),
+            "orientation": digraph_to_json(self.digraph),
+        }
+
+    @staticmethod
+    def read(doc):
+        """(graph, f, digraph) of a certificate document; FormatError naming
+        the key when one is missing or malformed, or when 'orientation'
+        or 'f' is not on its n vertices."""
+        n = require(doc, "n")
+        g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
+        f = ListSizeFn(tuple(require_ints(doc, "f")))
+        d = digraph_from_json(require(doc, "orientation"))
+        if d.n != n:
+            raise FormatError(f"JSON key 'orientation.n' is {d.n}, but 'n' is {n}")
+        if f.n != n:
+            raise FormatError(f"JSON key 'f' has {f.n} values, but 'n' is {n}")
+        return g, f, d
 
 
 def _read(data):

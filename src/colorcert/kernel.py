@@ -8,10 +8,11 @@ out-degrees below a list-size budget certify both choosability and the
 online game version of it.
 """
 
+from dataclasses import dataclass
+
 from .graphs import (
-    Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, copy_stars, digraph_from_json,
-    digraph_to_json, edge_copies, line_graph, require, require_ints, require_pairs,
-    require_records, require_sizes, two_coloring,
+    Digraph, FormatError, ListSizeFn, MultiGraph, OrientationCertificate, copy_stars,
+    edge_copies, line_graph, require, require_pairs, require_records, two_coloring,
 )
 
 
@@ -138,7 +139,8 @@ def kp_line_characterization(d, root, origin=None):
 # ---------------------------------------------------------------------------
 # certificates
 
-class KPCertificate:
+@dataclass(eq=False)
+class KPCertificate(OrientationCertificate):
     """A kernel-perfect orientation with out-degrees below a budget.
 
     `digraph` may contain bidirected pairs, which model doubled edges
@@ -150,12 +152,12 @@ class KPCertificate:
     the route `check()` takes.
     """
 
-    def __init__(self, graph, f, digraph, root=None, origin=None):
-        self.graph = graph
-        self.f = f
-        self.digraph = digraph
-        self.root = root
-        self.origin = tuple(origin) if origin is not None else None
+    root: MultiGraph | None = None
+    origin: tuple | None = None
+
+    def __post_init__(self):
+        if self.origin is not None:
+            self.origin = tuple(self.origin)
 
     @property
     def supergraph_edges(self):
@@ -165,11 +167,7 @@ class KPCertificate:
     def check(self):
         """Re-verify all claims: support, out-degree bound, kernel-perfection.
         A digraph or budget on another vertex count fails."""
-        if (self.digraph.support_masks() != self.graph.adjacency_masks()
-                or self.f.n != self.graph.n):
-            return False
-        outs = self.digraph.out_degrees()
-        if any(outs[v] > self.f(v) - 1 for v in range(self.graph.n)):
+        if not self.fits():
             return False
         if self.root is not None:
             return kp_line_characterization(self.digraph, self.root, origin=self.origin)
@@ -178,10 +176,7 @@ class KPCertificate:
 
     def to_json(self):
         doc = {
-            "n": self.graph.n,
-            "edges": self.graph.edge_list(),
-            "f": list(self.f.values),
-            "orientation": digraph_to_json(self.digraph),
+            **super().to_json(),
             "doubled": [list(e) for e in self.supergraph_edges],
             "verified_by": ("characterization" if self.root is not None
                             and bipartition(self.root) is not None else "exhaustive"),
@@ -198,11 +193,7 @@ class KPCertificate:
         a value has the wrong shape or size, when the line graph of
         'root', labelled by 'origin', is not the graph, or when 'doubled'
         (empty when absent) is not the orientation's bidirected pairs."""
-        n = require(doc, "n")
-        g = SimpleGraph.from_edges(n, require_pairs(doc, "edges"))
-        f = ListSizeFn(tuple(require_ints(doc, "f")))
-        d = digraph_from_json(require(doc, "orientation"))
-        require_sizes(n, f, d)
+        g, f, d = OrientationCertificate.read(doc)
         root = None
         origin = require_pairs(doc, "origin") if "origin" in doc else None
         if "root" in doc:
@@ -493,12 +484,14 @@ def orientation_from_clique_orders(n, clique_orders):
 
 
 def mu3_kp_certificates():
-    """Certificates for the built-in clique-order catalog entries.
+    """Certificates for the built-in clique-order catalog entries, in
+    catalog order.
 
     For each entry: build the line graph, orient it from the stored
-    clique orders, check the expected degree and out-degree rows, and
-    check the certificate with the budget f(v) = d(v) on emphasized
-    vertices and d(v) - 1 otherwise.  Any mismatch raises.
+    clique orders, and give it the budget f(v) = d(v) on emphasized
+    vertices and d(v) - 1 otherwise.  Nothing is checked here: the
+    caller compares the entry's degree and out-degree rows and runs
+    `check()`, so a bad entry is one failed certificate, not an error.
     """
     from .catalog import clique_order_catalog
 
@@ -506,15 +499,6 @@ def mu3_kp_certificates():
     for entry in clique_order_catalog():
         lg, _ = line_graph(entry.root, entry.edge_origin)
         d = orientation_from_clique_orders(lg.n, entry.clique_orders)
-        degs = tuple(lg.degrees())
-        if degs != entry.expected_degrees:
-            raise AssertionError(f"{entry.name}: degree row {degs} != {entry.expected_degrees}")
-        outs = tuple(d.out_degrees())
-        if entry.expected_outdegrees is not None and outs != entry.expected_outdegrees:
-            raise AssertionError(f"{entry.name}: out-degree row {outs} != {entry.expected_outdegrees}")
         f = ListSizeFn.degree_minus_one_on_high(lg, entry.emphasized)
-        cert = KPCertificate(lg, f, d, root=entry.root, origin=entry.edge_origin)
-        if not cert.check():
-            raise AssertionError(f"{entry.name}: certificate fails its check")
-        certs.append(cert)
+        certs.append(KPCertificate(lg, f, d, root=entry.root, origin=entry.edge_origin))
     return certs

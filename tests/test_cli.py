@@ -969,3 +969,41 @@ def test_at_check_decides_a_path_longer_than_the_recursion_limit(tmp_path, capsy
     [result] = json.loads(open(rep).read())["results"]
     cert = ATCertificate.from_json(result["payload"]["certificate"])
     assert cert.graph.n == n and cert.check()
+
+
+# --- the clique-order catalog: each certificate is built once and checked once
+
+@pytest.mark.parametrize("broken", [False, True], ids=["sound", "broken-3a"])
+@pytest.mark.parametrize("argv, prefix", [(["kp", "mu3"], ""),
+                                          (["catalog", "verify"], "clique-order ")],
+                         ids=["kp-mu3", "catalog-verify"])
+def test_a_bad_clique_order_entry_fails_alone(argv, prefix, broken, tmp_path, monkeypatch,
+                                              capsys):
+    # a wrong stored out-degree row fails its own entry, as a FAIL line
+    # and not as an error, and no certificate is checked twice
+    from dataclasses import replace
+
+    from colorcert import catalog
+
+    entries = catalog.clique_order_catalog()
+    if broken:
+        wrong = (0,) * len(entries[0].expected_outdegrees)
+        patched = [replace(entries[0], expected_outdegrees=wrong)] + entries[1:]
+        monkeypatch.setattr(catalog, "clique_order_catalog", lambda: list(patched))
+    checks = []
+    check = kernel.KPCertificate.check
+    monkeypatch.setattr(kernel.KPCertificate, "check",
+                        lambda self: checks.append(self) or check(self))
+    rep = tmp_path / "rep.json"
+    assert run(argv + ["--json", str(rep)]) == (1 if broken else 0)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    lines = out.splitlines()
+    names = [f"{prefix}{e.tag} ({e.name})" for e in entries]
+    assert [ln for ln in lines if ln.startswith("FAIL")] == (
+        [f"FAIL  {names[0]}"] if broken else [])
+    assert all(f"pass  {name}" in lines for name in names[1:])
+    assert len(checks) == 3
+    [item] = [r for r in json.loads(rep.read_text())["results"] if r["item"] == names[0]]
+    assert item["payload"]["outdegrees"] == list(entries[0].expected_outdegrees)
+    assert ("out-degree row" in item["payload"].get("error", "")) == broken

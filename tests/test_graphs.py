@@ -481,3 +481,39 @@ def test_edge_list_errors():
 def test_digraph_json_roundtrip():
     d = Digraph.from_arcs(4, [(0, 1), (1, 0), (2, 3)])
     assert digraph_from_json(digraph_to_json(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# the certificate core's fit check against a brute-force reading
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_sets(), st.data())
+def test_fits_matches_a_brute_force_reading(graph, data):
+    from colorcert.graphs import OrientationCertificate
+
+    n, edges = graph
+    if data.draw(st.booleans(), label="orient this graph"):
+        # each edge one way, the other way or both
+        ways = [data.draw(st.sampled_from([(0,), (1,), (0, 1)])) for _ in edges]
+        arcs = {(tuple(e)[w], tuple(e)[1 - w]) for e, way in zip(sorted(edges, key=sorted), ways)
+                for w in way}
+        dn = n
+    else:
+        # an orientation of another graph, mostly on the same vertex count
+        dn = data.draw(st.sampled_from([n, n, n + 1, max(n - 1, 0)]))
+        pairs = [(u, v) for u in range(dn) for v in range(dn) if u != v]
+        arcs = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    outs = [sum(1 for u, _ in arcs if u == v) for v in range(max(n, dn))]
+    # f mostly of the right length, else one value short or long; each
+    # value the out-degree plus 1 (tight) or 2, and perhaps one value
+    # equal to the out-degree
+    size = data.draw(st.sampled_from([n, n, max(n - 1, 0), n + 1]))
+    f = [outs[v] + data.draw(st.integers(1, 2)) if v < len(outs) else 1 for v in range(size)]
+    if f and data.draw(st.booleans(), label="one vertex over"):
+        v = data.draw(st.integers(0, size - 1))
+        f[v] = outs[v] if v < len(outs) else 0
+    want = (dn == n and {frozenset(a) for a in arcs} == edges and len(f) == n
+            and all(outs[v] < f[v] for v in range(n)))
+    cert = OrientationCertificate(SimpleGraph.from_edges(n, map(tuple, edges)), ListSizeFn(tuple(f)),
+                                  Digraph.from_arcs(dn, arcs))
+    assert cert.fits() == want

@@ -175,6 +175,15 @@ def test_a_certificate_on_another_vertex_count_is_refused(probe):
     assert not kernel.KPCertificate(*certificate_parts(bad)).check()
 
 
+@pytest.mark.parametrize("key", ["n", "edges", "f", "orientation"])
+def test_a_kp_certificate_without_a_key_names_it(key):
+    b = MultiGraph.from_edges(4, [(0, 2, 1), (0, 3, 1), (1, 2, 2)])
+    doc = kernel.galvin_orientation(b).to_json()
+    del doc[key]
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        kernel.KPCertificate.from_json(doc)
+
+
 @pytest.mark.parametrize("doubled", [[], [[1, 2], [0, 1]], [[0, 1]], [["1", 2]]],
                          ids=["dropped", "extra", "other", "strings"])
 def test_a_certificate_whose_doubled_pairs_are_not_its_orientations_is_refused(doubled):

@@ -3,7 +3,8 @@ function imports again from a module that its file imports at module
 level, every module-level private function or class is used somewhere
 in the package, every public one and every public method is read by the
 package or the benchmark or is listed library API, every function reads
-each of its parameters, no module holds an `assert`, only `graphs.py`
+each of its parameters, no module holds an `assert`, every `raise
+AssertionError` sits in a listed function, only `graphs.py`
 calls the raw `SimpleGraph` constructor, only `cli.RunReport` opens
 files, and every function that calls itself has its depth capped by a
 module constant; brute force kept only for cross-checking lives in the
@@ -474,6 +475,72 @@ def test_the_check_sees_asserts():
         "    return 'assert x'\n"
     )
     assert _asserts(tree) == [1, 4]
+
+
+def _assertion_error_raises(tree):
+    """(function, line) of each `raise AssertionError`.
+
+    The function is the outermost one holding the raise, prefixed by its
+    classes, as `RunReport.emit`; a raise in a nested function counts
+    for the function it is nested in, and one outside any function has
+    None.
+    """
+    found = []
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, prefix + child.name)
+            elif owner is None and isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", None)
+            else:
+                if isinstance(child, ast.Raise):
+                    exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                    if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                        found.append((owner, child.lineno))
+                visit(child, prefix, owner)
+
+    visit(tree, "", None)
+    return found
+
+
+# Every function that raises AssertionError, with the reason.  A failed
+# verification is a value (a False, a failed report item), not an error.
+ASSERTION_ERRORS = {
+    ("paint.py", "kernel_painter_play"):
+        "the benchmark and the tests catch its 'kernel painter lost' error",
+}
+
+
+def test_every_assertion_error_is_listed():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    found = {(module, name) for module, tree in trees.items()
+             for name, _ in _assertion_error_raises(tree)}
+    # equal, not a subset: a function that stops raising leaves the list
+    assert sorted(found, key=str) == sorted(ASSERTION_ERRORS)
+
+
+def test_the_check_sees_assertion_error_raises():
+    tree = ast.parse(
+        "raise AssertionError\n"
+        "def play(k):\n"
+        "    def sweep():\n"
+        "        raise AssertionError('lost')\n"
+        "    if k:\n"
+        "        raise ValueError('k')\n"
+        "    return sweep\n"
+        "class Cert:\n"
+        "    def check(self):\n"
+        "        raise AssertionError(f'{self} fails')\n"
+        "def relay():\n"
+        "    try:\n"
+        "        return play(0)\n"
+        "    except AssertionError:\n"
+        "        raise\n"
+        "def wrapped():\n"
+        "    raise RuntimeError('x') from AssertionError\n"
+    )
+    assert _assertion_error_raises(tree) == [(None, 1), ("play", 4), ("Cert.check", 10)]
 
 
 def _self_calling_functions(tree):
