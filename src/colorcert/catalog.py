@@ -11,6 +11,7 @@ are exactly the vertices allowed one fewer color.
 from dataclasses import dataclass
 
 from .graphs import Digraph, MultiGraph, SimpleGraph, path_graph
+from .structure import TwoJoin
 
 
 @dataclass(frozen=True)
@@ -311,8 +312,6 @@ def two_join_catalog():
     Returned as (tag, name, graph, TwoJoin) tuples; both satisfy the
     four strip conditions checked by verify_2join.
     """
-    from .structure import TwoJoin
-
     trivial = SimpleGraph.from_edges(
         4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
     )

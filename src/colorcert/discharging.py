@@ -11,7 +11,8 @@ yield a kernel certificate on its line graph.
 
 from dataclasses import dataclass
 
-from .graphs import ListSizeFn, MultiGraph, edge_copies
+from .graphs import ListSizeFn, MultiGraph, _bits, edge_copies
+from .kernel import KPCertificate, galvin_orientation
 
 
 @dataclass
@@ -196,19 +197,18 @@ def degeneracy(h):
 
     Multiplicities count toward degrees.  Returns (k, order).
     """
-    remaining = set(range(h.n))
+    rest = (1 << h.n) - 1
     adj = h.adjacency_masks()
     deg = h.degrees()
     order = []
     k = 0
-    while remaining:
-        v = min(remaining, key=lambda x: (deg[x], x))
+    while rest:
+        v = min(_bits(rest), key=lambda x: (deg[x], x))
         k = max(k, deg[v])
         order.append(v)
-        remaining.discard(v)
-        for w in remaining:
-            if adj[v] >> w & 1:
-                deg[w] -= h.multiplicity(v, w)
+        rest ^= 1 << v
+        for w in _bits(adj[v] & rest):
+            deg[w] -= h.multiplicity(v, w)
     return k, order
 
 
@@ -227,47 +227,40 @@ def peel_witness(h, i):
     """
     if not 2 <= i <= 11:
         raise ValueError("round index out of range")
+    # B is kept as two masks: its vertices (alive) and its low side.
+    # Its edges are those of h inside alive with an end on the low side,
+    # so the B-neighbours of v are adj[v] & alive when v is low and
+    # adj[v] & low otherwise.
+    adj = h.adjacency_masks()
     degs = h.degrees()
-    low = {v for v in range(h.n) if degs[v] <= i and degs[v] > 0}
-    b_edges = {
-        (u, v): m for u, v, m in h.edges if u in low or v in low
-    }
-    b_verts = set(low)
-    for u, v in b_edges:
-        b_verts.add(u)
-        b_verts.add(v)
+    low = sum(1 << v for v in range(h.n) if 0 < degs[v] <= i)
+    alive = low
+    for v in _bits(low):
+        alive |= adj[v]
     transfers = []
 
     def bdeg(v):
-        return sum(m for (x, y), m in b_edges.items() if v in (x, y))
+        return sum(h.multiplicity(v, w) for w in _bits(adj[v] & low))
 
-    while b_verts & low:
-        donors = sorted(
-            (v for v in b_verts - low if bdeg(v) < i),
-            key=lambda v: (bdeg(v), v),
-        )
+    while low:
+        donors = [(d, v) for v in _bits(alive & ~low) if (d := bdeg(v)) < i]
         if not donors:
-            verts = sorted(b_verts)
+            verts = list(_bits(alive))
             index = {v: j for j, v in enumerate(verts)}
-            sub = MultiGraph.from_edges(
-                len(verts), [(index[u], index[v], m) for (u, v), m in b_edges.items()]
-            )
+            sub = MultiGraph.from_edges(len(verts), [
+                (index[u], index[v], m) for u, v, m in h.edges
+                if alive >> u & alive >> v & 1 and (low >> u | low >> v) & 1])
             parts = (
-                tuple(index[v] for v in verts if v in low),
-                tuple(index[v] for v in verts if v not in low),
+                tuple(index[v] for v in verts if low >> v & 1),
+                tuple(index[v] for v in verts if not low >> v & 1),
             )
             return "witness", BipartiteWitness(sub, parts, i, tuple(verts))
-        donor = donors[0]
-        nbrs = {x if y == donor else y for (x, y) in b_edges if donor in (x, y)}
-        for w in sorted(nbrs):
-            transfers.append((donor, w, 1))
-        gone = nbrs | {donor}
-        b_edges = {
-            (u, v): m for (u, v), m in b_edges.items() if u not in gone and v not in gone
-        }
-        b_verts -= gone
-        low -= gone
-        b_verts = {v for v in b_verts if v in low or bdeg(v) > 0}
+        donor = min(donors)[1]
+        nbrs = adj[donor] & low
+        transfers.extend((donor, w, 1) for w in _bits(nbrs))
+        alive &= ~(nbrs | 1 << donor)
+        low &= ~nbrs
+        alive = low | sum(1 << v for v in _bits(alive & ~low) if adj[v] & low)
     return "done", transfers
 
 
@@ -302,8 +295,6 @@ def witness_to_kp(h, w, delta):
         raise ValueError("delta must exceed the maximum degree of the host")
     if not w.is_valid(h):
         raise ValueError("invalid witness: an edge has no fully-covered endpoint")
-    from .kernel import KPCertificate, galvin_orientation
-
     b = w.b
     back = w.original_vertices
     degs_b = b.degrees()

@@ -71,11 +71,6 @@ class SimpleGraph:
         """False also for an id outside 0..n-1 and for u == v."""
         return 0 <= u < self.n and v >= 0 and self._masks[u] >> v & 1 == 1
 
-    def neighbors(self, v):
-        _check_vertex(v, self.n)
-        m = self._masks[v]
-        return {w for w in range(self.n) if m >> w & 1}
-
     def adjacency_masks(self):
         """Neighbor bitmask per vertex, as the stored tuple."""
         return self._masks

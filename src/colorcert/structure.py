@@ -9,23 +9,32 @@ hunts induced subgraphs carrying orientation or kernel certificates.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .alon_tarsi import is_f_AT
 from .graphs import (
-    FormatError, ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, line_graph, require,
-    require_ints, require_list, require_pairs, two_coloring,
+    FormatError, ListSizeFn, MultiGraph, SimpleGraph, _bits, _check_vertex, line_graph,
+    require, require_ints, require_list, require_pairs, two_coloring,
 )
 from .kernel import F_KP_VERTICES, is_f_KP
 
 
 def is_claw_free(g):
-    """Return (True, None) or (False, (center, a, b, c))."""
+    """Return (True, None) or (False, (center, a, b, c)).
+
+    The claw returned is the first by center, then by (a, b, c)
+    lexicographically: for each neighbour a of the center, b runs over
+    the neighbours above a that miss a, and c is the least neighbour
+    above b that misses both.
+    """
     adj = g.adjacency_masks()
-    for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
-        for a, b, c in combinations(nbrs, 3):
-            if not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1):
-                return False, (v, a, b, c)
+    for v, nbrs in enumerate(adj):
+        for a in _bits(nbrs):
+            after_a = nbrs & ~adj[a] & -(2 << a)
+            for b in _bits(after_a):
+                after_b = after_a & ~adj[b] & -(2 << b)
+                if after_b:
+                    return False, (v, a, b, (after_b & -after_b).bit_length() - 1)
     return True, None
 
 
@@ -125,40 +134,40 @@ def find_homogeneous_pairs(g, nonlinear_only=False):
     """All homogeneous pairs of cliques (|A1| + |A2| >= 3).
 
     A pair of disjoint cliques qualifies when every outside vertex is
-    adjacent to all of A_i or none of A_i, for each i.  With
-    nonlinear_only, keep only pairs whose union induces a 4-cycle.
+    adjacent to all of A_i or none of A_i, for each i.  The vertices
+    outside A that see part of A but not all of it are A's mixed set,
+    so the pair qualifies exactly when the mixed set of each clique
+    lies inside the other clique.
+
+    With nonlinear_only, keep only pairs whose union induces a 4-cycle.
+    Three vertices of one clique would close a triangle, so an induced
+    C4 in two disjoint cliques has two vertices x, y in A1 and two in
+    A2, and x and y each see one of the latter two and miss the other.
+    So the pair is nonlinear exactly when two vertices of A1 have
+    neighbourhoods in A2 of which neither contains the other.
     """
     if g.n > HOMOGENEOUS_PAIR_VERTICES:
         raise ValueError(f"search capped at {HOMOGENEOUS_PAIR_VERTICES} vertices")
     adj = g.adjacency_masks()
+    cliques = []
+    for clique in g.cliques():
+        mask = seen = 0
+        full = -1
+        for a in clique:
+            mask |= 1 << a
+            seen |= adj[a]
+            full &= adj[a]
+        cliques.append((clique, mask, seen & ~mask & ~full))
     found = []
-    for a1, a2 in combinations(map(frozenset, g.cliques()), 2):
-        if a1 & a2 or len(a1) + len(a2) < 3:
+    for (c1, m1, mixed1), (c2, m2, mixed2) in combinations(cliques, 2):
+        if m1 & m2 or len(c1) + len(c2) < 3 or mixed1 & ~m2 or mixed2 & ~m1:
             continue
-        if not _homogeneous(g, a1, other=a2) or not _homogeneous(g, a2, other=a1):
-            continue
-        if nonlinear_only and not _contains_induced_c4(adj, a1 | a2):
-            continue
-        found.append(HomogeneousPair(a1, a2))
+        if nonlinear_only:
+            inside = [adj[x] & m2 for x in c1]
+            if not any(s & ~t and t & ~s for s, t in combinations(inside, 2)):
+                continue
+        found.append(HomogeneousPair(frozenset(c1), frozenset(c2)))
     return found
-
-
-def _homogeneous(g, aset, other=frozenset()):
-    outside = set(range(g.n)) - aset - other
-    for v in outside:
-        hits = sum(1 for a in aset if g.has_edge(v, a))
-        if hits not in (0, len(aset)):
-            return False
-    return True
-
-
-def _contains_induced_c4(adj, verts):
-    # the only 2-regular graph on 4 vertices is C4
-    for quad in combinations(sorted(verts), 4):
-        m = sum(1 << v for v in quad)
-        if all((adj[v] & m).bit_count() == 2 for v in quad):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +180,25 @@ CIRCULAR_INTERVAL_VERTICES = 9
 def is_linear_interval(g):
     """A vertex order with contiguous neighborhoods, or None.
 
-    The answer is the first order in the sequence of permutations that
-    puts one of each reversed pair first (order[0] < order[-1]).
+    The answer is the first order in the sequence of permutations.  The
+    reverse of an order is an order, so the first one puts the lesser
+    of its two end vertices first (order[0] < order[-1] on two or more
+    vertices), and it is also the first of those that do.
     """
     if g.n > LINEAR_INTERVAL_VERTICES:
         raise ValueError(f"search capped at {LINEAR_INTERVAL_VERTICES} vertices")
-    if g.n <= 1:
-        return list(range(g.n))
-    adj = g.adjacency_masks()
-    return _first_order(adj, [], [0] * g.n, (1 << g.n) - 1, lambda adj, at, placed, rest: (
-        (rest or placed[0] < placed[-1]) and _runs_fit(adj, at, placed, rest)))
+    return _first_order(g.adjacency_masks(), [], [0] * g.n, (1 << g.n) - 1, _runs_fit)
 
 
 def is_circular_interval(g):
     """A circular vertex order with contiguous arc neighborhoods, or None.
 
     The answer is the first order, in the sequence of
-    permutations(range(1, n)) after vertex 0, that puts one of each
-    reflected pair first (order[1] < order[-1]) and the closed
+    permutations(range(1, n)) after vertex 0, that puts the closed
     neighborhood of every non-isolated vertex on an arc of the circle.
+    The reflection of such an order, vertex 0 kept first, is one too,
+    so the first one has order[1] < order[-1], and it is also the first
+    of those that do.
     """
     if g.n > CIRCULAR_INTERVAL_VERTICES:
         raise ValueError(f"search capped at {CIRCULAR_INTERVAL_VERTICES} vertices")
@@ -257,10 +266,8 @@ def _arcs_fit(adj, at, placed, rest):
     non-isolated vertex v needs the placed part of N[v] to be one run,
     or its complement in the prefix to be one run while v is adjacent
     to every unplaced vertex.  On a full order this is the arc test
-    itself, and the reflection of an earlier order is rejected.
+    itself.
     """
-    if not rest and placed[1] > placed[-1]:
-        return False
     full = (1 << len(placed)) - 1
     for v in placed:
         if adj[v]:
@@ -308,56 +315,62 @@ def verify_2join(g, tj):
     joined to B1 and A2 to B2; (iv) no other edges leave the strip.
     A vertex id outside 0..n-1 in any of the five sets raises ValueError.
     """
+    why, _ = _strip_order(g, tj)
+    return why is None, why
+
+
+def _strip_order(g, tj):
+    """(why, order): the first strip condition that fails, in the order
+    verify_2join tests them, or None and the linear interval order of
+    the strip with A1 first and A2 last, in the labels of g."""
     for v in sorted(tj.h | tj.a1 | tj.a2 | tj.b1 | tj.b2):
         _check_vertex(v, g.n)
-    h = tj.h
+    h, a1, a2, b1, b2 = map(_mask, (tj.h, tj.a1, tj.a2, tj.b1, tj.b2))
     if not h:
-        return False, "(i) empty strip"
-    if not (tj.a1 <= h and tj.a2 <= h):
-        return False, "(i) end cliques not inside the strip"
-    if h & (tj.b1 | tj.b2):
-        return False, "(ii) outside cliques meet the strip"
-    if len(h) > STRIP_VERTICES:
+        return "(i) empty strip", None
+    if (a1 | a2) & ~h:
+        return "(i) end cliques not inside the strip", None
+    if h & (b1 | b2):
+        return "(ii) outside cliques meet the strip", None
+    if len(tj.h) > STRIP_VERTICES:
         raise ValueError(f"interval-order search capped at {STRIP_VERTICES} strip vertices")
-    sub, order_map = g.induced(h)
-    idx = {v: i for i, v in enumerate(order_map)}
-    interval = _interval_order_with_ends(sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2})
-    if interval is None:
-        return False, "(i) strip is not a linear interval graph with the end cliques at its ends"
-    for name, cl in (("A1", tj.a1), ("A2", tj.a2), ("B1", tj.b1), ("B2", tj.b2)):
-        if not g.is_clique(sorted(cl)):
-            return False, f"(ii) {name} is not a clique"
-    for a in tj.a1:
-        for b in tj.b1:
-            if not g.has_edge(a, b):
-                return False, "(iii) A1 not joined to B1"
-    for a in tj.a2:
-        for b in tj.b2:
-            if not g.has_edge(a, b):
-                return False, "(iii) A2 not joined to B2"
-    outside = set(range(g.n)) - h
-    for v in h:
-        for w in outside:
-            if not g.has_edge(v, w):
-                continue
-            ok = (v in tj.a1 and w in tj.b1) or (v in tj.a2 and w in tj.b2)
-            if not ok:
-                return False, "(iv) stray edge between the strip and the outside"
-    return True, None
+    adj = g.adjacency_masks()
+    order = _interval_order_with_ends(adj, h, tj.a1, tj.a2)
+    if order is None:
+        return "(i) strip is not a linear interval graph with the end cliques at its ends", None
+    for name, m in (("A1", a1), ("A2", a2), ("B1", b1), ("B2", b2)):
+        if not _is_clique(adj, m):
+            return f"(ii) {name} is not a clique", None
+    for name, end, out in (("A1 not joined to B1", a1, b1), ("A2 not joined to B2", a2, b2)):
+        if any(adj[v] & out != out for v in _bits(end)):
+            return f"(iii) {name}", None
+    for v in _bits(h):
+        allowed = (b1 if a1 >> v & 1 else 0) | (b2 if a2 >> v & 1 else 0)
+        if adj[v] & ~h & ~allowed:
+            return "(iv) stray edge between the strip and the outside", None
+    return None, order
 
 
-def _interval_order_with_ends(sub, a1_idx, a2_idx):
-    """Linear interval order placing A1 first and A2 last, or None."""
-    n = sub.n
-    adj = sub.adjacency_masks()
-    tail = n - len(a2_idx)
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _is_clique(adj, m):
+    """The vertex set m (a mask) is a clique."""
+    return all((adj[v] | 1 << v) & m == m for v in _bits(m))
+
+
+def _interval_order_with_ends(adj, strip, a1, a2):
+    """Linear interval order of the vertex set `strip` (a mask) placing
+    the vertices of A1 first and those of A2 last, or None."""
+    tail = strip.bit_count() - len(a2)
 
     def fits(adj, at, placed, rest):
         p, u = len(placed) - 1, placed[-1]
-        return ((p >= len(a1_idx) or u in a1_idx) and (p < tail or u in a2_idx)
+        return ((p >= len(a1) or u in a1) and (p < tail or u in a2)
                 and _runs_fit(adj, at, placed, rest))
 
-    return _first_order(adj, [], [0] * n, (1 << n) - 1, fits)
+    return _first_order(adj, [], [0] * len(adj), strip, fits)
 
 
 def reduce_2join(g, tj):
@@ -374,39 +387,28 @@ def reduce_2join(g, tj):
     """
     if tj.a1 & tj.a2:
         raise ValueError("strip is not canonical (end cliques intersect)")
-    ok, why = verify_2join(g, tj)
-    if not ok:
+    why, order = _strip_order(g, tj)
+    if why is not None:
         raise ValueError(f"invalid strip: {why}")
-    sub, order_map = g.induced(tj.h)
-    idx = {v: i for i, v in enumerate(order_map)}
-    if sub.is_clique(range(sub.n)):
+    adj = g.adjacency_masks()
+    h, a1, a2, b1, b2 = map(_mask, (tj.h, tj.a1, tj.a2, tj.b1, tj.b2))
+    if _is_clique(adj, h):
         raise ValueError("strip is complete, not reducible")
-    order = _interval_order_with_ends(
-        sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2}
-    )
 
     def try_side(end_vertex, near, far, far_b):
-        c = {w for w in tj.h if g.has_edge(end_vertex, w)} - near
-        n_near = set()
-        for a in near:
-            n_near |= {w for w in tj.h if g.has_edge(a, w)}
-        n_near -= near
-        if n_near != c:
+        c = adj[end_vertex] & h & ~near
+        reach = 0
+        for a in _bits(near):
+            reach |= adj[a]
+        if reach & h & ~near != c:
             return None
         moved = c & far
-        return TwoJoin(
-            frozenset(tj.h - near - moved),
-            frozenset(c - far),
-            frozenset(far - c),
-            frozenset(near | moved),
-            frozenset(far_b | moved),
-        )
+        return TwoJoin(*(frozenset(_bits(m)) for m in (
+            h & ~near & ~moved, c & ~far, far & ~c, near | moved, far_b | moved)))
 
-    v1 = order_map[order[0]]
-    vt = order_map[order[-1]]
-    res = try_side(v1, tj.a1, tj.a2, tj.b2)
+    res = try_side(order[0], a1, a2, b2)
     if res is None:
-        mirrored = try_side(vt, tj.a2, tj.a1, tj.b1)
+        mirrored = try_side(order[-1], a2, a1, b1)
         if mirrored is None:
             raise ValueError("strip is not reducible")
         res = TwoJoin(mirrored.h, mirrored.a2, mirrored.a1, mirrored.b2, mirrored.b1)
@@ -460,12 +462,13 @@ def compose(spec):
     if len(spec.strips) != len(spec.hub_edges):
         raise ValueError("one strip per hub edge required")
     for strip in spec.strips:
+        adj = strip.graph.adjacency_masks()
         for name, cl in (("X", frozenset(strip.x)), ("Y", frozenset(strip.y))):
             if not strip.graph.is_clique(sorted(cl)):
                 raise ValueError(f"strip end {name} is not a clique")
             for v in cl:
-                others = set(strip.graph.neighbors(v)) - cl
-                if not strip.graph.is_clique(sorted(others)):
+                _check_vertex(v, strip.graph.n)
+                if not _is_clique(adj, adj[v] & ~_mask(cl)):
                     raise ValueError("strip end vertex with non-clique outside neighborhood")
     offsets = []
     total = 0
@@ -487,6 +490,9 @@ def compose(spec):
 # ---------------------------------------------------------------------------
 # reducibility scanner
 
+BK_SCAN_SUBSETS = 1 << 20
+
+
 def bk_free_scan(g, delta=None, max_sub=None):
     """Hunt induced subgraphs carrying a certificate under the f_H budget.
 
@@ -496,7 +502,9 @@ def bk_free_scan(g, delta=None, max_sub=None):
     orientation certificate first and the kernel route (with doubling,
     on subgraphs of at most F_KP_VERTICES vertices) second.  Returns a
     list of (vertex tuple, kind, certificate); empty means no reducible
-    piece was found within the caps.
+    piece was found within the caps.  When there are more than
+    BK_SCAN_SUBSETS vertex subsets of 1..max_sub vertices, it raises
+    ValueError before it looks at any of them.
 
     The budget is read from the neighbour masks of g, and no subgraph
     is built for a subset on which some f_H(v) is below 1.  The answer
@@ -508,6 +516,10 @@ def bk_free_scan(g, delta=None, max_sub=None):
         delta = g.max_degree()
     if max_sub is None:
         max_sub = g.n
+    subsets = sum(comb(g.n, k) for k in range(1, min(max_sub, g.n) + 1))
+    if subsets > BK_SCAN_SUBSETS:
+        raise ValueError(f"scan capped at {BK_SCAN_SUBSETS} vertex subsets, "
+                         f"{subsets} asked; lower --max-sub")
     adj = g.adjacency_masks()
     # f_H(v) = |N(v) & H| + base[v]
     base = [delta - 1 - d for d in g.degrees()]

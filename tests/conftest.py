@@ -35,6 +35,12 @@ def shuffled(rng, n, edges):
     return SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
 
 
+def neighbors(g, v):
+    """The set of neighbours of v in the simple graph g."""
+    m = g.adjacency_masks()[v]
+    return {w for w in range(g.n) if m >> w & 1}
+
+
 def path_power(n, k):
     """Edges of the k-th power of the path 0..n-1."""
     return [(u, v) for u in range(n) for v in range(u + 1, n) if v - u <= k]

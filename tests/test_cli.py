@@ -252,6 +252,104 @@ def test_structure_2join_reduce_report_bytes(tmp_path, monkeypatch, capsys):
         "d85c8ae760056ee558b2c5e87ba7a5c5098529fa96a06666af4a967d462c3028")
 
 
+_P7SQ = _relabel(SimpleGraph.from_edges(7, [
+    (u, v) for u in range(7) for v in range(u + 1, 7) if v - u <= 2]), [3, 6, 0, 4, 1, 5, 2])
+_MIXED7 = SimpleGraph.from_edges(7, [
+    (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (3, 4), (3, 5),
+    (3, 6), (4, 5), (5, 6)])
+
+
+@pytest.mark.parametrize("name, graph, nonlinear, digest", [
+    # C4: its two perfect matchings are its pairs, both nonlinear
+    ("c4.g6", cycle_graph(4), False,
+     "6d46d6749952ac8d668b96ba8a121b008a9c76bce16dc425496df9a34bbaaa5b"),
+    ("c4.g6", cycle_graph(4), True,
+     "6d46d6749952ac8d668b96ba8a121b008a9c76bce16dc425496df9a34bbaaa5b"),
+    # the square of a shuffled 7-path: linear pairs only
+    ("p7sq.g6", _P7SQ, False, "15fe142c2738c11f11af816eb939cca8b931621ffd7a82d6691c805f8e40f2f3"),
+    ("p7sq.g6", _P7SQ, True, "7f44adf326b92ea60e5256e629c0416988262c4ce6725e48f06f9c2b45550a41"),
+    # seven pairs, four of them nonlinear
+    ("mixed7.g6", _MIXED7, False,
+     "351ddfc03bb25c0a57f6856a580da18b6529b48ff1c097a9423dbe9ea5a1a365"),
+    ("mixed7.g6", _MIXED7, True,
+     "2913bdc953fc0c2719f3be3ff8fa51d91477160369b627d7945a78344309a684"),
+])
+def test_structure_homopairs_modes_report_bytes(name, graph, nonlinear, digest, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    flag = ["--nonlinear"] if nonlinear else []
+    assert run(["structure", "homopairs", name, *flag, "--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# the path 0-...-6 with two more vertices: 7 sees only 0, and 8 only 6;
+# the strip {1..5} has A1 = {1}, A2 = {5}, B1 = {0}, B2 = {6}
+_PATH9 = SimpleGraph.from_edges(9, [(i, i + 1) for i in range(6)] + [(0, 7), (6, 8)])
+_STRIP = {"H": [1, 2, 3, 4, 5], "A1": [1], "A2": [5], "B1": [0], "B2": [6]}
+
+
+@pytest.mark.parametrize("case, graph, edit, code, digest", [
+    ("pass", _PATH9, {}, 0, "99824e065eb9e5cade24744276a64b9ba0d3e7db20318b198c878dc20bf5b28b"),
+    ("(i) empty", _PATH9, {"H": [], "A1": [], "A2": []}, 1,
+     "d25227bc39bc39f845c73bf8c4879676f8ca2f2fa9627b9643e9ee9d6354b895"),
+    ("(i) ends outside", _PATH9, {"A1": [0]}, 1,
+     "facabf597f732dbf14663007126494ab0420f8b313c6fd494b9b3130a5a7bf10"),
+    ("(ii) meet", _PATH9, {"B1": [0, 1]}, 1,
+     "10f5d090b242b0bd2716ebf9d57f0487d888a890ad605420d6cf0c9e205c3239"),
+    ("(i) order", _PATH9, {"A1": [3]}, 1,
+     "0d70b994b980809a5d1b16b98c3dbe42af00105bffff2a27b0a2b78383030ac2"),
+    # two non-adjacent strip vertices, both in A1
+    ("(ii) A1", SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),
+     {"H": [1, 2], "A1": [1, 2], "A2": [], "B1": [0], "B2": [3]}, 1,
+     "6901dbde6525e27ed841ad4b3ecf625053a2d6380e27a59cbf2dbbbd7671c7c9"),
+    ("(ii) A2", SimpleGraph.from_edges(4, [(0, 1), (2, 3)]),
+     {"H": [1, 2], "A1": [], "A2": [1, 2], "B1": [0], "B2": [3]}, 1,
+     "79bfdaaf9945309754484f4d9e5abe681db69931b9e68467744c21d18d3cb3ff"),
+    ("(ii) B1", _PATH9, {"B1": [0, 6], "B2": []}, 1,
+     "4816c65c3826a8b7e585f1469575da8b933dea89731d4fbe9b89bcd595305ca3"),
+    ("(ii) B2", _PATH9, {"B2": [6, 0]}, 1,
+     "819ff2df4da753e74ce5b663dbcbd7450fbcc275d8d1b15a981f0e0f3379c8b6"),
+    ("(iii) A1", _PATH9, {"B1": [0, 7]}, 1,
+     "cea0177dd71c0db1e8f9adc98fba7ec29e473c4f1f93ddaac3de04b0f9dbe6d6"),
+    ("(iii) A2", _PATH9, {"B2": [6, 8]}, 1,
+     "b05439eb12588eb0909733db0bfe63f3df07ca9603b8700bb7b3eb5f228a3ecf"),
+    ("(iv) stray", _PATH9, {"B2": []}, 1,
+     "3bbac2c812a29cdc7b9b1d235be7b5fe7e89ea9ec429db817a58b6b898b12f0d"),
+    ("(iv) inner", SimpleGraph.from_edges(9, _PATH9.edge_list() + [(3, 8)]), {}, 1,
+     "ff4b162bb56a3fcd21570bc9e321fe08342e8b337cc75bbb0febfa2cdd6ee32f"),
+])
+def test_structure_2join_verify_report_bytes(case, graph, edit, code, digest, tmp_path,
+                                             monkeypatch, capsys):
+    # one strip per message, labels shuffled; the report pins the first
+    # violation found
+    perm = [4, 8, 1, 6, 0, 3, 7, 2, 5] if graph.n == 9 else [2, 0, 3, 1]
+    tj = {k: sorted(perm[v] for v in vs) for k, vs in {**_STRIP, **edit}.items()}
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "strip.g6", emit_graph6(_relabel(graph, perm)))
+    write(tmp_path, "tj.json", json.dumps(tj))
+    assert run(["structure", "2join", "verify", "strip.g6", "tj.json",
+                "--json", "rep.json"]) == code
+    data = (tmp_path / "rep.json").read_bytes()
+    assert (json.loads(data)["results"][0]["payload"]["violation"] or "pass").startswith(
+        case.split()[0])
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_structure_2join_reduce_on_the_a1_side_report_bytes(tmp_path, monkeypatch, capsys):
+    # the strip {1..5} of the shuffled 9-vertex path reduces on its A1 side
+    perm = [4, 8, 1, 6, 0, 3, 7, 2, 5]
+    tj = {k: sorted(perm[v] for v in vs) for k, vs in _STRIP.items()}
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "strip.g6", emit_graph6(_relabel(_PATH9, perm)))
+    write(tmp_path, "tj.json", json.dumps(tj))
+    assert run(["structure", "2join", "reduce", "strip.g6", "tj.json",
+                "--json", "rep.json"]) == 0
+    assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
+        "fc9ba11ad52d3f891e23e31c25a916430b5ffc6dbda39e39ca9fd0a83de57182")
+
+
 @pytest.mark.parametrize("name, graph, argv, digest", [
     # a shuffled 8-vertex line graph of a multigraph, as in the corpus
     ("line8.g6", _relabel(line_graph(MultiGraph.from_edges(6, [
@@ -656,6 +754,25 @@ def test_corpus_cap_vertices(tmp_path, capsys):
     byname = {r["item"]: r for r in json.loads(open(rep).read())["results"]}
     assert byname["c4.g6"]["pass"]
     assert byname["c5.g6"]["payload"] == {"error": "over --cap-vertices (5)"}
+
+
+def test_bkscan_over_the_subset_cap_exits_2_at_once(tmp_path, capsys):
+    # C_22 has 4194303 nonempty vertex subsets, four times the cap; with
+    # --max-sub 3 the scan visits 1793 of them
+    c22 = write(tmp_path, "c22.g6", emit_graph6(cycle_graph(22)))
+    assert run(["structure", "bkscan", c22]) == 2
+    assert "scan capped at 1048576 vertex subsets, 4194303 asked" in capsys.readouterr().err
+    assert run(["structure", "bkscan", c22, "--max-sub", "3"]) == 0
+    # under corpus the cap hit is one FAIL item, like the other caps
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c22.g6").write_text(emit_graph6(cycle_graph(22)))
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    rep = str(tmp_path / "corpus.json")
+    assert run(["corpus", str(d), "--task", "scan", "--json", rep]) == 1
+    byname = {r["item"]: r for r in json.loads(open(rep).read())["results"]}
+    assert byname["c5.g6"]["pass"]
+    assert byname["c22.g6"]["payload"]["error"].startswith("scan capped at 1048576")
 
 
 def test_cap_flags_belong_to_corpus(c5_file, capsys):

@@ -349,3 +349,117 @@ def test_branch_and_bound_prunes_by_its_bound(monkeypatch):
         placed.clear()
         discharging.maxcut_partition(h)
         assert len(placed) <= 2048, h.edges
+
+
+# ---------------------------------------------------------------------------
+# the mask-based peel and degeneracy against the earlier edge-dict versions
+
+def _peel_witness_oracle(h, i):
+    if not 2 <= i <= 11:
+        raise ValueError("round index out of range")
+    degs = h.degrees()
+    low = {v for v in range(h.n) if degs[v] <= i and degs[v] > 0}
+    b_edges = {
+        (u, v): m for u, v, m in h.edges if u in low or v in low
+    }
+    b_verts = set(low)
+    for u, v in b_edges:
+        b_verts.add(u)
+        b_verts.add(v)
+    transfers = []
+
+    def bdeg(v):
+        return sum(m for (x, y), m in b_edges.items() if v in (x, y))
+
+    while b_verts & low:
+        donors = sorted(
+            (v for v in b_verts - low if bdeg(v) < i),
+            key=lambda v: (bdeg(v), v),
+        )
+        if not donors:
+            verts = sorted(b_verts)
+            index = {v: j for j, v in enumerate(verts)}
+            sub = MultiGraph.from_edges(
+                len(verts), [(index[u], index[v], m) for (u, v), m in b_edges.items()]
+            )
+            parts = (
+                tuple(index[v] for v in verts if v in low),
+                tuple(index[v] for v in verts if v not in low),
+            )
+            return "witness", discharging.BipartiteWitness(sub, parts, i, tuple(verts))
+        donor = donors[0]
+        nbrs = {x if y == donor else y for (x, y) in b_edges if donor in (x, y)}
+        for w in sorted(nbrs):
+            transfers.append((donor, w, 1))
+        gone = nbrs | {donor}
+        b_edges = {
+            (u, v): m for (u, v), m in b_edges.items() if u not in gone and v not in gone
+        }
+        b_verts -= gone
+        low -= gone
+        b_verts = {v for v in b_verts if v in low or bdeg(v) > 0}
+    return "done", transfers
+
+
+def _degeneracy_oracle(h):
+    remaining = set(range(h.n))
+    adj = h.adjacency_masks()
+    deg = h.degrees()
+    order = []
+    k = 0
+    while remaining:
+        v = min(remaining, key=lambda x: (deg[x], x))
+        k = max(k, deg[v])
+        order.append(v)
+        remaining.discard(v)
+        for w in remaining:
+            if adj[v] >> w & 1:
+                deg[w] -= h.multiplicity(v, w)
+    return k, order
+
+
+# the host on which round 2 stalls with a witness that fails is_valid
+_INVALID_WITNESS_HOST = _mg(6, [(0, 4, 1), (0, 5, 2), (2, 4, 1), (2, 5, 1), (3, 5, 1)])
+
+
+def _peel_hosts(rng):
+    """Random hosts, some with isolated vertices, bipartite hosts with
+    low-low edges added, complete and star hosts, and relabellings."""
+    hosts = [_INVALID_WITNESS_HOST, MultiGraph.from_edges(0, []), MultiGraph.from_edges(3, []),
+             MultiGraph.from_edges(6, complete_bipartite(1, 5).edge_list()),
+             MultiGraph.from_edges(14, complete_bipartite(7, 7).edge_list()),
+             MultiGraph.from_edges(14, complete_graph(13).edge_list() + [(0, 13), (1, 13)])]
+    for _ in range(120):
+        n = rng.randint(1, 10)
+        h = random_multigraph(rng, n, rng.randint(0, n * (n - 1) // 2), max_mult=4)
+        if rng.random() < 0.3:
+            h = MultiGraph.from_edges(n + rng.randint(1, 3), h.edges)
+        hosts.append(h)
+    for _ in range(30):
+        a, b = rng.randint(1, 4), rng.randint(1, 5)
+        records = [(u, a + v, rng.randint(1, 3)) for u in range(a) for v in range(b)
+                   if rng.random() < 0.6]
+        records += [(u, v, 1) for u, v in combinations(range(a), 2) if rng.random() < 0.3]
+        hosts.append(MultiGraph.from_edges(a + b, records))
+    for h in hosts[:60]:
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        hosts.append(MultiGraph.from_edges(h.n, [(perm[u], perm[v], m) for u, v, m in h.edges]))
+    return hosts
+
+
+def test_peel_witness_matches_the_edge_dict_peel_in_every_round(rng):
+    kinds = set()
+    for h in _peel_hosts(rng):
+        for i in range(2, 12):
+            got = discharging.peel_witness(h, i)
+            assert got == _peel_witness_oracle(h, i), (h.n, h.edges, i)
+            kinds.add(got[0])
+        assert discharging.degeneracy(h) == _degeneracy_oracle(h), (h.n, h.edges)
+    assert kinds == {"done", "witness"}
+    # the round-2 witness on this host still fails is_valid
+    kind, w = discharging.peel_witness(_INVALID_WITNESS_HOST, 2)
+    assert kind == "witness" and not w.is_valid(_INVALID_WITNESS_HOST)
+    for i in (1, 12):
+        with pytest.raises(ValueError, match="round index out of range"):
+            discharging.peel_witness(_INVALID_WITNESS_HOST, i)

@@ -17,7 +17,7 @@ from colorcert.paint import (
     PAINTABLE_VERTICES, RANDOM_GAMES, GameTranscript, _subsets_of,
     is_f_choosable, is_f_paintable,
 )
-from conftest import random_simple_graph
+from conftest import neighbors, random_simple_graph
 
 
 def test_paintable_classics():
@@ -178,7 +178,7 @@ def _choosable_oracle(g, f, cap=9):
                 return True
             v = order[k]
             for c in lists[v]:
-                if all(assign.get(w) != c for w in g.neighbors(v)):
+                if all(assign.get(w) != c for w in neighbors(g, v)):
                     assign[v] = c
                     if go(k + 1):
                         return True

@@ -3,17 +3,20 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorcert import structure
 from colorcert.alon_tarsi import is_f_AT
 from colorcert.catalog import two_join_catalog
 from colorcert.graphs import (
-    ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
+    ListSizeFn, MultiGraph, SimpleGraph, _check_vertex, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, join, line_graph, path_graph,
 )
 from colorcert.kernel import is_f_KP
 from conftest import (
-    path_power, random_interval_graph, random_multigraph, random_simple_graph, shuffled,
+    neighbors, path_power, random_interval_graph, random_multigraph, random_simple_graph,
+    shuffled,
 )
 
 
@@ -85,7 +88,7 @@ def _complement_bipartite(g, verts):
 
 def _is_quasi_line_oracle(g):
     for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
+        nbrs = sorted(neighbors(g, v))
         if not _complement_bipartite(g, nbrs):
             return False, v
     return True, None
@@ -300,7 +303,7 @@ def _connected(g):
     seen = {0}
     stack = [0]
     while stack:
-        for w in g.neighbors(stack.pop()) - seen:
+        for w in neighbors(g, stack.pop()) - seen:
             seen.add(w)
             stack.append(w)
     return len(seen) == g.n
@@ -310,7 +313,7 @@ def _is_linear_interval_order(g, order):
     """Every closed neighborhood is contiguous in the order."""
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
-        ps = sorted([pos[v]] + [pos[w] for w in g.neighbors(v) if w in pos])
+        ps = sorted([pos[v]] + [pos[w] for w in neighbors(g, v) if w in pos])
         if ps[-1] - ps[0] != len(ps) - 1:
             return False
     return True
@@ -417,8 +420,9 @@ def test_interval_order_with_ends_matches_the_permutation_scan(rng):
                          if g.is_clique(order[-2:]) else frozenset(order[-1:])))
         for a1, a2 in ends:
             want = _interval_order_with_ends(g, set(a1), set(a2))
-            assert structure._interval_order_with_ends(g, set(a1), set(a2)) == want, (
-                g.edge_list(), a1, a2)
+            got = structure._interval_order_with_ends(
+                g.adjacency_masks(), (1 << g.n) - 1, set(a1), set(a2))
+            assert got == want, (g.edge_list(), a1, a2)
             found += want is not None
     assert found >= 60
 
@@ -454,7 +458,7 @@ def is_circular_interval(g, cap=9):
         pos = {v: i for i, v in enumerate(order)}
         ok = True
         for v in order:
-            nbrs = {pos[w] for w in g.neighbors(v)}
+            nbrs = {pos[w] for w in neighbors(g, v)}
             if not nbrs:
                 continue
             # the closed neighborhood must form a circular arc
@@ -669,6 +673,230 @@ def test_compositions_are_quasi_line(rng):
         assert structure.is_quasi_line(g)[0]
 
 
+# ---------------------------------------------------------------------------
+# the mask walks against the earlier per-set scans; the earlier strip
+# check calls the permutation scan `_interval_order_with_ends` above in
+# place of the end-pinned search, which gives the same order
+
+def is_claw_free(g):
+    """Return (True, None) or (False, (center, a, b, c))."""
+    adj = g.adjacency_masks()
+    for v in range(g.n):
+        nbrs = sorted(neighbors(g, v))
+        for a, b, c in combinations(nbrs, 3):
+            if not (adj[a] >> b & 1 or adj[a] >> c & 1 or adj[b] >> c & 1):
+                return False, (v, a, b, c)
+    return True, None
+
+
+def verify_2join(g, tj):
+    """Check the four strip conditions; returns (True, None) or (False, why)."""
+    for v in sorted(tj.h | tj.a1 | tj.a2 | tj.b1 | tj.b2):
+        _check_vertex(v, g.n)
+    h = tj.h
+    if not h:
+        return False, "(i) empty strip"
+    if not (tj.a1 <= h and tj.a2 <= h):
+        return False, "(i) end cliques not inside the strip"
+    if h & (tj.b1 | tj.b2):
+        return False, "(ii) outside cliques meet the strip"
+    if len(h) > structure.STRIP_VERTICES:
+        raise ValueError(
+            f"interval-order search capped at {structure.STRIP_VERTICES} strip vertices")
+    sub, order_map = g.induced(h)
+    idx = {v: i for i, v in enumerate(order_map)}
+    interval = _interval_order_with_ends(sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2})
+    if interval is None:
+        return False, "(i) strip is not a linear interval graph with the end cliques at its ends"
+    for name, cl in (("A1", tj.a1), ("A2", tj.a2), ("B1", tj.b1), ("B2", tj.b2)):
+        if not g.is_clique(sorted(cl)):
+            return False, f"(ii) {name} is not a clique"
+    for a in tj.a1:
+        for b in tj.b1:
+            if not g.has_edge(a, b):
+                return False, "(iii) A1 not joined to B1"
+    for a in tj.a2:
+        for b in tj.b2:
+            if not g.has_edge(a, b):
+                return False, "(iii) A2 not joined to B2"
+    outside = set(range(g.n)) - h
+    for v in h:
+        for w in outside:
+            if not g.has_edge(v, w):
+                continue
+            ok = (v in tj.a1 and w in tj.b1) or (v in tj.a2 and w in tj.b2)
+            if not ok:
+                return False, "(iv) stray edge between the strip and the outside"
+    return True, None
+
+
+def reduce_2join(g, tj):
+    """One reduction step on a canonical reducible strip."""
+    if tj.a1 & tj.a2:
+        raise ValueError("strip is not canonical (end cliques intersect)")
+    ok, why = verify_2join(g, tj)
+    if not ok:
+        raise ValueError(f"invalid strip: {why}")
+    sub, order_map = g.induced(tj.h)
+    idx = {v: i for i, v in enumerate(order_map)}
+    if sub.is_clique(range(sub.n)):
+        raise ValueError("strip is complete, not reducible")
+    order = _interval_order_with_ends(
+        sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2}
+    )
+
+    def try_side(end_vertex, near, far, far_b):
+        c = {w for w in tj.h if g.has_edge(end_vertex, w)} - near
+        n_near = set()
+        for a in near:
+            n_near |= {w for w in tj.h if g.has_edge(a, w)}
+        n_near -= near
+        if n_near != c:
+            return None
+        moved = c & far
+        return structure.TwoJoin(
+            frozenset(tj.h - near - moved),
+            frozenset(c - far),
+            frozenset(far - c),
+            frozenset(near | moved),
+            frozenset(far_b | moved),
+        )
+
+    v1 = order_map[order[0]]
+    vt = order_map[order[-1]]
+    res = try_side(v1, tj.a1, tj.a2, tj.b2)
+    if res is None:
+        mirrored = try_side(vt, tj.a2, tj.a1, tj.b1)
+        if mirrored is None:
+            raise ValueError("strip is not reducible")
+        res = structure.TwoJoin(mirrored.h, mirrored.a2, mirrored.a1, mirrored.b2, mirrored.b1)
+    return res
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _relabel_all(rng, g, tj):
+    """g and tj with the vertex labels shuffled."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    moved = structure.TwoJoin(*(frozenset(perm[v] for v in part) for part in (
+        tj.h, tj.a1, tj.a2, tj.b1, tj.b2)))
+    return SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()]), moved
+
+
+def _composed_strip(rng):
+    """A composition of path-power strips over a hub of 1-3 vertices,
+    loops and parallel edges allowed, with the TwoJoin of its first
+    strip."""
+    hub_n = rng.randint(1, 3)
+    hub_edges, strips = [], []
+    for _ in range(rng.randint(1, 3)):
+        k, r = rng.randint(1, 5), rng.randint(1, 2)
+        x = tuple(range(rng.randint(1, min(r, k))))
+        y = tuple(range(k - rng.randint(1, min(r, k)), k))
+        strips.append(structure.Strip(SimpleGraph.from_edges(k, path_power(k, r)), x, y))
+        hub_edges.append((rng.randrange(hub_n), rng.randrange(hub_n)))
+    g = structure.compose(structure.CompositionSpec(hub_n, tuple(hub_edges), tuple(strips)))
+    (u, v), first = hub_edges[0], strips[0]
+    h = frozenset(range(first.graph.n))
+    ends = {w: set() for w in range(hub_n)}
+    off = 0
+    for (p, q), strip in zip(hub_edges, strips):
+        ends[p].update(off + w for w in strip.x)
+        ends[q].update(off + w for w in strip.y)
+        off += strip.graph.n
+    return g, structure.TwoJoin(h, frozenset(first.x), frozenset(first.y),
+                                frozenset(ends[u]) - h, frozenset(ends[v]) - h)
+
+
+def _perturbed(rng, g, tj):
+    """The strip itself, then one edit aimed at each strip condition."""
+    outside = sorted(set(range(g.n)) - tj.h)
+    inside = sorted(tj.h)
+    yield g, tj
+    yield g, structure.TwoJoin(frozenset(), frozenset(), frozenset(), tj.b1, tj.b2)
+    if outside:  # (i) an end clique leaves the strip
+        yield g, structure.TwoJoin(tj.h, tj.a1 | {rng.choice(outside)}, tj.a2, tj.b1, tj.b2)
+    # (i) an end clique moves inside the strip, and (ii) the outside meets it
+    yield g, structure.TwoJoin(tj.h, frozenset([rng.choice(inside)]), tj.a2, tj.b1, tj.b2)
+    yield g, structure.TwoJoin(tj.h, tj.a1, tj.a2, tj.b1 | {rng.choice(inside)}, tj.b2)
+    yield g, structure.TwoJoin(tj.h, tj.a1, tj.a2 | {rng.choice(inside)}, tj.b1, tj.b2)
+    if outside:  # (ii) or (iii): an outside clique grows
+        yield g, structure.TwoJoin(tj.h, tj.a1, tj.a2, tj.b1, tj.b2 | {rng.choice(outside)})
+    if tj.b1:  # (iv): an outside clique shrinks
+        yield g, structure.TwoJoin(tj.h, tj.a1, tj.a2, tj.b1 - {min(tj.b1)}, tj.b2)
+    if outside:  # (iv): a strip vertex gains an edge out
+        extra = (rng.choice(inside), rng.choice(outside))
+        yield SimpleGraph.from_edges(g.n, g.edge_list() + [extra]), tj
+
+
+def _random_strip(rng):
+    """A random graph with random strip sets, mostly failing early."""
+    g = random_simple_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
+    h = set(rng.sample(range(g.n), rng.randint(0, min(g.n, 6))))
+    pick = lambda pool: frozenset(v for v in pool if rng.random() < 0.3)
+    return g, structure.TwoJoin(frozenset(h), pick(h), pick(h), pick(set(range(g.n)) - h),
+                                pick(set(range(g.n)) - h))
+
+
+def test_claw_walk_matches_the_triple_scan(rng):
+    graphs = [random_simple_graph(rng, rng.randint(0, 10), rng.uniform(0.1, 0.9))
+              for _ in range(200)]
+    graphs += [line_graph(random_multigraph(rng, rng.randint(2, 6), rng.randint(1, 8)))[0]
+               for _ in range(30)]
+    graphs += [shuffled(rng, n, _cycle_power(n, k)) for n in range(4, 30, 5) for k in (1, 2, 4)]
+    graphs += [shuffled(rng, g.n, g.edge_list()) for g in graphs[:100]]
+    answers = [structure.is_claw_free(g) for g in graphs]
+    assert answers == [is_claw_free(g) for g in graphs]
+    assert 50 < sum(ok for ok, _ in answers) < len(graphs) - 50
+
+
+def test_strip_check_matches_the_set_scans(rng):
+    cases = []
+    for _ in range(60):
+        cases += list(_perturbed(rng, *_composed_strip(rng)))
+    cases += [_random_strip(rng) for _ in range(200)]
+    cases += [_relabel_all(rng, g, tj) for g, tj in cases[:300]]
+    whys, reduced = set(), 0
+    for g, tj in cases:
+        got = _outcome(structure.verify_2join, g, tj)
+        assert got == _outcome(verify_2join, g, tj), (g.edge_list(), tj)
+        whys.add(got[1] and got[1][:got[1].index(")") + 1])
+        res = _outcome(structure.reduce_2join, g, tj)
+        assert res == _outcome(reduce_2join, g, tj), (g.edge_list(), tj)
+        reduced += isinstance(res, structure.TwoJoin)
+    assert whys == {None, "(i)", "(ii)", "(iii)", "(iv)"}
+    assert reduced >= 20
+
+
+@st.composite
+def _graph_and_relabelling(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    perm = draw(st.permutations(range(n)))
+    return (SimpleGraph.from_edges(n, edges),
+            SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_and_relabelling())
+def test_recognizer_verdicts_survive_relabelling(graphs):
+    g, moved = graphs
+    assert structure.is_claw_free(g)[0] == structure.is_claw_free(moved)[0]
+    assert structure.is_quasi_line(g)[0] == structure.is_quasi_line(moved)[0]
+    for only in (False, True):
+        assert len(structure.find_homogeneous_pairs(g, nonlinear_only=only)) == len(
+            structure.find_homogeneous_pairs(moved, nonlinear_only=only))
+
+
 def test_bk_free_scan_flags_reducible_join():
     g = join(complete_graph(4), SimpleGraph.from_edges(2, []))
     hits = structure.bk_free_scan(g, delta=6)
@@ -711,6 +939,25 @@ def test_the_kernel_route_certifies_a_budget_that_no_orientation_does():
     assert not is_f_AT(g, f)[0]
     kind, cert = structure._reducible(g, f)
     assert kind == "kernel" and cert.check() and cert.supergraph_edges == []
+
+
+def test_bk_free_scan_refuses_more_subsets_than_its_cap(monkeypatch):
+    # C_5 has 31 nonempty vertex subsets, 15 of at most 2 vertices and 25
+    # of at most 3; only the whole cycle has every f_H value at least 1,
+    # and a refused scan asks no certificate question
+    asked = []
+    monkeypatch.setattr(structure, "is_f_AT", lambda sub, f: asked.append(sub) or (False, None))
+    monkeypatch.setattr(structure, "BK_SCAN_SUBSETS", 31)
+    assert structure.bk_free_scan(cycle_graph(5)) == []
+    assert asked == [cycle_graph(5)]
+    monkeypatch.setattr(structure, "BK_SCAN_SUBSETS", 30)
+    with pytest.raises(ValueError, match="capped at 30 vertex subsets, 31 asked"):
+        structure.bk_free_scan(cycle_graph(5))
+    monkeypatch.setattr(structure, "BK_SCAN_SUBSETS", 15)
+    assert structure.bk_free_scan(cycle_graph(5), max_sub=2) == []
+    with pytest.raises(ValueError, match="capped at 15 vertex subsets, 25 asked"):
+        structure.bk_free_scan(cycle_graph(5), max_sub=3)
+    assert asked == [cycle_graph(5)]
 
 
 def test_bk_free_scan_empty_on_small_clique():
