@@ -352,6 +352,7 @@ def _strip_order(g, tj):
 
 
 def _mask(vertices):
+    """The bitmask of a set of vertex ids."""
     return sum(1 << v for v in vertices)
 
 

@@ -604,6 +604,22 @@ def test_reduce_2join_shrinks_and_verifies():
     assert ok, why
 
 
+def test_reduce_2join_searches_the_strip_order_once(monkeypatch):
+    # the strip check hands its order to the reduction, which does not
+    # search again
+    search = structure._interval_order_with_ends
+    calls = []
+    monkeypatch.setattr(structure, "_interval_order_with_ends",
+                        lambda *a: calls.append(1) or search(*a))
+    g = path_graph(7)
+    tj = structure.TwoJoin(frozenset({1, 2, 3, 4, 5}), frozenset({1}), frozenset({5}),
+                           frozenset({0}), frozenset({6}))
+    assert structure.reduce_2join(g, tj) == structure.TwoJoin(
+        frozenset({2, 3, 4, 5}), frozenset({2}), frozenset({5}), frozenset({1}),
+        frozenset({6}))
+    assert len(calls) == 1
+
+
 def test_reduce_2join_iterates_to_fixpoint(rng):
     # iterated reduction strictly shrinks and keeps verifying
     for length in (4, 5, 6):
