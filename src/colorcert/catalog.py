@@ -1,16 +1,17 @@
 """Built-in catalog of small orientation certificates.
 
 Each entry is a fixed digraph together with the expected counts of even
-and odd spanning Eulerian sub-digraphs, optional display labels, and a
-short description of how the underlying graph is built.  The derived
-low set of an entry is the set of vertices whose out-degree equals
-their degree minus one; on entries used as near-degree examples these
-are exactly the vertices allowed one fewer color.
+and odd spanning Eulerian sub-digraphs and a short description of how
+the underlying graph is built.  The derived low set of an entry is the
+set of vertices whose out-degree equals their degree minus one; on
+entries used as near-degree examples these are exactly the vertices
+allowed one fewer color.
 """
 
 from dataclasses import dataclass
 
-from .graphs import Digraph, MultiGraph, SimpleGraph, path_graph
+from .graphs import Digraph, ListSizeFn, MultiGraph, SimpleGraph, line_graph, path_graph
+from .kernel import KPCertificate, orientation_from_clique_orders
 from .structure import TwoJoin
 
 
@@ -21,7 +22,6 @@ class CatalogEntry:
     digraph: Digraph
     ee: int  # expected even Eulerian count
     eo: int  # expected odd Eulerian count
-    labels: tuple  # opaque per-vertex display labels
     description: str
 
     def low_set(self):
@@ -32,22 +32,22 @@ class CatalogEntry:
         return frozenset(v for v in range(g.n) if outs[v] == degs[v] - 1)
 
 
-def _entry(tag, name, n, arcs, ee, eo, labels, description):
-    return CatalogEntry(tag, name, Digraph.from_arcs(n, arcs), ee, eo, tuple(labels), description)
+def _entry(tag, name, n, arcs, ee, eo, description):
+    return CatalogEntry(tag, name, Digraph.from_arcs(n, arcs), ee, eo, description)
 
 
 _ENTRIES = [
     _entry(
         "1a", "diamond", 4,
         [(2, 0), (1, 2), (0, 3), (3, 1), (1, 0)],
-        2, 1, (2, 1, 1, 1),
+        2, 1,
         "K4 minus an edge",
     ),
     _entry(
         "1b", "k3-join-e2", 5,
         [(2, 0), (2, 1), (0, 3), (3, 1), (1, 0),
          (0, 4), (4, 1), (4, 2), (4, 3)],
-        4, 3, (2, 3, 1, 2, 1),
+        4, 3,
         "triangle joined to two independent vertices",
     ),
     _entry(
@@ -55,14 +55,14 @@ _ENTRIES = [
         [(3, 1), (3, 2), (1, 0), (2, 0), (2, 1), (4, 3),
          (5, 6), (0, 6), (1, 6), (6, 2), (3, 6), (6, 4),
          (0, 5), (1, 5), (5, 2), (5, 3), (5, 4)],
-        81, 80, (2, 2, 3, 2, 2, 2, 4),
+        81, 80,
         "edge joined to the complement of a chair",
     ),
     _entry(
         "1d", "k4-join-e2", 6,
         [(0, 4), (4, 1), (4, 2), (3, 4), (0, 5), (5, 1), (5, 2), (3, 5),
          (0, 3), (3, 1), (3, 2), (2, 0), (1, 2), (1, 0)],
-        16, 17, (2, 3, 4, 1, 2, 2),
+        16, 17,
         "K4 joined to two independent vertices",
     ),
     _entry(
@@ -71,7 +71,7 @@ _ENTRIES = [
          (0, 4), (1, 4), (4, 2), (0, 5), (5, 1), (5, 2),
          (0, 6), (1, 6), (6, 2), (1, 7), (7, 2), (0, 7),
          (7, 3), (4, 7), (7, 5), (6, 7)],
-        512, 515, (2, 3, 5, 2, 2, 2, 2, 4),
+        512, 515,
         "K4 joined to four independent vertices",
     ),
     _entry(
@@ -80,7 +80,7 @@ _ENTRIES = [
          (0, 4), (1, 4), (4, 2), (0, 5), (5, 1), (2, 5),
          (0, 6), (1, 6), (6, 2), (1, 7), (7, 2), (0, 7),
          (7, 3), (4, 7), (5, 7), (6, 7), (3, 4)],
-        751, 750, (2, 3, 4, 2, 3, 2, 2, 5),
+        751, 750,
         "previous entry with one extra edge on the independent side",
     ),
     _entry(
@@ -89,7 +89,7 @@ _ENTRIES = [
          (0, 4), (4, 1), (2, 4), (0, 5), (1, 5), (5, 2),
          (0, 6), (1, 6), (6, 2), (1, 7), (7, 2), (0, 7),
          (7, 3), (4, 7), (5, 7), (6, 7), (4, 3), (5, 6)],
-        1097, 1096, (2, 3, 4, 3, 2, 2, 3, 5),
+        1097, 1096,
         "K4 joined to two disjoint edges",
     ),
     _entry(
@@ -97,61 +97,61 @@ _ENTRIES = [
         [(1, 0), (2, 0), (2, 1), (4, 5), (5, 6),
          (0, 3), (3, 1), (3, 2), (0, 4), (1, 4), (4, 2),
          (0, 5), (5, 1), (5, 2), (0, 6), (1, 6), (6, 2), (4, 3)],
-        108, 107, (2, 3, 4, 2, 2, 2, 3),
+        108, 107,
         "triangle joined to a four-vertex path",
     ),
     _entry(
         "1i", "k2-join-c4", 6,
         [(2, 0), (2, 1), (0, 3), (3, 1), (1, 0), (4, 5), (5, 3),
          (4, 2), (3, 2), (0, 4), (1, 4), (0, 5), (5, 1)],
-        30, 28, (2, 3, 2, 2, 2, 2),
+        30, 28,
         "edge joined to a four-cycle",
     ),
     _entry(
         "2a", "gadget-a", 7,
         [(1, 0), (1, 2), (3, 1), (2, 0), (0, 3), (3, 2),
          (0, 4), (4, 2), (5, 1), (5, 3), (4, 5), (1, 6), (6, 3), (5, 6)],
-        14, 12, (2, 2, 3, 3, 1, 1, 2),
+        14, 12,
         "seven-vertex reducible configuration",
     ),
     _entry(
         "2b", "gadget-b", 5,
         [(1, 0), (2, 0), (3, 2), (3, 1), (0, 4), (4, 1), (2, 4), (4, 3)],
-        4, 2, (2, 2, 1, 1, 2),
+        4, 2,
         "five-vertex reducible configuration",
     ),
     _entry(
         "2c", "gadget-c", 5,
         [(1, 0), (2, 1), (3, 2), (2, 4), (3, 4), (4, 1), (0, 3)],
-        3, 1, (1, 2, 1, 1, 2),
+        3, 1,
         "five-vertex reducible configuration, sparse variant",
     ),
     _entry(
         "2d", "gadget-d", 6,
         [(1, 0), (2, 0), (2, 1), (3, 1), (0, 4), (4, 2), (1, 4),
          (3, 2), (0, 3), (0, 5), (5, 2), (4, 5)],
-        14, 15, (2, 2, 3, 1, 2, 2),
+        14, 15,
         "six-vertex reducible configuration",
     ),
     _entry(
         "2e", "gadget-e", 6,
         [(1, 0), (2, 0), (3, 2), (3, 1), (0, 4), (2, 4), (4, 1),
          (5, 2), (0, 5), (1, 5), (5, 3), (5, 4)],
-        13, 11, (2, 2, 2, 1, 3, 2),
+        13, 11,
         "six-vertex reducible configuration, second variant",
     ),
     _entry(
         "2f", "gadget-f", 6,
         [(0, 2), (0, 4), (0, 5), (1, 0), (2, 3), (2, 4), (2, 5),
          (3, 1), (4, 3), (4, 5), (5, 1)],
-        5, 3, (1, 2, 1, 2, 2, 5),
+        5, 3,
         "six-vertex reducible configuration, third variant",
     ),
     _entry(
         "2g", "e2-join-c4", 6,
         [(2, 0), (1, 2), (0, 3), (1, 3), (5, 4), (3, 5),
          (2, 4), (3, 2), (4, 0), (4, 1), (0, 5), (5, 1)],
-        22, 16, (2, 2, 2, 2, 2, 2),
+        22, 16,
         "two independent vertices joined to a four-cycle",
     ),
     _entry(
@@ -159,21 +159,21 @@ _ENTRIES = [
         [(0, 4), (0, 5), (0, 6), (0, 7), (1, 0), (2, 0), (2, 3),
          (2, 6), (2, 7), (3, 1), (4, 1), (4, 2), (4, 3), (4, 6),
          (5, 2), (5, 4), (6, 5), (7, 5), (7, 6)],
-        72, 74, (2, 2, 2, 2, 2, 3, 4, 2),
+        72, 74,
         "eight-vertex reducible configuration",
     ),
     _entry(
         "4a", "k2-join-2k2-two-lows", 6,
         [(2, 0), (0, 3), (1, 2), (3, 1), (0, 4), (4, 1),
          (0, 5), (5, 1), (5, 4), (1, 0), (3, 2)],
-        8, 9, (2, 3, 2, 1, 2, 1),
+        8, 9,
         "edge joined to two disjoint edges, two low vertices",
     ),
     _entry(
         "4b", "k2-join-p4-low-end", 6,
         [(0, 3), (0, 4), (0, 5), (1, 0), (2, 1), (2, 0),
          (3, 1), (3, 2), (4, 1), (1, 5), (5, 4), (4, 2)],
-        14, 15, (2, 3, 2, 1, 2, 2),
+        14, 15,
         "edge joined to a four-vertex path, one low path-end",
     ),
 ]
@@ -210,7 +210,6 @@ class CliqueOrderEntry:
     tag: str
     name: str
     root: MultiGraph
-    edge_names: tuple  # line-graph vertex index -> display name
     edge_origin: tuple  # line-graph vertex index -> (u, v) root edge
     clique_orders: tuple  # tuple of tuples of line-graph vertex indices
     expected_degrees: tuple
@@ -223,7 +222,7 @@ def _clique_entry(tag, name, root, named_edges, clique_orders, degs, outs, empha
     origin = tuple((u, v) for _, u, v in named_edges)
     orders = tuple(tuple(index[nm] for nm in order) for order in clique_orders)
     return CliqueOrderEntry(
-        tag, name, root, tuple(nm for nm, _, _ in named_edges), origin, orders,
+        tag, name, root, origin, orders,
         tuple(degs), tuple(outs) if outs is not None else None,
         frozenset(index[nm] for nm in emphasized),
     )
@@ -301,6 +300,25 @@ def clique_order_entry(name):
         return _CLIQUE_BY_NAME[name]
     except KeyError:
         raise KeyError(f"no clique-order entry named {name!r}") from None
+
+
+def mu3_kp_certificates():
+    """Certificates for the built-in clique-order catalog entries, in
+    catalog order.
+
+    For each entry: build the line graph, orient it from the stored
+    clique orders, and give it the budget f(v) = d(v) on emphasized
+    vertices and d(v) - 1 otherwise.  Nothing is checked here: the
+    caller compares the entry's degree and out-degree rows and runs
+    `check()`, so a bad entry is one failed certificate, not an error.
+    """
+    certs = []
+    for entry in _CLIQUE_ENTRIES:
+        lg, _ = line_graph(entry.root, entry.edge_origin)
+        d = orientation_from_clique_orders(lg.n, entry.clique_orders)
+        f = ListSizeFn.degree_minus_one_on_high(lg, entry.emphasized)
+        certs.append(KPCertificate(lg, f, d, root=entry.root, origin=entry.edge_origin))
+    return certs
 
 
 # ---------------------------------------------------------------------------

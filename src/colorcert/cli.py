@@ -157,7 +157,7 @@ def add_clique_order_items(report, prefix, keep):
     admits, named prefix + "TAG (NAME)".  It passes when the entry's
     stored degree and out-degree rows (where stored) match and `check()`,
     run once, holds; a wrong row is named in the payload."""
-    for entry, cert in zip(catalog.clique_order_catalog(), kernel.mu3_kp_certificates()):
+    for entry, cert in zip(catalog.clique_order_catalog(), catalog.mu3_kp_certificates()):
         if not keep(entry.tag, entry.name):
             continue
         outs = cert.digraph.out_degrees()
@@ -400,10 +400,11 @@ def cmd_structure(args):
             ok, why = structure.verify_2join(g, tj)
             report.add("strip conditions", ok, {"violation": why})
         else:
+            # a valid strip that cannot be reduced is a "no", not bad input
             reduced = structure.reduce_2join(g, tj)
-            ok, why = structure.verify_2join(g, reduced)
+            ok, why = (False, None) if reduced is None else structure.verify_2join(g, reduced)
             report.add("reduction", ok,
-                       {"reduced": reduced.to_json(), "violation": why})
+                       {"reduced": reduced and reduced.to_json(), "violation": why})
     return report.emit(args)
 
 

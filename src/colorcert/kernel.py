@@ -283,52 +283,30 @@ def bipartite_edge_coloring(b):
     """Proper edge coloring of a bipartite multigraph with Delta colors.
 
     Standard augmenting-path coloring: insert edge copies one at a
-    time; when no color is free at both endpoints, swap colors along an
-    alternating chain.  Returns a list of colors (1-based), one per
-    edge copy in line-graph vertex order.
+    time; with a the least color free at u and c the least free at v,
+    swap a and c along the alternating chain from v (empty when a is
+    free at v).  In a bipartite graph the chain cannot reach u, so a
+    becomes free at both endpoints.  Returns a list of colors
+    (1-based), one per edge copy in line-graph vertex order.
     """
     copies = edge_copies(b)
     delta = max(b.degrees()) if b.edges else 0
-    used = [dict() for _ in range(b.n)]  # vertex -> color -> copy index
+    at = [[None] * (delta + 1) for _ in range(b.n)]  # at[v][c]: the copy colored c at v
     colors = [None] * len(copies)
-
-    def assign(idx, col):
-        u, v = copies[idx]
-        colors[idx] = col
-        used[u][col] = idx
-        used[v][col] = idx
-
-    def unassign(idx):
-        u, v = copies[idx]
-        col = colors[idx]
-        del used[u][col]
-        del used[v][col]
-        colors[idx] = None
-
     for idx, (u, v) in enumerate(copies):
-        free_u = next(c for c in range(1, delta + 1) if c not in used[u])
-        free_v = next(c for c in range(1, delta + 1) if c not in used[v])
-        if free_u == free_v:
-            assign(idx, free_u)
-            continue
-        # swap colors free_u/free_v along the alternating chain from v;
-        # in a bipartite graph the chain cannot reach u, so free_u
-        # becomes free at v as well
-        a, bcol = free_u, free_v
-        chain = []
+        a = at[u].index(None, 1)
+        c = at[v].index(None, 1)
         w, col = v, a
-        while col in used[w]:
-            j = used[w][col]
-            chain.append(j)
-            p, q = copies[j]
-            w = q if w == p else p
-            col = bcol if col == a else a
-        swapped = [bcol if colors[j] == a else a for j in chain]
-        for j in chain:
-            unassign(j)
-        for j, new in zip(chain, swapped):
-            assign(j, new)
-        assign(idx, a)
+        while True:
+            row = at[w]
+            j = row[col]
+            row[a], row[c] = row[c], row[a]
+            if j is None:
+                break
+            col = colors[j] = a + c - col
+            w = sum(copies[j]) - w
+        colors[idx] = a
+        at[u][a] = at[v][a] = idx
     return colors
 
 
@@ -481,24 +459,3 @@ def orientation_from_clique_orders(n, clique_orders):
             for bi in range(ai + 1, len(order)):
                 arcs.add((a, order[bi]))
     return Digraph.from_arcs(n, arcs)
-
-
-def mu3_kp_certificates():
-    """Certificates for the built-in clique-order catalog entries, in
-    catalog order.
-
-    For each entry: build the line graph, orient it from the stored
-    clique orders, and give it the budget f(v) = d(v) on emphasized
-    vertices and d(v) - 1 otherwise.  Nothing is checked here: the
-    caller compares the entry's degree and out-degree rows and runs
-    `check()`, so a bad entry is one failed certificate, not an error.
-    """
-    from .catalog import clique_order_catalog
-
-    certs = []
-    for entry in clique_order_catalog():
-        lg, _ = line_graph(entry.root, entry.edge_origin)
-        d = orientation_from_clique_orders(lg.n, entry.clique_orders)
-        f = ListSizeFn.degree_minus_one_on_high(lg, entry.emphasized)
-        certs.append(KPCertificate(lg, f, d, root=entry.root, origin=entry.edge_origin))
-    return certs

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+from .graphs import _bits
 from .kernel import find_kernel
 
 RANDOM_GAMES = 1000
@@ -38,15 +39,6 @@ def _subsets_of(mask):
     while sub:
         yield sub
         sub = (sub - 1) & mask
-
-
-def _mask_vertices(mask):
-    out = []
-    while mask:
-        v = mask.bit_length() - 1
-        out.append(v)
-        mask &= ~(1 << v)
-    return out
 
 
 def _maximal_independent_sets(adj):
@@ -131,13 +123,13 @@ def _play(tokens, width, mask, move):
     rounds = []
     while mask:
         listed, painted = move(mask, tokens)
-        rounds.append((set(_mask_vertices(listed)), set(_mask_vertices(painted))))
+        rounds.append((set(_bits(listed)), set(_bits(painted))))
         mask &= ~painted
         left = listed & mask
         if _at_most(mask, tokens, width, 0) or _at_most(left, tokens, width, 1):
             return GameTranscript(rounds, "Lister")
-        tokens &= ~sum(field << (width * v) for v in _mask_vertices(painted))
-        tokens -= sum(1 << (width * v) for v in _mask_vertices(left))
+        tokens &= ~sum(field << (width * v) for v in _bits(painted))
+        tokens -= sum(1 << (width * v) for v in _bits(left))
     return GameTranscript(rounds, "Painter")
 
 
@@ -295,7 +287,7 @@ def _list_colorer(adj, sizes):
 
 
 def _as_sets(lists):
-    return [set(_mask_vertices(m)[::-1]) for m in lists]
+    return [set(_bits(m)) for m in lists]
 
 
 def _canonical_search(adj, sizes):
@@ -332,9 +324,9 @@ def _canonical_search(adj, sizes):
             lists[last] = ((1 << k) - 1) << used
             return _as_sets(lists)
         blocked = 0
-        for w in _mask_vertices(adj[last]):
+        for w in _bits(adj[last]):
             blocked |= color[w]
-        old = [1 << c for c in reversed(_mask_vertices(blocked))]
+        old = [1 << c for c in _bits(blocked)]
         for old_set in combinations(old, k):
             lists[last] = sum(old_set)
             if not colorable(0):
@@ -451,13 +443,13 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
     def step(listed):
         """(kernel, listed vertices left uncolored, the fields kept, one
         token off each vertex left) for a listed mask."""
-        found = find_kernel(d, _mask_vertices(listed))
+        found = find_kernel(d, list(_bits(listed)))
         if found is None:
             raise RuntimeError("certificate digraph lost its kernel")
         left = listed & ~sum(1 << v for v in found)
         steps[listed] = (listed ^ left, left,
                          ~sum(field << (width * v) for v in found),
-                         sum(1 << (width * v) for v in _mask_vertices(left)))
+                         sum(1 << (width * v) for v in _bits(left)))
         return steps[listed]
 
     def kernel_of(listed):
@@ -478,7 +470,7 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
             visited.add((mask, tokens))
             if mask not in listings:
                 # by size, then lexicographically
-                verts = _mask_vertices(mask)[::-1]
+                verts = list(_bits(mask))
                 listings[mask] = [sum(1 << v for v in listed)
                                   for size in range(1, len(verts) + 1)
                                   for listed in combinations(verts, size)]
@@ -488,7 +480,7 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
                 if left & low or broke & mask & ~kernel:
                     # `_play`'s rule: a vertex left uncolored without a token
                     raise AssertionError(
-                        f"kernel painter lost after listing {_mask_vertices(listed)[::-1]}"
+                        f"kernel painter lost after listing {list(_bits(listed))}"
                     )
                 child = (mask & ~kernel, (tokens & keep) - unit)
                 if child[0] and child not in visited:
@@ -503,7 +495,7 @@ def kernel_painter_play(g, f, cert, adversary="exhaustive"):
         rng = random.Random(seed)
 
         def moves(mask, _tokens):
-            verts = _mask_vertices(mask)[::-1]
+            verts = list(_bits(mask))
             listed = sum(1 << v for v in rng.sample(verts, rng.randint(1, len(verts))))
             return listed, kernel_of(listed)
 

@@ -71,47 +71,39 @@ def recognize_line_graph(g):
     """
     if g.n > LINE_GRAPH_VERTICES:
         raise ValueError(f"recognition capped at {LINE_GRAPH_VERTICES} vertices")
-    all_cliques = [frozenset(c) for c in g.cliques() if len(c) >= 2]
+    cliques = [sum(1 << v for v in c) for c in g.cliques() if len(c) >= 2]
 
-    def cover(remaining, used, load):
-        # edge-clique cover with every vertex in at most two parts;
-        # overlap on edges is allowed (parallel root edges share both
-        # of their cliques)
-        if not remaining:
-            return list(used)
-        a, b = min(remaining)
-        for cl in all_cliques:
-            if a not in cl or b not in cl:
-                continue
-            if any(load[v] >= 2 for v in cl):
-                continue
-            inside = set(combinations(sorted(cl), 2))
-            for v in cl:
-                load[v] += 1
-            used.append(cl)
-            res = cover(remaining - inside, used, load)
-            if res is not None:
-                return res
-            used.pop()
-            for v in cl:
-                load[v] -= 1
+    def cover(rest, once, twice):
+        # edge-clique cover of the uncovered edges `rest` (a neighbour
+        # mask per vertex) with every vertex in at most two parts: `once`
+        # and `twice` are the vertices in at least one and in two parts.
+        # Overlap on edges is allowed (parallel root edges share both of
+        # their cliques).  The least uncovered edge is covered first.
+        a = next((v for v, m in enumerate(rest) if m), None)
+        if a is None:
+            return []
+        edge = 1 << a | rest[a] & -rest[a]
+        for cl in cliques:
+            if cl & edge == edge and not cl & twice:
+                tail = cover(tuple(m & ~cl if cl >> v & 1 else m for v, m in enumerate(rest)),
+                             once | cl, twice | once & cl)
+                if tail is not None:
+                    return [cl, *tail]
         return None
 
-    load = [0] * g.n
-    parts = cover(set(g.edge_list()), [], load)
+    parts = cover(g.adjacency_masks(), 0, 0)
     if parts is None:
         return None
     # every vertex must end in exactly two parts; vertices in fewer
     # get private pendant parts
-    membership = {v: [i for i, cl in enumerate(parts) if v in cl] for v in range(g.n)}
     extra = len(parts)
     origin = []
     for v in range(g.n):
-        ms = membership[v]
+        ms = [i for i, cl in enumerate(parts) if cl >> v & 1]
         while len(ms) < 2:
             ms.append(extra)
             extra += 1
-        origin.append((min(ms), max(ms)))
+        origin.append(tuple(ms))
     root = MultiGraph.from_edges(extra, origin)
     if line_graph(root, origin)[0] != g:
         return None
@@ -384,7 +376,9 @@ def reduce_2join(g, tj):
     H \\ (A1 ∪ (C ∩ A2)) with end cliques C \\ A2 and A2 \\ C, outside
     cliques A1 ∪ (C ∩ A2) and B2 ∪ (C ∩ A2).  The mirrored step applies
     on the A2 side.  The result is canonical, strictly smaller, and
-    passes verify_2join.
+    passes verify_2join.  A valid canonical strip that is complete or
+    reducible on neither side gives None; a non-canonical or invalid
+    one raises ValueError.
     """
     if tj.a1 & tj.a2:
         raise ValueError("strip is not canonical (end cliques intersect)")
@@ -394,7 +388,7 @@ def reduce_2join(g, tj):
     adj = g.adjacency_masks()
     h, a1, a2, b1, b2 = map(_mask, (tj.h, tj.a1, tj.a2, tj.b1, tj.b2))
     if _is_clique(adj, h):
-        raise ValueError("strip is complete, not reducible")
+        return None
 
     def try_side(end_vertex, near, far, far_b):
         c = adj[end_vertex] & h & ~near
@@ -410,9 +404,8 @@ def reduce_2join(g, tj):
     res = try_side(order[0], a1, a2, b2)
     if res is None:
         mirrored = try_side(order[-1], a2, a1, b1)
-        if mirrored is None:
-            raise ValueError("strip is not reducible")
-        res = TwoJoin(mirrored.h, mirrored.a2, mirrored.a1, mirrored.b2, mirrored.b1)
+        if mirrored is not None:
+            res = TwoJoin(mirrored.h, mirrored.a2, mirrored.a1, mirrored.b2, mirrored.b1)
     return res
 
 

@@ -47,7 +47,7 @@ def test_criterion_01_catalog_counts():
 def test_criterion_02_clique_order_tables():
     start = time.time()
     entries = catalog.clique_order_catalog()
-    certs = kernel.mu3_kp_certificates()
+    certs = catalog.mu3_kp_certificates()
     ok = len(certs) == 3
     for cert, e in zip(certs, entries):
         g, _ = line_graph(e.root, e.edge_origin)

@@ -15,7 +15,7 @@ from colorcert.alon_tarsi import ATCertificate
 from colorcert.graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     complete_multipartite_2t, cycle_graph, digraph_to_json, emit_edge_list, emit_graph6,
-    join, line_graph,
+    join, line_graph, path_graph,
 )
 from test_alon_tarsi import poly_coefficient_schauz
 from conftest import SIZE_PROBES, resized
@@ -250,6 +250,23 @@ def test_structure_2join_reduce_report_bytes(tmp_path, monkeypatch, capsys):
                 "--json", "rep.json"]) == 0
     assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
         "d85c8ae760056ee558b2c5e87ba7a5c5098529fa96a06666af4a967d462c3028")
+
+
+def test_structure_2join_reduce_reports_an_irreducible_strip(tmp_path, monkeypatch, capsys):
+    # a valid strip of P_5 that is reducible on neither side is a "no"
+    # answer with a report, not malformed input
+    tj = {"H": [1, 2], "A1": [1], "A2": [2], "B1": [0], "B2": [3]}
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "p5.g6", emit_graph6(path_graph(5)))
+    write(tmp_path, "tj.json", json.dumps(tj))
+    assert run(["structure", "2join", "verify", "p5.g6", "tj.json"]) == 0
+    assert run(["structure", "2join", "reduce", "p5.g6", "tj.json", "--json", "rep.json"]) == 1
+    assert "FAIL  reduction" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "rep.json").read_bytes())
+    assert doc["results"] == [{"item": "reduction", "pass": False,
+                               "payload": {"reduced": None, "violation": None}}]
+    assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
+        "319bc4a086b3c533b3d6eebea74a92bdc91438398f47a7dc009f524fe19ee1f4")
 
 
 _P7SQ = _relabel(SimpleGraph.from_edges(7, [

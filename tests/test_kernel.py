@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from colorcert import alon_tarsi, kernel
+from colorcert import alon_tarsi, catalog, kernel
 from colorcert.graphs import (
     Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite,
     complete_graph, cycle_graph, edge_copies, line_graph,
@@ -139,11 +139,9 @@ def test_is_f_KP_small_graphs(rng):
 
 
 def test_clique_order_certificates_match_tables():
-    certs = kernel.mu3_kp_certificates()
+    certs = catalog.mu3_kp_certificates()
     assert len(certs) == 3
-    from colorcert.catalog import clique_order_catalog
-
-    for cert, entry in zip(certs, clique_order_catalog()):
+    for cert, entry in zip(certs, catalog.clique_order_catalog()):
         assert cert.check()
         g, _ = line_graph(entry.root, entry.edge_origin)
         assert g.degrees() == list(entry.expected_degrees)
@@ -786,3 +784,88 @@ def test_the_star_order_search_is_capped_below_the_recursion_limit():
     b = MultiGraph.from_edges(cap, [(0, 1, 1)])
     _, origin = line_graph(b)
     assert kernel._search_star_orders(b, origin, ListSizeFn.constant(1, 1)) is not None
+
+
+# ---------------------------------------------------------------------------
+# the colour-table bipartite_edge_coloring against the dict-based
+# insertion it replaced
+
+def _edge_coloring_oracle(b, chains=None):
+    """Proper edge coloring of a bipartite multigraph with Delta colors;
+    the length of each swapped chain is appended to `chains`."""
+    copies = edge_copies(b)
+    delta = max(b.degrees()) if b.edges else 0
+    used = [dict() for _ in range(b.n)]  # vertex -> color -> copy index
+    colors = [None] * len(copies)
+
+    def assign(idx, col):
+        u, v = copies[idx]
+        colors[idx] = col
+        used[u][col] = idx
+        used[v][col] = idx
+
+    def unassign(idx):
+        u, v = copies[idx]
+        col = colors[idx]
+        del used[u][col]
+        del used[v][col]
+        colors[idx] = None
+
+    for idx, (u, v) in enumerate(copies):
+        free_u = next(c for c in range(1, delta + 1) if c not in used[u])
+        free_v = next(c for c in range(1, delta + 1) if c not in used[v])
+        if free_u == free_v:
+            assign(idx, free_u)
+            continue
+        a, bcol = free_u, free_v
+        chain = []
+        w, col = v, a
+        while col in used[w]:
+            j = used[w][col]
+            chain.append(j)
+            p, q = copies[j]
+            w = q if w == p else p
+            col = bcol if col == a else a
+        if chains is not None:
+            chains.append(len(chain))
+        swapped = [bcol if colors[j] == a else a for j in chain]
+        for j in chain:
+            unassign(j)
+        for j, new in zip(chain, swapped):
+            assign(j, new)
+        assign(idx, a)
+    return colors
+
+
+def _chain_bipartite(rng):
+    """A path or an even cycle through 4-12 vertices, some edges doubled
+    or tripled, with pendant edges hung on so the degrees are irregular;
+    the labels are shuffled, so the copies go in out of path order and
+    an insert meets two differently coloured halves of the path."""
+    k = rng.randint(4, 12)
+    records = [(i, i + 1, rng.choice((1, 1, 1, 2, 3))) for i in range(k - 1)]
+    if k % 2 == 0 and rng.random() < 0.5:
+        records.append((0, k - 1, rng.randint(1, 2)))
+    n = k
+    for _ in range(rng.randint(0, 3)):
+        records.append((rng.randrange(k), n, rng.randint(1, 3)))
+        n += 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return MultiGraph.from_edges(n, [(perm[u], perm[v], m) for u, v, m in records])
+
+
+def test_edge_coloring_matches_the_dict_insertion(rng):
+    chains = []
+    for i in range(1500):
+        if i % 2:
+            left, right = rng.randint(1, 6), rng.randint(1, 6)
+            b = MultiGraph.from_edges(left + right, [
+                (u, v, rng.randint(1, 3)) for u in range(left)
+                for v in range(left, left + right) if rng.random() < 0.5])
+        else:
+            b = _chain_bipartite(rng)
+        colors = kernel.bipartite_edge_coloring(b)
+        assert colors == _edge_coloring_oracle(b, chains), b.edges
+    # the inserts swap chains, long ones among them
+    assert sum(k > 0 for k in chains) > 2000 and sum(k >= 5 for k in chains) > 100

@@ -2,14 +2,14 @@
 function imports again from a module that its file imports at module
 level, every import inside a function is listed with the import cycle
 it breaks, every module-level private function or class is used somewhere
-in the package, every public one and every public method is read by the
-package or the benchmark or is listed library API, every function reads
-each of its parameters, no module holds an `assert`, every `raise
-AssertionError` sits in a listed function, only `graphs.py`
-calls the raw `SimpleGraph` constructor, only `cli.RunReport` opens
-files, and every function that calls itself has its depth capped by a
-module constant; brute force kept only for cross-checking lives in the
-tests."""
+in the package, every public one, every public method and every
+dataclass field is read by the package or the benchmark or is listed,
+every function reads each of its parameters, no module holds an
+`assert`, every `raise AssertionError` sits in a listed function, only
+`graphs.py` calls the raw `SimpleGraph` constructor, only
+`cli.RunReport` opens files, and every function that calls itself has
+its depth capped by a module constant; brute force kept only for
+cross-checking lives in the tests."""
 
 import ast
 from pathlib import Path
@@ -141,10 +141,7 @@ def _function_imports(tree):
 
 # Every import inside a function, with the import cycle it breaks.  An
 # import that breaks no cycle belongs at the top of its module.
-LAZY_IMPORTS = {
-    ("kernel.py", "mu3_kp_certificates", ".catalog"):
-        "catalog imports structure, which imports kernel at module level",
-}
+LAZY_IMPORTS = {}
 
 
 def test_every_lazy_import_is_listed():
@@ -368,6 +365,72 @@ def test_the_check_sees_unread_public_defs():
     ]
     assert _unread_public_methods(trees, readers) == [
         ("a.py", "Shape", "again"), ("a.py", "Shape", "stray"),
+    ]
+
+
+def _dataclass_fields(trees):
+    """(module, class, field) of each field of a module-level class that
+    `dataclass` decorates, called or not: its annotated class-body names."""
+    def is_dataclass(dec):
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        return getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass"
+
+    return [(module, top.name, item.target.id) for module, tree in trees.items()
+            for top in tree.body if isinstance(top, ast.ClassDef)
+            and any(is_dataclass(d) for d in top.decorator_list)
+            for item in top.body if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def _unread_fields(trees, readers):
+    """(module, class, field) of each dataclass field of `trees` that no
+    module of `trees` or `readers` loads as an attribute of that name;
+    a read in the class's own methods counts."""
+    reads = {r[0] for r in _attribute_reads(trees)
+             | _attribute_reads({("reader", m): t for m, t in readers.items()})}
+    return [hit for hit in _dataclass_fields(trees) if hit[2] not in reads]
+
+
+# Dataclass fields that nothing in the package or the benchmark reads.
+UNREAD_FIELDS = {
+    ("catalog.py", "CatalogEntry", "description"):
+        "says in the source how each entry's graph is built; no command prints it",
+}
+
+
+def test_every_dataclass_field_is_read():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    readers = {p.name: ast.parse(p.read_text(), filename=str(p))
+               for p in sorted(PERFBENCH.glob("*.py"))}
+    # equal, not a subset: a field that gains a reader leaves the list
+    assert sorted(_unread_fields(trees, readers)) == sorted(UNREAD_FIELDS)
+
+
+def test_the_check_sees_unread_fields():
+    trees = {
+        "a.py": ast.parse(
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class Point:\n"
+            "    x: int\n"
+            "    y: int\n"
+            "    label: str = ''\n"
+            "    LIMIT = 3\n"
+            "    def norm(self):\n"
+            "        return self.x\n"
+            "@dataclasses.dataclass\n"
+            "class Box:\n"
+            "    side: int\n"
+            "    spare: int\n"
+            "class Plain:\n"
+            "    width: int\n"
+        ),
+        "b.py": ast.parse("def f(p):\n    p.label = 'b'\n    return p.norm()\n"),
+    }
+    readers = {"run.py": ast.parse("print(box.side)\n")}
+    assert _unread_fields(trees, readers) == [
+        ("a.py", "Point", "y"), ("a.py", "Point", "label"), ("a.py", "Box", "spare"),
     ]
 
 

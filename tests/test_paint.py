@@ -211,12 +211,16 @@ def _choosable_oracle(g, f, cap=9):
     return False, bad
 
 
+def _mask_vertices(mask):
+    """The vertices of mask, highest first."""
+    return [v for v in reversed(range(mask.bit_length())) if mask >> v & 1]
+
+
 def _paintable_oracle(g, f, cap=9, prune=True):
     if g.n > cap:
         raise ValueError(f"solver capped at {cap} vertices")
     adj = g.adjacency_masks()
     memo = {}
-    _mask_vertices = paint._mask_vertices
     _subsets_of = paint._subsets_of
 
     def uncolored_degree(v, mask):
@@ -933,7 +937,7 @@ def _choosable_leafwise(g, f):
         if v == n:
             if colorable(0):
                 return None
-            return [set(paint._mask_vertices(m)[::-1]) for m in lists]
+            return [set(_mask_vertices(m)[::-1]) for m in lists]
         # candidate colors: all already-introduced colors plus enough
         # fresh ones; fresh colors are interchangeable, so only the
         # count of fresh colors matters
@@ -1024,7 +1028,7 @@ def _choosable_enumerating(g, f):
         return False
 
     def failing():
-        return [set(paint._mask_vertices(m)[::-1]) for m in lists]
+        return [set(_mask_vertices(m)[::-1]) for m in lists]
 
     def settle_last(used):
         """The first failing list of the last vertex, else None."""
@@ -1034,9 +1038,9 @@ def _choosable_enumerating(g, f):
             lists[last] = ((1 << k) - 1) << used
             return failing()
         blocked = 0
-        for w in paint._mask_vertices(adj[last]):
+        for w in _mask_vertices(adj[last]):
             blocked |= color[w]
-        old = [1 << c for c in reversed(paint._mask_vertices(blocked))]
+        old = [1 << c for c in reversed(_mask_vertices(blocked))]
         for old_set in combinations(old, k):
             lists[last] = sum(old_set)
             if not colorable(0):
