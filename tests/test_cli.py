@@ -1141,3 +1141,62 @@ def test_a_bad_clique_order_entry_fails_alone(argv, prefix, broken, tmp_path, mo
     [item] = [r for r in json.loads(rep.read_text())["results"] if r["item"] == names[0]]
     assert item["payload"]["outdegrees"] == list(entries[0].expected_outdegrees)
     assert ("out-degree row" in item["payload"].get("error", "")) == broken
+
+
+# --- every leaf command, once: its report's command string and exit code
+
+def _leaf_inputs(tmp_path):
+    """Write one tiny input of each kind into `tmp_path`."""
+    from colorcert.catalog import two_join_catalog
+
+    _, _, p5, tj = two_join_catalog()[1]
+    k33 = MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list())
+    write(tmp_path, "c5.g6", emit_graph6(cycle_graph(5)))
+    write(tmp_path, "p5.g6", emit_graph6(p5))
+    write(tmp_path, "tj.json", json.dumps(tj.to_json()))
+    write(tmp_path, "arc.json", json.dumps({"n": 2, "arcs": [[0, 1]]}))
+    write(tmp_path, "k33.txt", emit_edge_list(k33))
+    write(tmp_path, "cert.json", json.dumps(kernel.galvin_orientation(k33).to_json()))
+    write(tmp_path, "spec.json", json.dumps(
+        {"hub_n": 2, "hub_edges": [[0, 1]],
+         "strips": [{"n": 2, "edges": [[0, 1]], "X": [0], "Y": [1]}]}))
+    (tmp_path / "graphs").mkdir()
+    write(tmp_path / "graphs", "c5.g6", emit_graph6(cycle_graph(5)))
+
+
+@pytest.mark.parametrize("argv, command, code", [
+    ("at count arc.json", "at count", 0),
+    ("at check c5.g6 --f const:3", "at check", 0),
+    ("at coeff c5.g6 --exponents 2,1,1,1,0", "at coeff", 0),
+    ("kp check arc.json", "kp check", 0),
+    ("kp search c5.g6 --f const:2", "kp search", 1),
+    ("kp galvin k33.txt", "kp galvin", 0),
+    ("kp mu3", "kp mu3", 0),
+    ("paint solve c5.g6 --f const:2", "paint solve", 1),
+    ("paint play --cert cert.json", "paint play", 0),
+    ("choose solve c5.g6 --f const:2", "choose solve", 1),
+    ("structure clawfree c5.g6", "structure clawfree", 0),
+    ("structure quasiline c5.g6", "structure quasiline", 0),
+    ("structure linegraph c5.g6", "structure linegraph", 0),
+    ("structure homopairs c5.g6", "structure homopairs", 0),
+    ("structure circular c5.g6", "structure circular", 0),
+    ("structure bkscan c5.g6 --max-sub 2", "structure bkscan", 0),
+    ("structure compose spec.json", "structure compose", 0),
+    ("structure 2join verify p5.g6 tj.json", "structure 2join", 0),
+    ("structure 2join reduce p5.g6 tj.json", "structure 2join", 0),
+    ("discharge run k33.txt", "discharge run", 0),
+    ("discharge partition k33.txt", "discharge partition", 0),
+    ("discharge degeneracy k33.txt", "discharge degeneracy", 0),
+    ("catalog verify --entry 1f", "catalog verify", 0),
+    ("pipeline linegraph k33.txt", "pipeline linegraph", 0),
+    ("corpus graphs --task at", "corpus at", 0),
+    ("corpus graphs --task kp", "corpus kp", 0),
+    ("corpus graphs --task paint", "corpus paint", 0),
+    ("corpus graphs --task scan --max-sub 2", "corpus scan", 0),
+])
+def test_every_leaf_command_names_its_report(argv, command, code, tmp_path, monkeypatch,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    _leaf_inputs(tmp_path)
+    assert run(argv.split() + ["--json", "rep.json"]) == code
+    assert json.loads((tmp_path / "rep.json").read_text())["command"] == command
