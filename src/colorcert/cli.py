@@ -56,10 +56,6 @@ class RunReport:
     def add(self, item, ok, payload=None):
         self.results.append({"item": item, "pass": bool(ok), "payload": payload})
 
-    @property
-    def all_pass(self):
-        return all(r["pass"] for r in self.results)
-
     def to_json(self):
         return {
             "schema_version": SCHEMA_VERSION,
@@ -80,7 +76,10 @@ class RunReport:
         makes its close flush, which costs more than a small command's
         whole solve.  Only a regular file is cut: a pipe, a FIFO or a
         device needs no cut, and /dev/null, though seekable, refuses one.
-        A PATH that cannot be written exits 2.
+        A PATH that is the file stdout writes to (/dev/stdout, say) gets
+        the report through stdout's own descriptor, after the lines and
+        uncut; a stdout without a descriptor is never that file.  A PATH
+        that cannot be written exits 2.
         """
         elapsed = time.time() - self.started
         for r in self.results:
@@ -94,10 +93,18 @@ class RunReport:
             try:
                 fd = os.open(args.json, os.O_WRONLY | os.O_CREAT, 0o666)
                 try:
+                    st = os.fstat(fd)
+                    out = fd
+                    try:
+                        if os.path.samestat(st, os.fstat(sys.stdout.fileno())):
+                            sys.stdout.flush()
+                            out = sys.stdout.fileno()
+                    except (AttributeError, OSError, ValueError):
+                        pass
                     view = memoryview(data)
                     while view:
-                        view = view[os.write(fd, view):]
-                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        view = view[os.write(out, view):]
+                    if out == fd and stat.S_ISREG(st.st_mode):
                         os.ftruncate(fd, len(data))
                 finally:
                     os.close(fd)
@@ -105,7 +112,7 @@ class RunReport:
                 print(f"cannot write report {args.json}: {exc.strerror or exc}",
                       file=sys.stderr)
                 return 2
-        return 0 if self.all_pass else 1
+        return 0 if all(r["pass"] for r in self.results) else 1
 
 
 def budget_fn(spec, report):
@@ -149,8 +156,27 @@ def budget_fn(spec, report):
     return budgets
 
 
+def read_input_graph(args, report):
+    """The graph file's graph, then its budgets if the command takes --f."""
+    g = read_graph(report.add_input(args.graph))
+    return g, budget_fn(args.f, report)(g) if "f" in args else None
+
+
+def witness_payload(h, outcome, delta):
+    """The witness and, given `delta`, its kernel certificate or the
+    error `witness_to_kp` refused it with; also the certificate."""
+    payload, cert = {"witness": outcome.to_json()}, None
+    if delta is not None:
+        try:
+            cert = discharging.witness_to_kp(h, outcome, delta)
+            payload["certificate"] = cert.to_json()
+        except (ValueError, RuntimeError) as exc:
+            payload["error"] = str(exc)
+    return payload, cert
+
+
 # ---------------------------------------------------------------------------
-# top-level commands
+# commands: each adds its items to the report that `main` makes and emits
 
 def add_clique_order_items(report, prefix, keep):
     """Add an item per clique-order catalog entry that `keep(tag, name)`
@@ -170,42 +196,33 @@ def add_clique_order_items(report, prefix, keep):
                    cert.check() and "error" not in payload, payload)
 
 
-def cmd_catalog_verify(args):
-    report = RunReport("catalog verify")
-    wanted = set(args.entry) if args.entry else None
+def cmd_catalog(args, report):
+    wanted = set(args.entry or ())
     seen = set()
 
     def selected(tag, name):
         """Whether the entry is wanted; a wanted one counts as seen."""
-        if wanted is None or tag in wanted or name in wanted:
+        if not wanted or {tag, name} & wanted:
             seen.update((tag, name))
             return True
         return False
 
     for entry in catalog.catalog():
-        if not selected(entry.tag, entry.name):
-            continue
-        ok, ee, eo = alon_tarsi.verify_catalog_entry(entry)
-        report.add(
-            f"orientation {entry.tag} ({entry.name})", ok,
-            {"expected": [entry.ee, entry.eo], "computed": [ee, eo]},
-        )
+        if selected(entry.tag, entry.name):
+            ok, ee, eo = alon_tarsi.verify_catalog_entry(entry)
+            report.add(f"orientation {entry.tag} ({entry.name})", ok,
+                       {"expected": [entry.ee, entry.eo], "computed": [ee, eo]})
     add_clique_order_items(report, "clique-order ", selected)
     for tag, name, g, tj in catalog.two_join_catalog():
-        if not selected(tag, name):
-            continue
-        ok, why = structure.verify_2join(g, tj)
-        report.add(f"strip {tag} ({name})", ok, {"violation": why})
-    if wanted is not None:
-        unknown = wanted - seen
-        if unknown:
-            print(f"unknown entry id(s): {', '.join(sorted(unknown))}", file=sys.stderr)
-            return 2
-    return report.emit(args)
+        if selected(tag, name):
+            ok, why = structure.verify_2join(g, tj)
+            report.add(f"strip {tag} ({name})", ok, {"violation": why})
+    if wanted - seen:
+        print(f"unknown entry id(s): {', '.join(sorted(wanted - seen))}", file=sys.stderr)
+        return 2
 
 
-def cmd_pipeline_linegraph(args):
-    report = RunReport("pipeline linegraph")
+def cmd_pipeline(args, report):
     h = read_multigraph(report.add_input(args.multigraph))
     mu = h.max_multiplicity()
     payload = {"mu": mu}
@@ -231,19 +248,11 @@ def cmd_pipeline_linegraph(args):
         report.add("discharge ledger", outcome.settled(), outcome.to_json())
     else:
         delta = args.delta if args.delta is not None else max(h.degrees()) * 2
-        item = {"witness": outcome.to_json()}
-        try:
-            cert = discharging.witness_to_kp(h, outcome, delta)
-            item["certificate"] = cert.to_json()
-            report.add("discharge witness", cert.check(), item)
-        except (ValueError, RuntimeError) as exc:
-            item["error"] = str(exc)
-            report.add("discharge witness", False, item)
-    return report.emit(args)
+        payload, cert = witness_payload(h, outcome, delta)
+        report.add("discharge witness", "error" not in payload and cert.check(), payload)
 
 
-def cmd_corpus(args):
-    report = RunReport(f"corpus {args.task}")
+def cmd_corpus(args, report):
     try:
         names = sorted(os.listdir(args.dir))
     except OSError as exc:
@@ -262,42 +271,36 @@ def cmd_corpus(args):
             if args.cap_edges and m > args.cap_edges:
                 raise ValueError(f"over --cap-edges ({m})")
             f = budgets(g)
-            if args.task == "at":
+            if args.sub == "at":
                 ok, cert = alon_tarsi.is_f_AT(g, f)
                 report.add(name, True, {"f_AT": ok})
-            elif args.task == "kp":
+            elif args.sub == "kp":
                 cert = kernel.is_f_KP(g, f, allow_doubling=args.double)
                 report.add(name, True, {"f_KP": cert is not None})
-            elif args.task == "paint":
+            elif args.sub == "paint":
                 ok, _ = paint.is_f_paintable(g, f)
                 report.add(name, True, {"f_paintable": ok})
-            elif args.task == "scan":
+            elif args.sub == "scan":
                 hits = structure.bk_free_scan(g, delta=args.delta, max_sub=args.max_sub)
                 report.add(name, True, {"reducible_pieces": len(hits)})
         except (FormatError, ValueError, OSError) as exc:
             report.add(name, False, {"error": str(exc)})
-    return report.emit(args)
 
 
-# ---------------------------------------------------------------------------
-# per-module commands
-
-def cmd_at(args):
-    report = RunReport(f"at {args.at_cmd}")
-    if args.at_cmd == "count":
+def cmd_at(args, report):
+    if args.sub == "count":
         d = digraph_from_json(json.loads(report.add_input(args.digraph)))
         ee, eo = alon_tarsi.eulerian_counts(d)
         report.add("eulerian counts", ee != eo, {"even": ee, "odd": eo})
-    elif args.at_cmd == "check":
-        g = read_graph(report.add_input(args.graph))
-        f = budget_fn(args.f, report)(g)
+        return
+    g, f = read_input_graph(args, report)
+    if args.sub == "check":
         ok, cert = alon_tarsi.is_f_AT(g, f)
         payload = {"f_AT": ok}
         if cert:
             payload["certificate"] = cert.to_json()
         report.add("orientation certificate", ok, payload)
-    elif args.at_cmd == "coeff":
-        g = read_graph(report.add_input(args.graph))
+    elif args.sub == "coeff":
         exps = tuple(int(x) for x in args.exponents.split(","))
         if len(exps) != g.n:
             raise ValueError("exponent vector length mismatch")
@@ -305,39 +308,31 @@ def cmd_at(args):
             raise ValueError("exponents must sum to the edge count")
         c = alon_tarsi.poly_coefficient_expand(g, exps)
         report.add("coefficient", True, {"exponents": list(exps), "value": c})
-    return report.emit(args)
 
 
-def cmd_kp(args):
-    report = RunReport(f"kp {args.kp_cmd}")
-    if args.kp_cmd == "check":
+def cmd_kp(args, report):
+    if args.sub == "check":
         d = digraph_from_json(json.loads(report.add_input(args.digraph)))
         ok, failing = kernel.is_kernel_perfect(d)
-        report.add("kernel-perfect", ok,
-                   {"failing_set": sorted(failing) if failing else None})
-    elif args.kp_cmd == "search":
-        g = read_graph(report.add_input(args.graph))
-        f = budget_fn(args.f, report)(g)
+        report.add("kernel-perfect", ok, {"failing_set": sorted(failing) if failing else None})
+    elif args.sub == "search":
+        g, f = read_input_graph(args, report)
         cert = kernel.is_f_KP(g, f, allow_doubling=args.double)
-        report.add("kernel certificate", cert is not None,
-                   cert.to_json() if cert else None)
-    elif args.kp_cmd == "galvin":
+        report.add("kernel certificate", cert is not None, cert.to_json() if cert else None)
+    elif args.sub == "galvin":
         b = read_multigraph(report.add_input(args.bipartite))
         cert = kernel.galvin_orientation(b)
         report.add("bipartite line-graph certificate", cert.check(), cert.to_json())
-    elif args.kp_cmd == "mu3":
+    elif args.sub == "mu3":
         add_clique_order_items(report, "", lambda _tag, _name: True)
-    return report.emit(args)
 
 
-def cmd_paint(args):
-    report = RunReport(f"paint {args.paint_cmd}")
-    if args.paint_cmd == "solve":
-        g = read_graph(report.add_input(args.graph))
-        f = budget_fn(args.f, report)(g)
+def cmd_paint(args, report):
+    if args.sub == "solve":
+        g, f = read_input_graph(args, report)
         ok, transcript = paint.is_f_paintable(g, f)
         report.add("paintable", ok, {"transcript": transcript.to_json()})
-    elif args.paint_cmd == "play":
+    elif args.sub == "play":
         cert = kernel.KPCertificate.from_json(json.loads(report.add_input(args.cert)))
         # the kernel strategy presumes a certificate that holds
         if not cert.check():
@@ -348,53 +343,46 @@ def cmd_paint(args):
             )
             report.add("kernel painter", transcript.winner == "Painter",
                        {"transcript": transcript.to_json()})
-    return report.emit(args)
 
 
-def cmd_choose(args):
-    report = RunReport("choose solve")
-    g = read_graph(report.add_input(args.graph))
-    f = budget_fn(args.f, report)(g)
+def cmd_choose(args, report):
+    g, f = read_input_graph(args, report)
     ok, failing = paint.is_f_choosable(g, f)
     payload = {"choosable": ok}
     if failing is not None:
         payload["failing_lists"] = [sorted(s) for s in failing]
     report.add("choosable", ok, payload)
-    return report.emit(args)
 
 
-def cmd_structure(args):
-    report = RunReport(f"structure {args.structure_cmd}")
-    sc = args.structure_cmd
-    if sc in ("clawfree", "quasiline", "linegraph", "homopairs", "circular", "bkscan"):
-        g = read_graph(report.add_input(args.graph))
-    if sc == "clawfree":
-        ok, witness = structure.is_claw_free(g)
-        report.add("claw-free", ok, {"claw": list(witness) if witness else None})
-    elif sc == "quasiline":
-        ok, v = structure.is_quasi_line(g)
-        report.add("quasi-line", ok, {"vertex": v})
-    elif sc == "linegraph":
-        root = structure.recognize_line_graph(g)
-        report.add("line graph", root is not None,
-                   {"root_edges": [list(e) for e in root.edges]} if root else None)
-    elif sc == "homopairs":
-        pairs = structure.find_homogeneous_pairs(g, nonlinear_only=args.nonlinear)
-        report.add("homogeneous pairs", True,
-                   {"pairs": [[sorted(p.a1), sorted(p.a2)] for p in pairs]})
-    elif sc == "circular":
-        order = structure.is_circular_interval(g)
-        report.add("circular interval", order is not None, {"order": order})
-    elif sc == "bkscan":
-        hits = structure.bk_free_scan(g, delta=args.delta, max_sub=args.max_sub)
-        report.add("reducible pieces", True,
-                   {"hits": [[list(vs), kind] for vs, kind, _ in hits]})
-    elif sc == "compose":
+def cmd_structure(args, report):
+    if args.sub == "compose":
         spec = structure.CompositionSpec.from_json(json.loads(report.add_input(args.spec)))
         g = structure.compose(spec)
         report.add("composition", True, {"n": g.n, "edges": g.edge_list()})
-    elif sc == "2join":
-        g = read_graph(report.add_input(args.graph))
+        return
+    g, _ = read_input_graph(args, report)
+    if args.sub == "clawfree":
+        ok, witness = structure.is_claw_free(g)
+        report.add("claw-free", ok, {"claw": list(witness) if witness else None})
+    elif args.sub == "quasiline":
+        ok, v = structure.is_quasi_line(g)
+        report.add("quasi-line", ok, {"vertex": v})
+    elif args.sub == "linegraph":
+        root = structure.recognize_line_graph(g)
+        report.add("line graph", root is not None,
+                   {"root_edges": [list(e) for e in root.edges]} if root else None)
+    elif args.sub == "homopairs":
+        pairs = structure.find_homogeneous_pairs(g, nonlinear_only=args.nonlinear)
+        report.add("homogeneous pairs", True,
+                   {"pairs": [[sorted(p.a1), sorted(p.a2)] for p in pairs]})
+    elif args.sub == "circular":
+        order = structure.is_circular_interval(g)
+        report.add("circular interval", order is not None, {"order": order})
+    elif args.sub == "bkscan":
+        hits = structure.bk_free_scan(g, delta=args.delta, max_sub=args.max_sub)
+        report.add("reducible pieces", True,
+                   {"hits": [[list(vs), kind] for vs, kind, _ in hits]})
+    elif args.sub == "2join":
         tj = structure.TwoJoin.from_json(json.loads(report.add_input(args.tj)))
         if args.join_cmd == "verify":
             ok, why = structure.verify_2join(g, tj)
@@ -405,13 +393,11 @@ def cmd_structure(args):
             ok, why = (False, None) if reduced is None else structure.verify_2join(g, reduced)
             report.add("reduction", ok,
                        {"reduced": reduced and reduced.to_json(), "violation": why})
-    return report.emit(args)
 
 
-def cmd_discharge(args):
-    report = RunReport(f"discharge {args.discharge_cmd}")
+def cmd_discharge(args, report):
     h = read_multigraph(report.add_input(args.multigraph))
-    if args.discharge_cmd == "run":
+    if args.sub == "run":
         deg = h.degrees()
         top = max(deg, default=0)
         edge_sum_ok = all(deg[u] + deg[v] >= top + 2 for u, v, _ in h.edges)
@@ -420,31 +406,71 @@ def cmd_discharge(args):
             report.add("ledger", outcome.settled(),
                        {"edge_sum_hypothesis": edge_sum_ok, **outcome.to_json()})
         else:
-            payload = {"edge_sum_hypothesis": edge_sum_ok,
-                       "witness": outcome.to_json()}
-            if args.delta is not None:
-                try:
-                    cert = discharging.witness_to_kp(h, outcome, args.delta)
-                    payload["certificate"] = cert.to_json()
-                except (ValueError, RuntimeError) as exc:
-                    payload["error"] = str(exc)
-            report.add("witness", "error" not in payload, payload)
-    elif args.discharge_cmd == "partition":
+            payload, _ = witness_payload(h, outcome, args.delta)
+            report.add("witness", "error" not in payload,
+                       {"edge_sum_hypothesis": edge_sum_ok, **payload})
+    elif args.sub == "partition":
         a, b = discharging.maxcut_partition(h)
         report.add("partition", True, {"A": list(a), "B": list(b)})
-    elif args.discharge_cmd == "degeneracy":
+    elif args.sub == "degeneracy":
         k, order = discharging.degeneracy(h)
         report.add("degeneracy", True, {"degeneracy": k, "order": order})
-    return report.emit(args)
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_json_flag(p, suppress=False):
-    p.add_argument("--json", metavar="PATH",
-                   default=argparse.SUPPRESS if suppress else None,
-                   help="write the machine-readable report here")
+# Each option and named positional, declared once; a name not listed is
+# a plain positional (an input file).
+ARGUMENTS = {
+    "--f": {"required": True},
+    "--delta": {"type": int, "default": None},
+    "--max-sub": {"type": int, "default": None},
+    "--double": {"action": "store_true"},
+    "--nonlinear": {"action": "store_true"},
+    "--exponents": {"required": True},
+    "--cert": {"required": True},
+    "--adversary": {"default": "exhaustive"},
+    "--entry": {"action": "append", "default": None,
+                "help": "restrict to these entry ids or names (repeatable)"},
+    "join_cmd": {"choices": ["verify", "reduce"]},
+}
+
+# group: (help, handler, {subcommand: argument names}); corpus has no
+# subcommands and names its task with --task
+COMMANDS = {
+    "at": ("orientation certificates", cmd_at, {
+        "count": ("digraph",), "check": ("graph", "--f"), "coeff": ("graph", "--exponents")}),
+    "kp": ("kernel certificates", cmd_kp, {
+        "check": ("digraph",), "search": ("graph", "--f", "--double"),
+        "galvin": ("bipartite",), "mu3": ()}),
+    "paint": ("online game solver and players", cmd_paint, {
+        "solve": ("graph", "--f"), "play": ("--cert", "--adversary")}),
+    "choose": ("list-assignment solver", cmd_choose, {"solve": ("graph", "--f")}),
+    "structure": ("recognizers and constructions", cmd_structure, {
+        **dict.fromkeys(("clawfree", "quasiline", "linegraph", "circular"), ("graph",)),
+        "homopairs": ("graph", "--nonlinear"), "bkscan": ("graph", "--delta", "--max-sub"),
+        "compose": ("spec",), "2join": ("join_cmd", "graph", "tj")}),
+    "discharge": ("charge ledgers and partitions", cmd_discharge, {
+        "run": ("multigraph", "--delta"),
+        **dict.fromkeys(("partition", "degeneracy"), ("multigraph",))}),
+    "catalog": ("verify the built-in catalog", cmd_catalog, {"verify": ("--entry",)}),
+    "pipeline": ("multigraph-to-certificate pipelines", cmd_pipeline,
+                 {"linegraph": ("multigraph", "--delta")}),
+    "corpus": ("apply one task to a directory of graphs", cmd_corpus, {}),
+}
+
+
+def cap(text):
+    """A --cap-vertices or --cap-edges value: 0 means no cap, a negative
+    one is refused, and a non-int gets the message `type=int` gives."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap is 0 (none) or more, not {value}")
+    return value
 
 
 def build_parser():
@@ -453,111 +479,31 @@ def build_parser():
         description="certificates for list-coloring bounds: orientations, "
                     "kernels, game solvers, structure recognizers",
     )
-    _add_json_flag(p)
     # --json is accepted after the subcommand too; SUPPRESS keeps the
     # inner copy from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)
-    _add_json_flag(common, suppress=True)
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    at = sub.add_parser("at", help="orientation certificates")
-    at_sub = at.add_subparsers(dest="at_cmd", required=True)
-    c = at_sub.add_parser("count", parents=[common])
-    c.add_argument("digraph")
-    c = at_sub.add_parser("check", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--f", required=True)
-    c = at_sub.add_parser("coeff", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--exponents", required=True)
-    at.set_defaults(func=cmd_at)
-
-    kp = sub.add_parser("kp", help="kernel certificates")
-    kp_sub = kp.add_subparsers(dest="kp_cmd", required=True)
-    c = kp_sub.add_parser("check", parents=[common])
-    c.add_argument("digraph")
-    c = kp_sub.add_parser("search", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--f", required=True)
-    c.add_argument("--double", action="store_true")
-    c = kp_sub.add_parser("galvin", parents=[common])
-    c.add_argument("bipartite")
-    kp_sub.add_parser("mu3", parents=[common])
-    kp.set_defaults(func=cmd_kp)
-
-    pa = sub.add_parser("paint", help="online game solver and players")
-    pa_sub = pa.add_subparsers(dest="paint_cmd", required=True)
-    c = pa_sub.add_parser("solve", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--f", required=True)
-    c = pa_sub.add_parser("play", parents=[common])
-    c.add_argument("--cert", required=True)
-    c.add_argument("--adversary", default="exhaustive")
-    pa.set_defaults(func=cmd_paint)
-
-    ch = sub.add_parser("choose", help="list-assignment solver")
-    ch_sub = ch.add_subparsers(dest="choose_cmd", required=True)
-    c = ch_sub.add_parser("solve", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--f", required=True)
-    ch.set_defaults(func=cmd_choose)
-
-    st = sub.add_parser("structure", help="recognizers and constructions")
-    st_sub = st.add_subparsers(dest="structure_cmd", required=True)
-    for name in ("clawfree", "quasiline", "linegraph", "circular"):
-        c = st_sub.add_parser(name, parents=[common])
-        c.add_argument("graph")
-    c = st_sub.add_parser("homopairs", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--nonlinear", action="store_true")
-    c = st_sub.add_parser("bkscan", parents=[common])
-    c.add_argument("graph")
-    c.add_argument("--delta", type=int, default=None)
-    c.add_argument("--max-sub", type=int, default=None)
-    c = st_sub.add_parser("compose", parents=[common])
-    c.add_argument("spec")
-    c = st_sub.add_parser("2join", parents=[common])
-    c.add_argument("join_cmd", choices=["verify", "reduce"])
-    c.add_argument("graph")
-    c.add_argument("tj")
-    st.set_defaults(func=cmd_structure)
-
-    di = sub.add_parser("discharge", help="charge ledgers and partitions")
-    di_sub = di.add_subparsers(dest="discharge_cmd", required=True)
-    c = di_sub.add_parser("run", parents=[common])
-    c.add_argument("multigraph")
-    c.add_argument("--delta", type=int, default=None)
-    c = di_sub.add_parser("partition", parents=[common])
-    c.add_argument("multigraph")
-    c = di_sub.add_parser("degeneracy", parents=[common])
-    c.add_argument("multigraph")
-    di.set_defaults(func=cmd_discharge)
-
-    ca = sub.add_parser("catalog", help="verify the built-in catalog")
-    ca_sub = ca.add_subparsers(dest="catalog_cmd", required=True)
-    c = ca_sub.add_parser("verify", parents=[common])
-    c.add_argument("--entry", action="append", default=None,
-                   help="restrict to these entry ids or names (repeatable)")
-    ca.set_defaults(func=cmd_catalog_verify)
-
-    pi = sub.add_parser("pipeline", help="multigraph-to-certificate pipelines")
-    pi_sub = pi.add_subparsers(dest="pipeline_cmd", required=True)
-    c = pi_sub.add_parser("linegraph", parents=[common])
-    c.add_argument("multigraph")
-    c.add_argument("--delta", type=int, default=None)
-    pi.set_defaults(func=cmd_pipeline_linegraph)
-
-    co = sub.add_parser("corpus", parents=[common], help="apply one task to a directory of graphs")
+    for parser, default in ((p, None), (common, argparse.SUPPRESS)):
+        parser.add_argument("--json", metavar="PATH", default=default,
+                            help="write the machine-readable report here")
+    groups = p.add_subparsers(dest="cmd", required=True)
+    for group, (text, _, leaves) in COMMANDS.items():
+        parser = groups.add_parser(group, help=text, parents=[] if leaves else [common])
+        # argparse names a missing subcommand by its dest; handlers read `sub`
+        subs = parser.add_subparsers(dest=f"{group}_cmd", required=True) if leaves else None
+        for leaf, names in leaves.items():
+            c = subs.add_parser(leaf, parents=[common])
+            c.set_defaults(sub=leaf)
+            for name in names:
+                c.add_argument(name, **ARGUMENTS.get(name, {}))
+    # corpus's task is its report's subcommand name
+    co = groups.choices["corpus"]
     co.add_argument("dir")
-    co.add_argument("--task", choices=["at", "kp", "paint", "scan"], required=True)
+    co.add_argument("--task", dest="sub", choices=["at", "kp", "paint", "scan"], required=True)
     co.add_argument("--f", default="d1")
-    co.add_argument("--double", action="store_true")
-    co.add_argument("--delta", type=int, default=None)
-    co.add_argument("--max-sub", type=int, default=None)
-    co.add_argument("--cap-vertices", type=int, default=0)
-    co.add_argument("--cap-edges", type=int, default=0)
-    co.set_defaults(func=cmd_corpus)
-
+    for name in ("--double", "--delta", "--max-sub"):
+        co.add_argument(name, **ARGUMENTS[name])
+    co.add_argument("--cap-vertices", type=cap, default=0)
+    co.add_argument("--cap-edges", type=cap, default=0)
     return p
 
 
@@ -571,14 +517,16 @@ def main(argv=None):
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    report = RunReport(f"{args.cmd} {args.sub}")
     try:
-        return args.func(args)
+        code = COMMANDS[args.cmd][1](args, report)
     except (FormatError, FileNotFoundError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return report.emit(args) if code is None else code
 
 
 if __name__ == "__main__":

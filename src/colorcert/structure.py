@@ -497,8 +497,9 @@ def bk_free_scan(g, delta=None, max_sub=None):
     on subgraphs of at most F_KP_VERTICES vertices) second.  Returns a
     list of (vertex tuple, kind, certificate); empty means no reducible
     piece was found within the caps.  When there are more than
-    BK_SCAN_SUBSETS vertex subsets of 1..max_sub vertices, it raises
-    ValueError before it looks at any of them.
+    BK_SCAN_SUBSETS vertex subsets of 1..max_sub vertices, or max_sub
+    is below 1 and so would scan none, it raises ValueError before it
+    looks at any of them.
 
     The budget is read from the neighbour masks of g, and no subgraph
     is built for a subset on which some f_H(v) is below 1.  The answer
@@ -510,6 +511,8 @@ def bk_free_scan(g, delta=None, max_sub=None):
         delta = g.max_degree()
     if max_sub is None:
         max_sub = g.n
+    elif max_sub < 1:
+        raise ValueError(f"max_sub {max_sub} scans no subset; give at least 1")
     subsets = sum(comb(g.n, k) for k in range(1, min(max_sub, g.n) + 1))
     if subsets > BK_SCAN_SUBSETS:
         raise ValueError(f"scan capped at {BK_SCAN_SUBSETS} vertex subsets, "

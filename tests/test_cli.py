@@ -800,6 +800,36 @@ def test_cap_flags_belong_to_corpus(c5_file, capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("max_sub", ["0", "-2"])
+def test_bkscan_refuses_a_max_sub_that_scans_nothing(max_sub, c5_file, tmp_path, capsys):
+    assert run(["structure", "bkscan", c5_file, "--max-sub", max_sub]) == 2
+    assert f"max_sub {max_sub} scans no subset" in capsys.readouterr().err
+    # under corpus the refusal is one FAIL item
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    rep = tmp_path / "rep.json"
+    assert run(["corpus", str(d), "--task", "scan", "--max-sub", max_sub,
+                "--json", str(rep)]) == 1
+    [item] = json.loads(rep.read_text())["results"]
+    assert not item["pass"] and "scans no subset" in item["payload"]["error"]
+
+
+@pytest.mark.parametrize("flag", ["--cap-vertices", "--cap-edges"])
+def test_corpus_refuses_a_negative_cap_at_parse_time(flag, tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    for value, named in (("-1", "a cap is 0 (none) or more, not -1"),
+                         ("x", "invalid int value: 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            run(["corpus", str(d), "--task", "at", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {named}" in capsys.readouterr().err
+    # 0 is no cap
+    assert run(["corpus", str(d), "--task", "at", flag, "0"]) == 0
+
+
 def test_f_spec_lowset(c5_file, tmp_path, capsys):
     rep = str(tmp_path / "r.json")
     # lows get full degree (2), others degree-1: C5 fails at that budget
@@ -929,6 +959,25 @@ def test_a_report_to_dev_stdout_through_a_pipe(tmp_path, capsys):
         stderr=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert fresh in proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_report_to_dev_stdout_redirected_to_a_file_follows_the_lines(unbuffered, tmp_path,
+                                                                       capsys):
+    # the report goes through stdout's own descriptor after the lines,
+    # not from the file's start over them
+    fresh = _fresh_report(tmp_path)
+    lines = capsys.readouterr().out.encode()
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "colorcert.cli"] + ENTRY_1F + ["--json", "/dev/stdout"],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered), stdout=fh,
+            stderr=subprocess.PIPE)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == lines + fresh
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")

@@ -7,11 +7,12 @@ dataclass field is read by the package or the benchmark or is listed,
 every function reads each of its parameters, no module holds an
 `assert`, every `raise AssertionError` sits in a listed function, only
 `graphs.py` calls the raw `SimpleGraph` constructor, only
-`cli.RunReport` opens files, and every function that calls itself has
-its depth capped by a module constant; brute force kept only for
-cross-checking lives in the tests."""
+`cli.RunReport` opens files, `cli.py` declares each option once, and
+every function that calls itself has its depth capped by a module
+constant; brute force kept only for cross-checking lives in the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -579,6 +580,42 @@ def test_the_check_sees_file_opens():
         ("cli.py", 3), ("cli.py", 10), ("cli.py", 13), ("cli.py", 13), ("graphs.py", 3),
         ("graphs.py", 6),
     ]
+
+def _repeated_argument_names(tree):
+    """{name: calls} of each string literal passed positionally to more
+    than one `add_argument` call.
+
+    An option declared at each command that takes it can come to mean
+    different things on different commands; `cli.ARGUMENTS` declares
+    each once, and `--json` goes through one call for both the root
+    parser and the per-subcommand parent.
+    """
+    names = Counter(arg.value for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "add_argument"
+                    for arg in node.args
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    return {name: calls for name, calls in names.items() if calls > 1}
+
+
+def test_each_cli_argument_is_declared_once():
+    path = SRC / "cli.py"
+    assert _repeated_argument_names(ast.parse(path.read_text(), filename=str(path))) == {}
+
+
+def test_the_check_sees_repeated_argument_names():
+    tree = ast.parse(
+        "a.add_argument('graph')\n"
+        "a.add_argument('--f', required=True, help='--delta')\n"
+        "b.add_argument('graph')\n"
+        "b.add_argument('--f', default='d1')\n"
+        "b.add_argument('--delta', dest='graph')\n"
+        "for name in ('--double', '--double'):\n"
+        "    c.add_argument(name)\n"
+        "sub.add_parser('graph')\n"
+        "add_argument('--f')\n"
+    )
+    assert _repeated_argument_names(tree) == {"graph": 2, "--f": 2}
+
 
 def _asserts(tree):
     """Line of each `assert` statement; `python -O` strips them, so a

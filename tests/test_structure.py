@@ -1075,6 +1075,18 @@ def test_bk_free_scan_refuses_more_subsets_than_its_cap(monkeypatch):
     assert asked == [cycle_graph(5)]
 
 
+@pytest.mark.parametrize("max_sub", [0, -2])
+def test_bk_free_scan_refuses_a_max_sub_below_1(max_sub, monkeypatch):
+    # a scan of no subset would pass as "nothing reducible"
+    asked = []
+    monkeypatch.setattr(structure, "is_f_AT", lambda sub, f: asked.append(sub) or (False, None))
+    with pytest.raises(ValueError, match=f"max_sub {max_sub} scans no subset"):
+        structure.bk_free_scan(cycle_graph(5), max_sub=max_sub)
+    assert asked == []
+    # no max_sub scans every size, none at all on the empty graph
+    assert structure.bk_free_scan(SimpleGraph.from_edges(0, [])) == []
+
+
 def test_bk_free_scan_empty_on_small_clique():
     # a lone triangle with delta 3: f_H values fall below 1 on some
     # subgraphs, nothing is flagged
