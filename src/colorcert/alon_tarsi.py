@@ -11,6 +11,7 @@ some coefficient with exponents k_i <= f(i) - 1 is nonzero; the
 orientation realizing that exponent vector is the portable certificate.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .graphs import Digraph, OrientationCertificate, require
@@ -190,19 +191,35 @@ def _edge_order(g):
     with the most neighbours already taken, then the higher degree,
     then the lower label.  Each brings its edges to the vertices taken
     before it, in the order those were taken.
+
+    A heap holds (-taken neighbours, -degree, label) per vertex, and
+    taking a vertex pushes a fresh entry for each neighbour not yet
+    taken.  A vertex's count only rises, so its live entry pops before
+    its stale ones, which are skipped.  earlier[v] lists v's taken
+    neighbours as they are taken, so it is already in taken order.
     """
     adj = g.adjacency_masks()
     deg = g.degrees()
-    left = set(range(g.n))
-    taken = []
+    heap = [(0, -deg[v], v) for v in range(g.n)]
+    heapq.heapify(heap)
+    count = [0] * g.n
+    earlier = [[] for _ in range(g.n)]
+    taken = 0
     edges = []
-    mask = 0
-    while left:
-        v = max(left, key=lambda u: ((adj[u] & mask).bit_count(), deg[u], -u))
-        edges.extend((min(u, v), max(u, v)) for u in taken if adj[v] >> u & 1)
-        left.remove(v)
-        taken.append(v)
-        mask |= 1 << v
+    while heap:
+        minus, _, v = heapq.heappop(heap)
+        if taken >> v & 1 or -minus != count[v]:
+            continue
+        taken |= 1 << v
+        edges += [(u, v) if u < v else (v, u) for u in earlier[v]]
+        rest = adj[v] & ~taken
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            w = bit.bit_length() - 1
+            count[w] += 1
+            earlier[w].append(v)
+            heapq.heappush(heap, (-count[w], -deg[w], w))
     return edges
 
 

@@ -231,19 +231,22 @@ def peel_witness(h, i):
     # Its edges are those of h inside alive with an end on the low side,
     # so the B-neighbours of v are adj[v] & alive when v is low and
     # adj[v] & low otherwise.
+    # bdeg[v] is the B-degree of a vertex v of B off the low side: the
+    # multiplicities of its edges to the low side.  A step takes those of
+    # the removed low vertices off their other neighbours, and a vertex
+    # whose B-degree falls to 0 leaves B.
     adj = h.adjacency_masks()
     degs = h.degrees()
     low = sum(1 << v for v in range(h.n) if 0 < degs[v] <= i)
     alive = low
     for v in _bits(low):
         alive |= adj[v]
+    bdeg = [0] * h.n
+    for v in _bits(alive & ~low):
+        bdeg[v] = sum(h.multiplicity(v, w) for w in _bits(adj[v] & low))
     transfers = []
-
-    def bdeg(v):
-        return sum(h.multiplicity(v, w) for w in _bits(adj[v] & low))
-
     while low:
-        donors = [(d, v) for v in _bits(alive & ~low) if (d := bdeg(v)) < i]
+        donors = [(bdeg[v], v) for v in _bits(alive & ~low) if bdeg[v] < i]
         if not donors:
             verts = list(_bits(alive))
             index = {v: j for j, v in enumerate(verts)}
@@ -260,7 +263,11 @@ def peel_witness(h, i):
         transfers.extend((donor, w, 1) for w in _bits(nbrs))
         alive &= ~(nbrs | 1 << donor)
         low &= ~nbrs
-        alive = low | sum(1 << v for v in _bits(alive & ~low) if adj[v] & low)
+        for w in _bits(nbrs):
+            for v in _bits(adj[w] & alive & ~low):
+                bdeg[v] -= h.multiplicity(v, w)
+                if not bdeg[v]:
+                    alive ^= 1 << v
     return "done", transfers
 
 

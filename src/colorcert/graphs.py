@@ -314,6 +314,133 @@ def two_coloring(masks, verts):
     return sides[0], sides[1]
 
 
+def blocks(masks, verts):
+    """The blocks of the graph on the vertex mask `verts`, as vertex masks.
+
+    masks[v] is the neighbour bitmask of v; only neighbours inside
+    `verts` count.  A block is a maximal connected subgraph without a
+    cut vertex: an isolated vertex, a bridge or a 2-connected piece.
+    Two blocks share at most one vertex, a cut vertex.
+
+    Hopcroft and Tarjan's depth-first search, on an explicit stack.
+    order[v] numbers v in discovery order and low[v] is the least number
+    that v's subtree reaches by one edge.  When the search backs up from
+    u to its parent with low[u] >= order[parent], nothing below u
+    reaches above the parent, so the parent and the vertices found since
+    u, which are still on `path`, make a block; they leave `path`, the
+    parent stays.  Counting the tree edge back to the parent in low[u]
+    leaves this test unchanged.
+    """
+    order = [0] * len(masks)  # 0: not yet found
+    low = [0] * len(masks)
+    found = []
+    count = 0
+    rest = verts
+    while rest:
+        root = (rest & -rest).bit_length() - 1
+        count += 1
+        order[root] = low[root] = count
+        rest ^= 1 << root
+        if not masks[root] & verts:
+            found.append(1 << root)
+        path = [root]
+        stack = [(root, masks[root] & verts)]  # (vertex, neighbours not yet seen)
+        while stack:
+            u, todo = stack[-1]
+            if todo:
+                w = (todo & -todo).bit_length() - 1
+                stack[-1] = (u, todo ^ 1 << w)
+                if order[w]:
+                    low[u] = min(low[u], order[w])
+                else:
+                    count += 1
+                    order[w] = low[w] = count
+                    rest ^= 1 << w
+                    path.append(w)
+                    stack.append((w, masks[w] & verts))
+                continue
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= order[parent]:
+                    block = 1 << parent
+                    while block >> u & 1 == 0:
+                        block |= 1 << path.pop()
+                    found.append(block)
+    return found
+
+
+def degree_route(masks, budget):
+    """Whether the graph with neighbour masks `masks` is budget-choosable,
+    when its blocks decide it at once: True, False, or None when they
+    do not.  The same answer holds in the online game, and a no also
+    rules out a kernel-perfect orientation with out-degrees below the
+    budget.
+
+    A vertex whose budget exceeds its degree among the vertices left is
+    peeled off, until none is; peeling only lowers degrees, so what is
+    left does not depend on the order.  If a vertex left has a budget
+    below its degree there, the answer is None.  Otherwise every vertex
+    left has budget = degree, and the answer is False exactly when some
+    component of what is left is a Gallai tree, a connected graph whose
+    every block is a clique or an odd cycle.  The argument:
+
+    - Peeling.  A peeled vertex v can be coloured last, greedily, from
+      any list, since fewer of its neighbours are left than it has
+      colours.  In the online game the painter plays the strategy for
+      the rest, and adds v to the painted set of each round that lists v
+      and paints none of its neighbours; v is left unpainted at most
+      d(v) < f(v) times, once per painted neighbour.  So peeling keeps
+      choosability and paintability.
+    - False.  Let C be a component left that is a Gallai tree, with
+      f = d on it.  C is not degree-choosable (Erdős, Rubin and Taylor,
+      "Choosability in graphs", 1979): lists built block by block, one
+      palette per block, have no proper colouring.  C is an induced
+      subgraph, so those lists on C with any lists elsewhere have none
+      either, and the graph is not budget-choosable.  A painter
+      strategy colours from every list assignment and a kernel-perfect
+      orientation with out-degrees below the budget gives a painter
+      strategy, so there is neither.
+    - True.  A connected graph that is not a Gallai tree has an
+      Alon–Tarsi orientation with out-degrees below its degrees
+      (Hladký, Král' and Schauz, "Brooks' theorem via the Alon–Tarsi
+      theorem", Discrete Math. 310, 2010), so it is degree-paintable
+      (Schauz, "Mr. Paint and Mrs. Correct", EJC 16, 2009).  The
+      components play apart, the painter answering each listed set
+      component by component, so what is left is paintable when every
+      component is, and putting the peeled vertices back keeps that.
+      Paintable graphs are choosable.
+    """
+    left = (1 << len(masks)) - 1
+    pending = left
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        v = bit.bit_length() - 1
+        if budget[v] > (masks[v] & left).bit_count():
+            left ^= bit
+            pending |= masks[v] & left
+    if any(budget[v] < (masks[v] & left).bit_count() for v in _bits(left)):
+        return None
+    # the vertices of the blocks that are neither cliques nor odd cycles,
+    # then everything they reach: every component must be reached
+    reach = 0
+    for block in blocks(masks, left):
+        size = block.bit_count()
+        inner = {(masks[v] & block).bit_count() for v in _bits(block)}
+        if inner != {size - 1} and not (inner == {2} and size % 2):
+            reach |= block
+    frontier = reach
+    while frontier:
+        bit = frontier & -frontier
+        frontier ^= bit
+        new = masks[bit.bit_length() - 1] & left & ~reach
+        reach |= new
+        frontier |= new
+    return reach == left
+
+
 # ---------------------------------------------------------------------------
 # generators
 

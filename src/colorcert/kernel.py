@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .graphs import (
     Digraph, FormatError, ListSizeFn, MultiGraph, OrientationCertificate, copy_stars,
-    edge_copies, line_graph, require, require_pairs, require_records, two_coloring,
+    degree_route, edge_copies, line_graph, require, require_pairs, require_records,
+    two_coloring,
 )
 
 
@@ -223,14 +224,16 @@ def is_f_KP(g, f, allow_doubling=False):
     Each edge is tried one way, the other way, and (when doubling is
     allowed) both ways at once, in a fixed deterministic order, pruning
     on the out-degree bound d+(v) <= f(v) - 1.  Returns the first
-    certificate found, else None.
+    certificate found, else None.  When `degree_route` says no, no such
+    orientation exists and there is no search.
     """
     if g.n > F_KP_VERTICES:
         raise ValueError(f"search capped at {F_KP_VERTICES} vertices")
-    edges = g.edge_list()
-    limit = [f(v) - 1 for v in range(g.n)]
-    if any(x < 0 for x in limit):
+    budget = [f(v) for v in range(g.n)]
+    if any(k < 1 for k in budget) or degree_route(g.adjacency_masks(), budget) is False:
         return None
+    edges = g.edge_list()
+    limit = [k - 1 for k in budget]
     outs = [0] * g.n
     chosen = []
 

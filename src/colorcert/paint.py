@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graphs import _bits
+from .graphs import _bits, degree_route
 from .kernel import find_kernel
 
 RANDOM_GAMES = 1000
@@ -133,6 +133,12 @@ def _play(tokens, width, mask, move):
     return GameTranscript(rounds, "Painter")
 
 
+def _paint_lowest(mask, _tokens):
+    """The painter-win line's move: list the lowest uncolored vertex
+    alone and paint it."""
+    return (mask & -mask,) * 2
+
+
 PAINTABLE_VERTICES = 9
 
 
@@ -148,7 +154,9 @@ def is_f_paintable(g, f):
     answer, and no search is needed to see that the answer wins: it
     leaves the game on an induced subgraph with the same tokens, and
     paintability passes to induced subgraphs (Schauz, "Mr. Paint and
-    Mrs. Correct", EJC 16, 2009).
+    Mrs. Correct", EJC 16, 2009).  When `degree_route` says yes, that
+    line is returned before any table is built; when it says no, the
+    search still runs, for the lister's line.
 
     A game state is the uncolored mask with the tokens left, packed by
     `_pack` with the fields of colored vertices cleared.  An answer that
@@ -180,10 +188,12 @@ def is_f_paintable(g, f):
         return False, GameTranscript([], "Lister")
     adj = g.adjacency_masks()
     tokens, width = _pack(budget)
+    size = 1 << g.n
+    if degree_route(adj, budget):
+        return True, _play(tokens, width, size - 1, _paint_lowest)
     field = (1 << width) - 1
     # per vertex mask: one token off each vertex, every other field
     # kept, the neighbours of the mask, and whether it is connected
-    size = 1 << g.n
     ones = [0] * size
     keep = [-1] * size
     near = [0] * size
@@ -247,7 +257,7 @@ def is_f_paintable(g, f):
                 return listed, min(answers[listed])
 
     if value(size - 1, tokens, size - 1):
-        return True, _play(tokens, width, size - 1, lambda mask, _tokens: (mask & -mask,) * 2)
+        return True, _play(tokens, width, size - 1, _paint_lowest)
     return False, _play(tokens, width, size - 1, refute)
 
 
@@ -369,18 +379,19 @@ def is_f_choosable(g, f):
     sets of colors.  It tries four routes, cheapest first, and the first
     that decides answers:
 
-    1. A negative budget raises ValueError.  A graph that
-       `_greedy_reduce` empties is choosable.
+    1. A negative budget raises ValueError.  When `degree_route` says
+       yes (peeling empties the graph, or leaves budget = degree with
+       no component a Gallai tree), the graph is choosable.
     2. The nested lists L(v) = {0..f(v)-1} are colored once.  If they
        have no coloring, they are returned: a failing assignment of the
        budgeted sizes.
-    3. The online game: a painter win from the budgets f means yes.  The
-       lister can play any fixed assignment, listing in round c the
-       uncolored vertices whose lists hold color c, so the painter's
-       winning answers color from the lists (Schauz, "Mr. Paint and
-       Mrs. Correct", EJC 16, 2009; Zhu, "On-line list colouring of
-       graphs", EJC 16, 2009).  Every budget is at least 1 here, since
-       a budget of 0 fails at route 2.
+    3. The online game, unless `degree_route` said no: a painter win
+       from the budgets f means yes.  The lister can play any fixed
+       assignment, listing in round c the uncolored vertices whose
+       lists hold color c, so the painter's winning answers color from
+       the lists (Schauz, "Mr. Paint and Mrs. Correct", EJC 16, 2009;
+       Zhu, "On-line list colouring of graphs", EJC 16, 2009).  Every
+       budget is at least 1 here, since a budget of 0 fails at route 2.
     4. `_canonical_search` enumerates what is left: the graphs that are
        choosable but not paintable, and the failing assignments that
        the nested lists miss.
@@ -396,14 +407,14 @@ def is_f_choosable(g, f):
         if k < 0:
             raise ValueError(f"vertex {v} has a negative list size {k}")
     adj = g.adjacency_masks()
-    full = (1 << n) - 1
-    if not _greedy_reduce(adj, full, *_pack(sizes), full)[0]:
+    by_blocks = degree_route(adj, sizes)
+    if by_blocks:
         return True, None
     lists, _, colorable = _list_colorer(adj, sizes)
     lists[:] = [(1 << k) - 1 for k in sizes]
     if not colorable(0):
         return False, _as_sets(lists)
-    if is_f_paintable(g, f)[0]:
+    if by_blocks is None and is_f_paintable(g, f)[0]:
         return True, None
     return _canonical_search(adj, sizes)
 

@@ -948,3 +948,48 @@ def test_orientation_search_is_not_bounded_by_the_recursion_limit():
     target = [1] * (n - 2) + [0, 1]
     d = alon_tarsi.orientation_with_outdegrees(g, target)
     assert d.out_degrees() == target and (n - 1, n - 2) in d.arcs
+
+
+# the edge order against the scan it replaced
+
+def _edge_order_by_scan(g):
+    """Maximum cardinality search by a scan of every vertex not yet
+    taken, each step; each taken vertex brings its edges to the earlier
+    ones in the order those were taken."""
+    adj = g.adjacency_masks()
+    deg = g.degrees()
+    left = set(range(g.n))
+    taken = []
+    edges = []
+    mask = 0
+    while left:
+        v = max(left, key=lambda u: ((adj[u] & mask).bit_count(), deg[u], -u))
+        edges.extend((min(u, v), max(u, v)) for u in taken if adj[v] >> u & 1)
+        left.remove(v)
+        taken.append(v)
+        mask |= 1 << v
+    return edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_edge_order_matches_the_scan(n, data):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    g = SimpleGraph.from_edges(n, edges)
+    order = alon_tarsi._edge_order(g)
+    assert order == _edge_order_by_scan(g)
+    assert sorted(order) == g.edge_list()
+
+
+def test_edge_order_matches_the_scan_on_families(rng):
+    for g0, _k in _families():
+        for _ in range(3):
+            g = _relabel(g0, rng)
+            assert alon_tarsi._edge_order(g) == _edge_order_by_scan(g), g.edge_list()
+    # a long path, where the scan is quadratic: vertex 1 (the least of
+    # degree 2) first, then along the path to 2998; the two ends tie
+    # last, and the lower label goes first
+    path = SimpleGraph.from_edges(3000, [(v, v + 1) for v in range(2999)])
+    assert alon_tarsi._edge_order(path) == (
+        [(v, v + 1) for v in range(1, 2998)] + [(0, 1), (2998, 2999)])

@@ -463,3 +463,18 @@ def test_peel_witness_matches_the_edge_dict_peel_in_every_round(rng):
     for i in (1, 12):
         with pytest.raises(ValueError, match="round index out of range"):
             discharging.peel_witness(_INVALID_WITNESS_HOST, i)
+
+
+def test_peel_witness_matches_the_edge_dict_peel_on_sparse_hosts(rng):
+    # 30-60 vertices: many donor steps, some of which leave a donor side
+    # vertex without a low neighbour, so that it leaves B
+    kinds = set()
+    for _ in range(12):
+        n = rng.randint(30, 60)
+        h = MultiGraph.from_edges(n, [(u, v, rng.randint(1, 2)) for u, v in combinations(range(n), 2)
+                                      if rng.random() < 0.08])
+        for i in range(2, 12):
+            got = discharging.peel_witness(h, i)
+            assert got == _peel_witness_oracle(h, i), (h.n, h.edges, i)
+            kinds.add(got[0])
+    assert kinds == {"done", "witness"}

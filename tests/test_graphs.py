@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorcert.graphs import (
-    Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph,
+    Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, blocks,
     complete_bipartite, complete_graph, complete_multipartite_2t,
-    cycle_graph, digraph_from_json, digraph_to_json, emit_edge_list,
-    emit_graph6, join, line_graph, parse_edge_list, parse_graph6,
+    cycle_graph, degree_route, digraph_from_json, digraph_to_json, emit_edge_list,
+    emit_graph6, empty_graph, join, line_graph, parse_edge_list, parse_graph6,
     path_graph,
 )
 from conftest import (
@@ -518,3 +518,105 @@ def test_fits_matches_a_brute_force_reading(graph, data):
     cert = OrientationCertificate(SimpleGraph.from_edges(n, map(tuple, edges)), ListSizeFn(tuple(f)),
                                   Digraph.from_arcs(dn, arcs))
     assert cert.fits() == want
+
+
+# ---------------------------------------------------------------------------
+# blocks and the degree route
+
+def _connected(masks, verts):
+    """Whether the graph on the vertex mask verts is connected (the
+    empty graph is)."""
+    if not verts:
+        return True
+    seen = verts & -verts
+    while True:
+        grown = seen
+        for v in range(len(masks)):
+            if seen >> v & 1:
+                grown |= masks[v] & verts
+        if grown == seen:
+            return seen == verts
+        seen = grown
+
+
+def _blocks_by_deletion(masks, verts):
+    """The blocks on verts by brute force: the inclusion-maximal vertex
+    sets that induce a connected graph which no deletion of one vertex
+    disconnects."""
+    sets = [s for s in range(1, verts + 1) if s & verts == s and _connected(masks, s)
+            and all(_connected(masks, s & ~(1 << v)) for v in range(len(masks)) if s >> v & 1)]
+    return sorted(s for s in sets if not any(t != s and t & s == s for t in sets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_sets(max_n=8), st.data())
+def test_blocks_match_the_deletion_search(graph, data):
+    n, edges = graph
+    g = SimpleGraph.from_edges(n, map(tuple, edges))
+    verts = data.draw(st.integers(0, (1 << n) - 1), label="vertex mask")
+    want = _blocks_by_deletion(g.adjacency_masks(), verts)
+    assert sorted(blocks(g.adjacency_masks(), verts)) == want
+    # relabelled, the blocks follow the labels
+    perm = data.draw(st.permutations(range(n)), label="relabelling")
+    h = SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in map(tuple, edges)])
+    moved = sum(1 << perm[v] for v in range(n) if verts >> v & 1)
+    assert sorted(blocks(h.adjacency_masks(), moved)) == sorted(
+        sum(1 << perm[v] for v in range(n) if b >> v & 1) for b in want)
+
+
+def test_blocks_of_classics():
+    path = path_graph(3000)
+    # one block per edge, found without the interpreter's recursion
+    assert sorted(blocks(path.adjacency_masks(), (1 << 3000) - 1)) == sorted(
+        3 << v for v in range(2999))
+    # two triangles sharing vertex 2, plus an isolated vertex
+    bowtie = SimpleGraph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert sorted(blocks(bowtie.adjacency_masks(), 63)) == [0b000111, 0b011100, 0b100000]
+    assert blocks(bowtie.adjacency_masks(), 0) == []
+    assert blocks(cycle_graph(6).adjacency_masks(), 63) == [63]
+
+
+def _glued(blocks_edges):
+    """Blocks glued in a chain: each shares its first vertex with the
+    last vertex of the one before."""
+    edges, n = [], 0
+    for k, block in blocks_edges:
+        base = max(n - 1, 0)
+        edges += [(base + u, base + v) for u, v in block]
+        n = base + k
+    return SimpleGraph.from_edges(n, edges)
+
+
+def _clique(k):
+    return k, list(combinations(range(k), 2))
+
+
+def _cycle(k):
+    return k, [(i, (i + 1) % k) for i in range(k)]
+
+
+@pytest.mark.parametrize("g, budget, verdict", [
+    (empty_graph(0), [], True),
+    (empty_graph(1), [0], False),
+    (empty_graph(2), [1, 1], True),
+    (complete_graph(4), [3] * 4, False),
+    (complete_graph(4), [3, 3, 3, 4], True),
+    (complete_graph(4), [3, 3, 3, 2], None),
+    (cycle_graph(5), [2] * 5, False),
+    (cycle_graph(6), [2] * 6, True),
+    (complete_bipartite(2, 3), [3, 3, 2, 2, 2], True),
+    (complete_bipartite(2, 3), [2] * 5, None),
+    # K_4 minus an edge, glued to a triangle
+    (_glued([(4, [e for e in combinations(range(4), 2) if e != (0, 3)]), _clique(3)]),
+     [2, 3, 3, 4, 2, 2], True),
+    (_glued([_clique(4), _clique(4)]), [3, 3, 3, 6, 3, 3, 3], False),
+    (_glued([_cycle(5), _clique(2), _cycle(3)]), [2, 2, 2, 2, 3, 3, 2, 2], False),
+    # a Gallai tree beside a component that is not one
+    (SimpleGraph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+     [2] * 7, False),
+    # a leaf with a spare colour peels off, then the path behind it
+    (path_graph(4), [1, 2, 2, 2], True),
+    (path_graph(4), [1, 2, 2, 1], False),
+])
+def test_degree_route_on_classics(g, budget, verdict):
+    assert degree_route(g.adjacency_masks(), budget) is verdict

@@ -1279,3 +1279,162 @@ def test_the_exhaustive_kernel_sweep_is_capped():
     cert = kernel.KPCertificate(g, f, Digraph.from_arcs(n, []))
     with pytest.raises(ValueError, match=f"capped at {n - 1} vertices"):
         paint.kernel_painter_play(g, f, cert)
+
+
+# ---------------------------------------------------------------------------
+# the degree route: the solvers answer as they do without it
+
+# blocks as (vertex count, edges); a glued graph is made of the first
+# kind, and a near miss has one block of the second
+_GALLAI_BLOCKS = [(k, list(combinations(range(k), 2))) for k in (2, 3, 4)] + [
+    (k, [(i, (i + 1) % k) for i in range(k)]) for k in (3, 5, 7)]
+_NEAR_MISSES = [
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+    (6, [(i, (i + 1) % 6) for i in range(6)]),
+    (4, [e for e in combinations(range(4), 2) if e != (0, 3)]),
+    # theta graphs: θ_{2,2,2} = K_{2,3}, and θ_{1,2,3}
+    (5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]),
+    (5, [(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)]),
+]
+
+
+@st.composite
+def _glued_blocks(draw, near_miss):
+    """A connected graph on at most 8 vertices, each block glued at one
+    vertex of what is built so far, labels drawn.  Its blocks are
+    cliques and odd cycles, so it is a Gallai tree, except that with
+    near_miss the first is an even cycle, K_4 minus an edge or a theta
+    graph."""
+    pieces = [draw(st.sampled_from(_NEAR_MISSES))] if near_miss else []
+    pieces += draw(st.lists(st.sampled_from(_GALLAI_BLOCKS), min_size=1, max_size=4))
+    n, edges = pieces[0][0], list(pieces[0][1])
+    for k, block in pieces[1:]:
+        if n + k - 1 > 8:
+            continue
+        at = draw(st.integers(0, n - 1))
+        where = [at] + list(range(n, n + k - 1))
+        edges += [(where[u], where[v]) for u, v in block]
+        n += k - 1
+    perm = draw(st.permutations(range(n)))
+    return SimpleGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _solvers(g, f):
+    """is_f_paintable, is_f_choosable while its enumeration stays small,
+    and is_f_KP's certificate document while its search does."""
+    cheap_choose = graphs.degree_route(g.adjacency_masks(), list(f.values)) or sum(f.values) <= 12
+    cert = kernel.is_f_KP(g, f) if len(g.edge_list()) <= 10 else None
+    return (paint.is_f_paintable(g, f), cheap_choose and paint.is_f_choosable(g, f),
+            cert and cert.to_json())
+
+
+def _check_route(g, budget):
+    """The solvers with the route and without it give the same verdicts,
+    transcripts, failing lists and certificates, and a route verdict is
+    theirs.  Returns the route's verdict."""
+    f = ListSizeFn(tuple(budget))
+    verdict = graphs.degree_route(g.adjacency_masks(), budget)
+    got = _solvers(g, f)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (paint, kernel):
+            mp.setattr(module, "degree_route", lambda masks, budget: None)
+        want = _solvers(g, f)
+    assert got == want, (g.edge_list(), budget)
+    if verdict is not None:
+        assert got[0][0] is verdict, (g.edge_list(), budget)
+        if verdict is False:
+            assert got[2] is None
+    return verdict
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.data())
+def test_the_route_keeps_the_answers_on_glued_blocks(near_miss, data):
+    g = data.draw(_glued_blocks(near_miss))
+    budget = g.degrees()
+    above = data.draw(st.booleans(), label="one budget above degree")
+    if above:
+        budget[data.draw(st.integers(0, g.n - 1))] += 1
+    # at f = d, glued cliques and odd cycles are a no and a near miss a
+    # yes; a spare colour at one vertex of a connected graph peels it all
+    assert _check_route(g, budget) is (near_miss or above)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(["degree", "one above", "below"]), st.data())
+def test_the_route_keeps_the_answers_on_random_graphs(n, kind, data):
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    g = SimpleGraph.from_edges(n, edges)
+    budget = [max(d, 1) for d in g.degrees()]
+    if kind == "one above":
+        budget[data.draw(st.integers(0, n - 1))] += 1
+    elif kind == "below":
+        budget = [max(k - data.draw(st.integers(0, 2)), 1) for k in budget]
+    _check_route(g, budget)
+
+
+def test_the_route_keeps_the_answers_on_relabelled_graphs(rng):
+    verdicts = []
+    for _ in range(40):
+        g = random_simple_graph(rng, rng.randint(3, 7), p=rng.uniform(0.2, 0.6))
+        budget = [max(d, 1) for d in g.degrees()]
+        for _copy in range(2):
+            verdicts.append(_check_route(g, budget))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            g = SimpleGraph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edge_list()])
+            budget = [budget[perm.index(v)] for v in range(g.n)]
+        # a verdict does not change under relabelling
+        assert verdicts[-1] is verdicts[-2]
+    assert set(verdicts) == {True, False}
+
+
+def _refuse(name):
+    def refuse(*_args):
+        raise AssertionError(f"{name} was called")
+    return refuse
+
+
+def _two_connected_7(rng):
+    """A random 2-connected graph on 7 vertices that is neither a clique
+    nor a cycle."""
+    while True:
+        g = random_simple_graph(rng, 7, p=0.5)
+        if (graphs.blocks(g.adjacency_masks(), 127) == [127]
+                and set(g.degrees()) not in ({2}, {6})):
+            return g
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: cycle_graph(6), lambda rng: graphs.complete_multipartite_2t(3), _two_connected_7,
+], ids=["c6", "k2x3", "random-2-connected-7"])
+def test_a_degree_budget_off_a_gallai_tree_is_painted_without_a_search(build, rng, monkeypatch):
+    g = build(rng)
+    f = ListSizeFn(tuple(g.degrees()))
+    monkeypatch.setattr(paint, "_maximal_independent_sets", _refuse("_maximal_independent_sets"))
+    ok, transcript = paint.is_f_paintable(g, f)
+    # the painter-win line: the lowest uncolored vertex, alone, each round
+    assert ok and transcript == GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(4), cycle_graph(5), path_graph(4),
+    SimpleGraph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 2)]),
+], ids=["k4", "c5", "p4", "triangle-and-c5"])
+def test_a_gallai_tree_at_degree_has_no_kernel_perfect_search(g, monkeypatch):
+    monkeypatch.setattr(kernel, "is_kernel_perfect", _refuse("is_kernel_perfect"))
+    for doubling in (False, True):
+        assert kernel.is_f_KP(g, ListSizeFn(tuple(g.degrees())), allow_doubling=doubling) is None
+
+
+def test_a_gallai_tree_whose_nested_lists_colour_goes_straight_to_the_enumeration(monkeypatch):
+    calls = []
+    search = paint._canonical_search
+    monkeypatch.setattr(paint, "_canonical_search",
+                        lambda adj, sizes: calls.append(sizes) or search(adj, sizes))
+    monkeypatch.setattr(paint, "is_f_paintable", _refuse("is_f_paintable"))
+    ok, lists = paint.is_f_choosable(path_graph(3), ListSizeFn((1, 2, 1)))
+    assert calls == [[1, 2, 1]]
+    assert not ok and [len(s) for s in lists] == [1, 2, 1]
+    assert next(_list_colorings(path_graph(3), lists), None) is None
