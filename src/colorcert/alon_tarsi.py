@@ -86,36 +86,22 @@ def eulerian_counts(d):
     return states.get(zero, (0, 0))
 
 
-def verify_catalog_entry(entry):
-    """Recompute an entry's Eulerian counts; return (ok, got_ee, got_eo)."""
-    ee, eo = eulerian_counts(entry.digraph)
-    return (ee, eo) == (entry.ee, entry.eo), ee, eo
-
-
 # ---------------------------------------------------------------------------
 # graph polynomial coefficients
 
 def poly_coefficient_expand(g, exponents):
     """Coefficient of prod x_i^{e_i} in prod_{ij in E, i<j} (x_i - x_j).
 
-    A lookup in the capped expansion with caps equal to the target
-    exponents.  Exact integer result under the fixed vertex order
-    0..n-1; 0 when the exponents do not sum to the edge count.
+    Exact, under the fixed vertex order 0..n-1: a lookup in the capped
+    expansion with caps equal to the target, which leave no slack, so
+    only the target can survive.  0 when the exponents do not sum to
+    the edge count or an entry is negative or above its degree.
     """
     exponents = tuple(exponents)
     if sum(exponents) != sum(g.degrees()) // 2:
         return 0
-    return _capped_coefficients(g, exponents).get(exponents, 0)
-
-
-def _capped_coefficients(g, caps):
-    """All nonzero coefficients with exponents e_i <= caps[i].
-
-    Returns {exponent tuple: coefficient} of prod_{ij in E, i<j}
-    (x_i - x_j); see `_capped_expansion`.
-    """
-    monos, decode = _capped_expansion(g, caps)
-    return {decode(k): c for k, c in monos.items()}
+    monos, decode = _capped_expansion(g, exponents)
+    return sum(c for k, c in monos.items() if decode(k) == exponents)
 
 
 def _capped_expansion(g, caps):

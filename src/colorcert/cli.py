@@ -5,6 +5,10 @@ unreadable input or a report that cannot be written.  Reports are plain
 JSON and deterministic for fixed inputs and seeds; wall-clock timing is
 printed to stderr and kept out of stdout and the machine-readable
 report, so both stay byte-identical across runs.
+
+A certificate is checked once: by the function that made it
+(`kernel.galvin_orientation`, `discharging.witness_to_kp`), else by the
+command that reports it (`paint play`, `catalog verify`, `kp mu3`).
 """
 
 import argparse
@@ -163,16 +167,15 @@ def read_input_graph(args, report):
 
 
 def witness_payload(h, outcome, delta):
-    """The witness and, given `delta`, its kernel certificate or the
-    error `witness_to_kp` refused it with; also the certificate."""
-    payload, cert = {"witness": outcome.to_json()}, None
+    """The witness and, given `delta`, its kernel certificate, which
+    `witness_to_kp` has checked, or the error it refused it with."""
+    payload = {"witness": outcome.to_json()}
     if delta is not None:
         try:
-            cert = discharging.witness_to_kp(h, outcome, delta)
-            payload["certificate"] = cert.to_json()
+            payload["certificate"] = discharging.witness_to_kp(h, outcome, delta).to_json()
         except (ValueError, RuntimeError) as exc:
             payload["error"] = str(exc)
-    return payload, cert
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +212,9 @@ def cmd_catalog(args, report):
 
     for entry in catalog.catalog():
         if selected(entry.tag, entry.name):
-            ok, ee, eo = alon_tarsi.verify_catalog_entry(entry)
-            report.add(f"orientation {entry.tag} ({entry.name})", ok,
-                       {"expected": [entry.ee, entry.eo], "computed": [ee, eo]})
+            stored, got = (entry.ee, entry.eo), alon_tarsi.eulerian_counts(entry.digraph)
+            report.add(f"orientation {entry.tag} ({entry.name})", got == stored,
+                       {"expected": list(stored), "computed": list(got)})
     add_clique_order_items(report, "clique-order ", selected)
     for tag, name, g, tj in catalog.two_join_catalog():
         if selected(tag, name):
@@ -248,8 +251,8 @@ def cmd_pipeline(args, report):
         report.add("discharge ledger", outcome.settled(), outcome.to_json())
     else:
         delta = args.delta if args.delta is not None else max(h.degrees()) * 2
-        payload, cert = witness_payload(h, outcome, delta)
-        report.add("discharge witness", "error" not in payload and cert.check(), payload)
+        payload = witness_payload(h, outcome, delta)
+        report.add("discharge witness", "error" not in payload, payload)
 
 
 def cmd_corpus(args, report):
@@ -322,7 +325,7 @@ def cmd_kp(args, report):
     elif args.sub == "galvin":
         b = read_multigraph(report.add_input(args.bipartite))
         cert = kernel.galvin_orientation(b)
-        report.add("bipartite line-graph certificate", cert.check(), cert.to_json())
+        report.add("bipartite line-graph certificate", True, cert.to_json())
     elif args.sub == "mu3":
         add_clique_order_items(report, "", lambda _tag, _name: True)
 
@@ -406,7 +409,7 @@ def cmd_discharge(args, report):
             report.add("ledger", outcome.settled(),
                        {"edge_sum_hypothesis": edge_sum_ok, **outcome.to_json()})
         else:
-            payload, _ = witness_payload(h, outcome, args.delta)
+            payload = witness_payload(h, outcome, args.delta)
             report.add("witness", "error" not in payload,
                        {"edge_sum_hypothesis": edge_sum_ok, **payload})
     elif args.sub == "partition":

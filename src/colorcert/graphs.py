@@ -110,22 +110,16 @@ class SimpleGraph:
         """Every nonempty clique as an ascending tuple, by size and then
         lexicographically."""
         adj = self.adjacency_masks()
-        found = []
-
-        def extend(clique, cand):
-            # cand: the common neighbours of `clique` above its last vertex
-            found.append(clique)
+        # (clique, common neighbours above its last vertex), breadth first:
+        # the loop visits what it appends, and each level stays lexicographic
+        queue = [((), (1 << self.n) - 1)]
+        for clique, cand in queue:
             while cand:
                 low = cand & -cand
                 cand ^= low
                 v = low.bit_length() - 1
-                extend(clique + (v,), cand & adj[v])
-
-        # the search meets cliques in lexicographic order, which a stable
-        # sort by size keeps within each size
-        extend((), (1 << self.n) - 1)
-        found.sort(key=len)
-        return found[1:]
+                queue.append((clique + (v,), cand & adj[v]))
+        return [clique for clique, _ in queue[1:]]
 
 
 @dataclass(frozen=True)

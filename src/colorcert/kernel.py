@@ -154,11 +154,7 @@ class KPCertificate(OrientationCertificate):
     """
 
     root: MultiGraph | None = None
-    origin: tuple | None = None
-
-    def __post_init__(self):
-        if self.origin is not None:
-            self.origin = tuple(self.origin)
+    origin: tuple | list | None = None
 
     @property
     def supergraph_edges(self):

@@ -133,12 +133,6 @@ def _play(tokens, width, mask, move):
     return GameTranscript(rounds, "Painter")
 
 
-def _paint_lowest(mask, _tokens):
-    """The painter-win line's move: list the lowest uncolored vertex
-    alone and paint it."""
-    return (mask & -mask,) * 2
-
-
 PAINTABLE_VERTICES = 9
 
 
@@ -154,9 +148,10 @@ def is_f_paintable(g, f):
     answer, and no search is needed to see that the answer wins: it
     leaves the game on an induced subgraph with the same tokens, and
     paintability passes to induced subgraphs (Schauz, "Mr. Paint and
-    Mrs. Correct", EJC 16, 2009).  When `degree_route` says yes, that
-    line is returned before any table is built; when it says no, the
-    search still runs, for the lister's line.
+    Mrs. Correct", EJC 16, 2009).  It is written down without play:
+    each listed vertex is painted, so no token is paid.  When
+    `degree_route` says yes, it is returned before any table is built;
+    when it says no, the search still runs, for the lister's line.
 
     A game state is the uncolored mask with the tokens left, packed by
     `_pack` with the fields of colored vertices cleared.  An answer that
@@ -187,10 +182,10 @@ def is_f_paintable(g, f):
     if any(t < 1 for t in budget):
         return False, GameTranscript([], "Lister")
     adj = g.adjacency_masks()
+    if degree_route(adj, budget):
+        return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
     tokens, width = _pack(budget)
     size = 1 << g.n
-    if degree_route(adj, budget):
-        return True, _play(tokens, width, size - 1, _paint_lowest)
     field = (1 << width) - 1
     # per vertex mask: one token off each vertex, every other field
     # kept, the neighbours of the mask, and whether it is connected
@@ -257,7 +252,7 @@ def is_f_paintable(g, f):
                 return listed, min(answers[listed])
 
     if value(size - 1, tokens, size - 1):
-        return True, _play(tokens, width, size - 1, _paint_lowest)
+        return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
     return False, _play(tokens, width, size - 1, refute)
 
 

@@ -175,8 +175,8 @@ def test_eulerian_counts_acyclic():
 
 def test_catalog_counts_all_match():
     for entry in catalog.catalog():
-        ok, ee, eo = alon_tarsi.verify_catalog_entry(entry)
-        assert ok, f"{entry.tag}: computed ({ee}, {eo})"
+        ee, eo = alon_tarsi.eulerian_counts(entry.digraph)
+        assert (ee, eo) == (entry.ee, entry.eo), f"{entry.tag}: computed ({ee}, {eo})"
 
 
 def test_eulerian_counts_brute_force(rng):
@@ -535,6 +535,12 @@ def _families():
     ]
 
 
+def _decoded_expansion(g, caps):
+    """`_capped_expansion`'s coefficients by exponent tuple."""
+    monos, decode = alon_tarsi._capped_expansion(g, caps)
+    return {decode(k): c for k, c in monos.items()}
+
+
 def test_capped_coefficients_match_oracle_random(rng):
     # slack 0 (an out-degree vector), small slack, negative slack, and
     # caps drawn freely around the degrees (some negative)
@@ -554,7 +560,7 @@ def test_capped_coefficients_match_oracle_random(rng):
         free = [rng.randint(-1, d + 1) for d in deg]
         for name, caps in (("zero", outs), ("small", small),
                            ("negative", negative), ("free", free)):
-            got = alon_tarsi._capped_coefficients(g, caps)
+            got = _decoded_expansion(g, caps)
             assert got == _capped_coefficients_oracle(g, caps), (g.edge_list(), caps)
             slacks[name] += bool(got) and bool(g.edge_list())
         graphs += 1
@@ -569,7 +575,7 @@ def test_capped_coefficients_match_oracle_on_families(rng):
         for _ in range(2):
             g = _relabel(g0, rng)
             for caps in ([k - 1] * g.n, [k] * g.n, _outdegree_vector(g, rng)):
-                assert alon_tarsi._capped_coefficients(g, caps) == \
+                assert _decoded_expansion(g, caps) == \
                     _capped_coefficients_oracle(g, caps), (g.edge_list(), caps)
 
 
@@ -602,6 +608,31 @@ def test_poly_coefficient_expand_is_a_lookup(rng):
     # exponents that do not sum to the edge count name no coefficient
     assert alon_tarsi.poly_coefficient_expand(g, (1,) * 6) == 0
     assert alon_tarsi.poly_coefficient_expand(g, (3,) * 6) == 0
+
+
+def test_poly_coefficient_expand_matches_the_oracle_off_range(rng):
+    # out-degree vectors, the same moved to a negative entry or above a
+    # degree with the sum kept, wrong sums, and free draws: the lookup
+    # reads 0 wherever the full expansion has no such monomial
+    checked = nonzero = 0
+    while checked < 6000:
+        g = random_simple_graph(rng, rng.randint(2, 7), p=rng.uniform(0.2, 0.9))
+        deg = g.degrees()
+        full = _capped_coefficients_oracle(g, deg)
+        for _ in range(20):
+            outs = _outdegree_vector(g, rng)
+            u, v = rng.sample(range(g.n), 2)
+            low, high, wrong = list(outs), list(outs), list(outs)
+            low[u], low[v] = -1, outs[v] + outs[u] + 1
+            high[u], high[v] = deg[u] + 1, outs[v] + outs[u] - deg[u] - 1
+            wrong[u] += rng.choice((-1, 1))
+            for e in (outs, low, high, wrong, [rng.randint(-2, d + 2) for d in deg]):
+                e = tuple(e)
+                want = full.get(e, 0)
+                assert alon_tarsi.poly_coefficient_expand(g, e) == want, (g.edge_list(), e)
+                checked += 1
+                nonzero += want != 0
+    assert nonzero > 500
 
 
 def test_eulerian_counts_match_oracle_random(rng):

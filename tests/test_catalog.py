@@ -16,8 +16,7 @@ def test_every_entry_is_a_certificate():
     # each vertex's outdegree stays below its budget slot
     for e in catalog.catalog():
         assert e.ee != e.eo
-        ok, ee, eo = alon_tarsi.verify_catalog_entry(e)
-        assert ok and (ee, eo) == (e.ee, e.eo)
+        assert alon_tarsi.eulerian_counts(e.digraph) == (e.ee, e.eo)
 
 
 def test_expected_counts_exact():

@@ -1,6 +1,8 @@
 import hashlib
+import importlib
 import json
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -662,6 +664,19 @@ def test_compose_with_a_hub_edge_outside_the_hub_exits_2(hub_edges, tmp_path, ca
     assert f"hub_edges[{bad}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strips, message", [
+    ([], "one strip per hub edge required"),
+    ([{"n": 3, "edges": [[0, 1]], "X": [0, 2], "Y": [1]}], "strip end X is not a clique"),
+    ([{"n": 3, "edges": [[0, 1], [0, 2]], "X": [0], "Y": [1]}],
+     "strip end vertex with non-clique outside neighborhood"),
+])
+def test_compose_refuses_a_spec_it_cannot_compose_with_exit_2(strips, message, tmp_path,
+                                                              capsys):
+    doc = {"hub_n": 2, "hub_edges": [[0, 1]], "strips": strips}
+    assert run(["structure", "compose", write(tmp_path, "bad.json", json.dumps(doc))]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _with(doc, value, *path):
     """A copy of a JSON document with the key at `path` set to `value`."""
     doc = json.loads(json.dumps(doc))
@@ -1249,3 +1264,89 @@ def test_every_leaf_command_names_its_report(argv, command, code, tmp_path, monk
     _leaf_inputs(tmp_path)
     assert run(argv.split() + ["--json", "rep.json"]) == code
     assert json.loads((tmp_path / "rep.json").read_text())["command"] == command
+
+
+# --- the README's cap table: each command one vertex over its cap
+
+def _over_cap_inputs(tmp_path):
+    """Write one input just over each cap into `tmp_path`."""
+    for n in (9, 10, 13, 21):
+        write(tmp_path, f"c{n}.g6", emit_graph6(cycle_graph(n)))
+    write(tmp_path, "p11.g6", emit_graph6(path_graph(11)))
+    write(tmp_path, "strip11.json", json.dumps(
+        {"H": list(range(11)), "A1": [0], "A2": [10], "B1": [], "B2": []}))
+    write(tmp_path, "arcless13.json", json.dumps(digraph_to_json(Digraph.from_arcs(13, []))))
+    # no root, so its check is the exhaustive one
+    write(tmp_path, "rootless13.json", json.dumps(kernel.KPCertificate(
+        SimpleGraph.from_edges(13, []), ListSizeFn.constant(13, 1),
+        Digraph.from_arcs(13, [])).to_json()))
+    # a bipartite root, so its check passes by the star test, on 21 vertices
+    write(tmp_path, "p21.json", json.dumps(kernel.galvin_orientation(
+        MultiGraph.from_edges(22, path_graph(22).edge_list())).to_json()))
+    # the star-order fallback host of `test_multigraph_report_bytes`,
+    # padded with isolated root vertices
+    write(tmp_path, "irregular301.txt", emit_edge_list(MultiGraph.from_edges(
+        kernel.STAR_ORDER_DEPTH + 1, [(0, 2, 1), (0, 4, 2), (0, 6, 1), (1, 5, 1), (1, 6, 2),
+                                      (2, 3, 1), (3, 4, 1), (3, 5, 2), (3, 6, 1)])))
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("kp check arcless13.json", "exhaustive check capped at 12 vertices"),
+    ("paint play --cert rootless13.json", "exhaustive check capped at 12 vertices"),
+    ("kp search c9.g6 --f const:2", "search capped at 8 vertices"),
+    ("paint solve c10.g6 --f const:2", "solver capped at 9 vertices"),
+    ("choose solve c10.g6 --f const:2", "solver capped at 9 vertices"),
+    ("kp galvin irregular301.txt",
+     "star-order search capped at 300 root vertices and as many edge copies at a vertex"),
+    ("paint play --cert p21.json", "exhaustive sweep capped at 20 vertices"),
+    ("structure linegraph c13.g6", "recognition capped at 12 vertices"),
+    ("structure homopairs c13.g6", "search capped at 12 vertices"),
+    ("structure circular c10.g6", "search capped at 9 vertices"),
+    ("structure 2join verify p11.g6 strip11.json",
+     "interval-order search capped at 10 strip vertices"),
+    ("structure 2join reduce p11.g6 strip11.json",
+     "interval-order search capped at 10 strip vertices"),
+    ("structure bkscan c21.g6",
+     "scan capped at 1048576 vertex subsets, 2097151 asked; lower --max-sub"),
+])
+def test_a_command_one_vertex_over_its_cap_exits_2(argv, message, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    _over_cap_inputs(tmp_path)
+    capsys.readouterr()
+    assert run(argv.split()) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("task, graph, message", [
+    ("kp", "c9.g6", "search capped at 8 vertices"),
+    ("paint", "c10.g6", "solver capped at 9 vertices"),
+])
+def test_a_corpus_graph_over_a_cap_is_one_failed_item(task, graph, message, tmp_path,
+                                                      monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _over_cap_inputs(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "corpus" / graph).write_bytes((tmp_path / graph).read_bytes())
+    assert run(["corpus", "corpus", "--task", task, "--json", "rep.json"]) == 1
+    [item] = json.loads((tmp_path / "rep.json").read_text())["results"]
+    assert item == {"item": graph, "pass": False, "payload": {"error": message}}
+
+
+def test_every_capped_message_reads_a_constant_the_readme_lists():
+    # a cap is a row of the table, or a search no command reaches, which
+    # the README marks library-only; either way with its value
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("The exhaustive searches that the CLI can reach", 1)[1]
+    section = section.split("A command on a single input", 1)[0]
+    listed = [line for line in section.splitlines() if line.startswith("| ")]
+    listed += [par for par in section.split("\n\n") if "library-only" in par]
+    found = 0
+    for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+        module = importlib.import_module(f"colorcert.{path.stem}")
+        for name in re.findall(r"capped at \{([A-Z_]+)\}", path.read_text()):
+            found += 1
+            values = {int(a) << int(b or 0) for line in listed
+                      for a, b in re.findall(rf"\b{name} = (\d+)(?: << (\d+))?", line)}
+            assert values == {getattr(module, name)}, (path.name, name, values)
+    assert found >= 10

@@ -160,6 +160,22 @@ def test_witness_to_kp_rejects_bad_delta():
         discharging.witness_to_kp(k77, outcome, delta=7)
 
 
+@pytest.mark.parametrize("delta, message", [
+    (8, "invalid witness: an edge has no fully-covered endpoint"),
+    (4, "delta must exceed the maximum degree of the host"),
+])
+def test_witness_to_kp_refuses_an_invalid_witness_and_a_low_delta(delta, message):
+    # the round-2 witness that `discharge` gives on this host, built
+    # directly: on b's edge 0-2 (host edge 2-5) the endpoint of least
+    # degree in b is host vertex 2, and only one of its two edges is in b
+    h = _mg(6, [(0, 4, 1), (0, 5, 2), (2, 4, 1), (2, 5, 1), (3, 5, 1)])
+    w = discharging.BipartiteWitness(
+        MultiGraph.from_edges(3, [(0, 2, 1), (1, 2, 1)]), ((0, 1), (2,)), 2, (2, 3, 5))
+    assert not w.is_valid(h)
+    with pytest.raises(ValueError, match=message):
+        discharging.witness_to_kp(h, w, delta)
+
+
 # ---------------------------------------------------------------------------
 # the exhaustive max cut against the earlier per-bipartition scan
 

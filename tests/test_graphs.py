@@ -82,6 +82,37 @@ def test_cliques_match_the_subset_scan(rng):
         assert g.cliques() == want, g.edge_list()
 
 
+def _cliques_recursive(g):
+    """The depth-first enumeration that the level-by-level one replaced."""
+    adj = g.adjacency_masks()
+    found = []
+
+    def extend(clique, cand):
+        # cand: the common neighbours of `clique` above its last vertex
+        found.append(clique)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            extend(clique + (v,), cand & adj[v])
+
+    # the search meets cliques in lexicographic order, which a stable
+    # sort by size keeps within each size
+    extend((), (1 << g.n) - 1)
+    found.sort(key=len)
+    return found[1:]
+
+
+def test_cliques_match_the_recursive_enumeration(rng):
+    graphs = [SimpleGraph.from_edges(0, []), complete_graph(13), empty_graph(13)]
+    while len(graphs) < 420:
+        n = rng.randint(1, 13)
+        g = random_simple_graph(rng, n, rng.uniform(0.1, 0.95))
+        graphs += [g, shuffled(rng, n, g.edge_list())]
+    for g in graphs:
+        assert g.cliques() == _cliques_recursive(g), g.edge_list()
+
+
 # ---------------------------------------------------------------------------
 # the stored neighbour masks against the earlier edge scans
 
@@ -454,6 +485,37 @@ def test_graph6_known_values():
     assert emit_graph6(cycle_graph(5)) == word
     assert parse_graph6(word) == cycle_graph(5)
     assert parse_graph6(">>graph6<<" + word) == cycle_graph(5)
+
+
+@pytest.mark.parametrize("n", [62, 63, 64, 70, 200, 666])
+def test_graph6_roundtrip_past_one_header_byte(n, rng):
+    # above 62 vertices the header is "~" and three bytes of six bits;
+    # 666 is L(K_37), a line graph at the paper's scale
+    import networkx as nx
+
+    if n == 666:
+        g, _ = line_graph(MultiGraph.from_edges(37, complete_graph(37).edge_list()))
+    else:
+        g = random_simple_graph(rng, n, 0.3)
+    word = emit_graph6(g)
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from(g.edge_list())
+    assert word == nx.to_graph6_bytes(nxg, header=False).decode().strip()
+    assert parse_graph6(word) == g
+    assert parse_graph6(word.encode()) == g
+
+
+@pytest.mark.parametrize("word, message, offset", [
+    ("~", "truncated graph6 header", 1),
+    ("~?", "truncated graph6 header", 2),
+    ("~~???????", "beyond 258047 vertices unsupported", 1),
+    ("~?" + chr(30) + "?", "out-of-range byte 30", 2),
+])
+def test_graph6_long_header_errors(word, message, offset):
+    with pytest.raises(FormatError, match=message) as err:
+        parse_graph6(word)
+    assert err.value.offset == offset
 
 
 def test_graph6_errors_carry_offsets():

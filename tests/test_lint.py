@@ -737,9 +737,6 @@ def _self_calling_functions(tree):
 # ValueError cap bounds its depth far below Python's recursion limit.
 # A recursion whose depth grows with the input has to be a loop instead.
 RECURSION_CAPS = {
-    ("graphs.py", "SimpleGraph.cliques.extend"):
-        ([("structure.py", "LINE_GRAPH_VERTICES"), ("structure.py", "HOMOGENEOUS_PAIR_VERTICES")],
-         "one level per clique vertex; only the two capped structure searches list cliques"),
     ("kernel.py", "is_f_KP.place"):
         ([("kernel.py", "F_KP_VERTICES")], "one level per edge of a graph on at most 8 vertices"),
     ("kernel.py", "_search_star_orders.place"):

@@ -711,6 +711,28 @@ def test_a_painter_win_lists_and_paints_one_vertex_per_round(rng):
     assert wins >= 40
 
 
+def test_a_painter_win_line_is_what_the_lowest_vertex_move_plays(rng):
+    # the line is written down, not played; it equals `_play` with the
+    # move it replaced, on both yes exits: the degree route and the search
+    instances = list(_oracle_instances(rng))
+    instances += [(g, f) for _, g, f in _packed_search_instances(rng)]
+    for _ in range(200):
+        g = random_simple_graph(rng, rng.randint(1, 8), p=rng.uniform(0.2, 0.8))
+        cut = rng.choice((0, 1))
+        instances.append((g, ListSizeFn(tuple(max(d - rng.randint(0, cut), 1)
+                                              for d in g.degrees()))))
+    wins = {True: 0, False: 0}
+    for g, f in instances:
+        ok, tr = paint.is_f_paintable(g, f)
+        if ok:
+            tokens, width = paint._pack(list(f.values))
+            lowest = paint._play(tokens, width, (1 << g.n) - 1,
+                                 lambda mask, _tokens: (mask & -mask,) * 2)
+            assert tr == lowest, (g.edge_list(), f.values)
+            wins[bool(graphs.degree_route(g.adjacency_masks(), list(f.values)))] += 1
+    assert min(wins.values()) >= 20, wins
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_verdicts_do_not_change_under_relabelling(n, data):
