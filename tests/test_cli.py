@@ -184,6 +184,35 @@ def test_discharge_run_screen_reads_the_degrees_once(name, host, code, digest, t
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, host, argv, code, digest", [
+    # a witness with its kernel certificate
+    ("k44.txt", MultiGraph.from_edges(8, complete_bipartite(4, 4).edge_list()),
+     ["pipeline", "linegraph"], 0,
+     "8795904ac8d4019d7625f65083274e3c8cae514c94d65cb0d0347635e74293c0"),
+    # a witness that `witness_to_kp` refuses
+    ("irregular.txt", MultiGraph.from_edges(7, [
+        (0, 2, 1), (0, 4, 2), (0, 6, 1), (1, 5, 1), (1, 6, 2), (2, 3, 1), (3, 4, 1),
+        (3, 5, 2), (3, 6, 1)]), ["pipeline", "linegraph"], 1,
+     "19aa5fde348578d698f0f8e6fb2f23becc444a84a0a6461dbe3ea62b64fc7b5e"),
+    # a ledger: settled with no vertices, unsettled with no edges
+    ("empty.txt", MultiGraph.from_edges(0, []), ["pipeline", "linegraph"], 0,
+     "eb075b317c4b20deba6d178a555572a6026773377a40edfb3d65fd26d2e79bbd"),
+    ("edgeless.txt", MultiGraph.from_edges(3, []), ["pipeline", "linegraph"], 1,
+     "b9ce9323cde63981aeb2b8450d4d8b571cf91cac222b5c06c183baba3a447d39"),
+    ("irregular.txt", MultiGraph.from_edges(7, [
+        (0, 2, 1), (0, 4, 2), (0, 6, 1), (1, 5, 1), (1, 6, 2), (2, 3, 1), (3, 4, 1),
+        (3, 5, 2), (3, 6, 1)]), ["discharge", "degeneracy"], 0,
+     "edda0e4e3f67de29c4984dbf897109e10db20b003fcb3629e7e09c469555a0fa"),
+])
+def test_pipeline_and_degeneracy_report_bytes(name, host, argv, code, digest, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_edge_list(host))
+    assert run(argv + [name, "--json", "rep.json"]) == code
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_structure_linegraph_report_bytes(tmp_path, monkeypatch, capsys):
     # a vertex-shuffled line graph of a multigraph with a double edge
     h = MultiGraph.from_edges(5, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1),
