@@ -166,18 +166,6 @@ def read_input_graph(args, report):
     return g, budget_fn(args.f, report)(g) if "f" in args else None
 
 
-def witness_payload(h, outcome, delta):
-    """The witness and, given `delta`, its kernel certificate, which
-    `witness_to_kp` has checked, or the error it refused it with."""
-    payload = {"witness": outcome.to_json()}
-    if delta is not None:
-        try:
-            payload["certificate"] = discharging.witness_to_kp(h, outcome, delta).to_json()
-        except (ValueError, RuntimeError) as exc:
-            payload["error"] = str(exc)
-    return payload
-
-
 # ---------------------------------------------------------------------------
 # commands: each adds its items to the report that `main` makes and emits
 
@@ -242,17 +230,8 @@ def cmd_pipeline(args, report):
             "catalog entries 3a-3c"
         )
     report.add("multiplicity screen", mu <= 3 and not triple_on_triangle, payload)
-    a, b = discharging.maxcut_partition(h)
-    report.add("partition", True, {"A": list(a), "B": list(b)})
-    k, order = discharging.degeneracy(h)
-    report.add("degeneracy", True, {"degeneracy": k, "order": order})
-    outcome = discharging.discharge(h)
-    if isinstance(outcome, discharging.ChargeLedger):
-        report.add("discharge ledger", outcome.settled(), outcome.to_json())
-    else:
-        delta = args.delta if args.delta is not None else max(h.degrees()) * 2
-        payload = witness_payload(h, outcome, delta)
-        report.add("discharge witness", "error" not in payload, payload)
+    delta = args.delta if args.delta is not None else max(h.degrees(), default=0) * 2
+    add_discharge_items(report, h, ("partition", "degeneracy", "run"), delta, "discharge ", {})
 
 
 def cmd_corpus(args, report):
@@ -398,26 +377,40 @@ def cmd_structure(args, report):
                        {"reduced": reduced and reduced.to_json(), "violation": why})
 
 
-def cmd_discharge(args, report):
-    h = read_multigraph(report.add_input(args.multigraph))
-    if args.sub == "run":
-        deg = h.degrees()
-        top = max(deg, default=0)
-        edge_sum_ok = all(deg[u] + deg[v] >= top + 2 for u, v, _ in h.edges)
-        outcome = discharging.discharge(h)
-        if isinstance(outcome, discharging.ChargeLedger):
-            report.add("ledger", outcome.settled(),
-                       {"edge_sum_hypothesis": edge_sum_ok, **outcome.to_json()})
-        else:
-            payload = witness_payload(h, outcome, args.delta)
-            report.add("witness", "error" not in payload,
-                       {"edge_sum_hypothesis": edge_sum_ok, **payload})
-    elif args.sub == "partition":
+def add_discharge_items(report, h, subs, delta, prefix, facts):
+    """Add the items of the discharge subcommands in `subs`, in the order
+    partition, degeneracy, run.  Run's item is prefix + "ledger" or
+    prefix + "witness", its payload `facts` plus the ledger, or plus the
+    witness and, given `delta`, its kernel certificate, which
+    `witness_to_kp` has checked, or the error it refused it with."""
+    if "partition" in subs:
         a, b = discharging.maxcut_partition(h)
         report.add("partition", True, {"A": list(a), "B": list(b)})
-    elif args.sub == "degeneracy":
+    if "degeneracy" in subs:
         k, order = discharging.degeneracy(h)
         report.add("degeneracy", True, {"degeneracy": k, "order": order})
+    if "run" not in subs:
+        return
+    outcome = discharging.discharge(h)
+    if isinstance(outcome, discharging.ChargeLedger):
+        report.add(prefix + "ledger", outcome.settled(), {**facts, **outcome.to_json()})
+        return
+    payload = {**facts, "witness": outcome.to_json()}
+    if delta is not None:
+        try:
+            payload["certificate"] = discharging.witness_to_kp(h, outcome, delta).to_json()
+        except (ValueError, RuntimeError) as exc:
+            payload["error"] = str(exc)
+    report.add(prefix + "witness", "error" not in payload, payload)
+
+
+def cmd_discharge(args, report):
+    h = read_multigraph(report.add_input(args.multigraph))
+    deg = h.degrees()
+    top = max(deg, default=0)
+    edge_sum_ok = all(deg[u] + deg[v] >= top + 2 for u, v, _ in h.edges)
+    add_discharge_items(report, h, (args.sub,), vars(args).get("delta"), "",
+                        {"edge_sum_hypothesis": edge_sum_ok})
 
 
 # ---------------------------------------------------------------------------

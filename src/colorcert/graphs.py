@@ -533,8 +533,21 @@ def _g6_number(n):
     raise ValueError("vertex count too large for graph6")
 
 
+def _g6_value(data, i):
+    """The 6-bit value of byte i of a graph6 word."""
+    b = data[i]
+    if not 63 <= b <= 126:
+        raise FormatError(f"out-of-range byte {b}", i)
+    return b - 63
+
+
 def parse_graph6(text):
-    """Decode one graph6 word into a SimpleGraph."""
+    """Decode one graph6 word into a SimpleGraph.
+
+    The body's 6-bit values, written out, are one bit string whose k-th
+    bit says whether the k-th pair (u, v), u < v, in column order (v,
+    then u) is an edge; the bits past the last pair are padding.
+    """
     if isinstance(text, str):
         data = text.strip().encode("ascii", errors="replace")
     else:
@@ -543,25 +556,17 @@ def parse_graph6(text):
         data = data[len(b">>graph6<<"):]
     if not data:
         raise FormatError("empty graph6 word", 0)
-    pos = 0
+    head = range(1)
     if data[0] == 126:
         if len(data) < 4:
             raise FormatError("truncated graph6 header", len(data))
         if data[1] == 126:
             raise FormatError("graph6 words beyond 258047 vertices unsupported", 1)
-        n = 0
-        for i in range(1, 4):
-            b = data[i]
-            if not (63 <= b <= 126):
-                raise FormatError(f"out-of-range byte {b}", i)
-            n = (n << 6) | (b - 63)
-        pos = 4
-    else:
-        b = data[0]
-        if not (63 <= b <= 126):
-            raise FormatError(f"out-of-range byte {b}", 0)
-        n = b - 63
-        pos = 1
+        head = range(1, 4)
+    n = 0
+    for i in head:
+        n = n << 6 | _g6_value(data, i)
+    pos = head.stop
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - pos < nbytes:
@@ -571,38 +576,21 @@ def parse_graph6(text):
         )
     if len(data) - pos > nbytes:
         raise FormatError("trailing garbage after graph6 word", pos + nbytes)
-    bits = []
-    for i in range(nbytes):
-        b = data[pos + i]
-        if not (63 <= b <= 126):
-            raise FormatError(f"out-of-range byte {b}", pos + i)
-        x = b - 63
-        bits.extend((x >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    bits = "".join(f"{_g6_value(data, i):06b}" for i in range(pos, pos + nbytes))
+    if "1" in bits[nbits:]:
         raise FormatError("nonzero padding bits", pos + nbytes - 1)
-    edges = []
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[k]:
-                edges.append((u, v))
-            k += 1
-    return SimpleGraph.from_edges(n, edges)
+    pairs = ((u, v) for v in range(1, n) for u in range(v))
+    return SimpleGraph.from_edges(n, [e for e, bit in zip(pairs, bits) if bit == "1"])
 
 
 def emit_graph6(g):
-    """Encode a SimpleGraph as one graph6 word (string)."""
-    out = bytearray(_g6_number(g.n))
+    """Encode a SimpleGraph as one graph6 word (string): the bit string
+    that `parse_graph6` reads, padded to whole 6-bit values."""
     adj = g.adjacency_masks()
-    bits = [adj[v] >> u & 1 for v in range(1, g.n) for u in range(v)]
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        x = 0
-        for b in bits[i : i + 6]:
-            x = (x << 1) | b
-        out.append(x + 63)
-    return out.decode("ascii")
+    bits = "".join(format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    bits += "0" * (-len(bits) % 6)
+    body = bytes(int(bits[i:i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return (_g6_number(g.n) + body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,11 @@ def is_f_KP(g, f, allow_doubling=False):
     on the out-degree bound d+(v) <= f(v) - 1.  Returns the first
     certificate found, else None.  When `degree_route` says no, no such
     orientation exists and there is no search.
+
+    A one-way arc u->v is refused when one-way arcs v->w->u are placed:
+    the three arcs are then the whole subdigraph induced on {u, v, w},
+    a 3-cycle with no kernel, so every orientation below that choice
+    fails `is_kernel_perfect`, and the first one found is unchanged.
     """
     if g.n > F_KP_VERTICES:
         raise ValueError(f"search capped at {F_KP_VERTICES} vertices")
@@ -230,8 +235,14 @@ def is_f_KP(g, f, allow_doubling=False):
         return None
     edges = g.edge_list()
     limit = [k - 1 for k in budget]
-    outs = [0] * g.n
+    out = [0] * g.n  # out- and in-masks of the placed arcs
+    into = [0] * g.n
     chosen = []
+
+    def flip(arcs):
+        for t, h in arcs:
+            out[t] ^= 1 << h
+            into[h] ^= 1 << t
 
     def place(k):
         if k == len(edges):
@@ -243,18 +254,16 @@ def is_f_KP(g, f, allow_doubling=False):
         if allow_doubling:
             options.append(((u, v), (v, u)))
         for arcs in options:
-            feasible = True
-            for a, _ in arcs:
-                outs[a] += 1
-                if outs[a] > limit[a]:
-                    feasible = False
-            if feasible:
-                chosen.append(arcs)
-                if place(k + 1):
-                    return True
-                chosen.pop()
-            for a, _ in arcs:
-                outs[a] -= 1
+            a, b = arcs[0]
+            if (any(out[t].bit_count() == limit[t] for t, _ in arcs)
+                    or len(arcs) == 1 and out[b] & ~into[b] & into[a] & ~out[a]):
+                continue
+            flip(arcs)
+            chosen.append(arcs)
+            if place(k + 1):
+                return True
+            chosen.pop()
+            flip(arcs)
         return False
 
     if not place(0):

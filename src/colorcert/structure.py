@@ -78,15 +78,19 @@ def recognize_line_graph(g):
         # mask per vertex) with every vertex in at most two parts: `once`
         # and `twice` are the vertices in at least one and in two parts.
         # Overlap on edges is allowed (parallel root edges share both of
-        # their cliques).  The least uncovered edge is covered first.
+        # their cliques).  The least uncovered edge is covered first.  A
+        # vertex entering its second part joins no third, so a part that
+        # leaves an edge uncovered at such a vertex leads to no cover.
         a = next((v for v, m in enumerate(rest) if m), None)
         if a is None:
             return []
         edge = 1 << a | rest[a] & -rest[a]
         for cl in cliques:
             if cl & edge == edge and not cl & twice:
-                tail = cover(tuple(m & ~cl if cl >> v & 1 else m for v, m in enumerate(rest)),
-                             once | cl, twice | once & cl)
+                left = tuple(m & ~cl if cl >> v & 1 else m for v, m in enumerate(rest))
+                if any(left[v] for v in _bits(once & cl)):
+                    continue
+                tail = cover(left, once | cl, twice | once & cl)
                 if tail is not None:
                     return [cl, *tail]
         return None

@@ -518,6 +518,88 @@ def test_graph6_long_header_errors(word, message, offset):
     assert err.value.offset == offset
 
 
+def _parse_graph6_oracle(text):
+    # the byte-by-byte decoder that `parse_graph6` replaced: three range
+    # checks and one bit list
+    if isinstance(text, str):
+        data = text.strip().encode("ascii", errors="replace")
+    else:
+        data = bytes(text).strip()
+    if data.startswith(b">>graph6<<"):
+        data = data[len(b">>graph6<<"):]
+    if not data:
+        raise FormatError("empty graph6 word", 0)
+    pos = 0
+    if data[0] == 126:
+        if len(data) < 4:
+            raise FormatError("truncated graph6 header", len(data))
+        if data[1] == 126:
+            raise FormatError("graph6 words beyond 258047 vertices unsupported", 1)
+        n = 0
+        for i in range(1, 4):
+            b = data[i]
+            if not (63 <= b <= 126):
+                raise FormatError(f"out-of-range byte {b}", i)
+            n = (n << 6) | (b - 63)
+        pos = 4
+    else:
+        b = data[0]
+        if not (63 <= b <= 126):
+            raise FormatError(f"out-of-range byte {b}", 0)
+        n = b - 63
+        pos = 1
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(data) - pos < nbytes:
+        raise FormatError(
+            f"graph6 word too short: need {nbytes} data bytes, got {len(data) - pos}",
+            len(data),
+        )
+    if len(data) - pos > nbytes:
+        raise FormatError("trailing garbage after graph6 word", pos + nbytes)
+    bits = []
+    for i in range(nbytes):
+        b = data[pos + i]
+        if not (63 <= b <= 126):
+            raise FormatError(f"out-of-range byte {b}", pos + i)
+        x = b - 63
+        bits.extend((x >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise FormatError("nonzero padding bits", pos + nbytes - 1)
+    edges = []
+    k = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[k]:
+                edges.append((u, v))
+            k += 1
+    return SimpleGraph.from_edges(n, edges)
+
+
+def _decoded(parse, word):
+    try:
+        return parse(word)
+    except FormatError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def test_graph6_decoding_matches_the_byte_by_byte_decoder(rng):
+    # the word of a random graph (and of the empty and the complete graph
+    # below 10 vertices) with each byte replaced by 0x1e, '?', '~' or
+    # 0x7f, or dropped, or one of those appended: the same graph, or the
+    # same error and offset
+    for n in [*range(10), 62, 63, 64]:
+        small = (empty_graph(n), complete_graph(n)) if n < 10 else ()
+        for g in (*small, random_simple_graph(rng, n, 0.4)):
+            word = emit_graph6(g).encode()
+            words = [word, word[:-1], *(word + bytes([c]) for c in b"\x1e?~\x7f")]
+            for i in range(len(word)):
+                words.append(word[:i] + word[i + 1:])
+                words.extend(word[:i] + bytes([c]) + word[i + 1:] for c in b"\x1e?~\x7f")
+            for w in words:
+                assert _decoded(parse_graph6, w) == _decoded(_parse_graph6_oracle, w)
+
+
 def test_graph6_errors_carry_offsets():
     with pytest.raises(FormatError):
         parse_graph6("")

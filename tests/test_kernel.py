@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from colorcert import alon_tarsi, catalog, kernel
 from colorcert.graphs import (
     Digraph, FormatError, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite,
-    complete_graph, cycle_graph, edge_copies, line_graph,
+    complete_graph, cycle_graph, degree_route, edge_copies, line_graph,
 )
 from conftest import (
     SIZE_PROBES, certificate_parts, random_multigraph, random_simple_graph, resized,
@@ -869,3 +870,75 @@ def test_edge_coloring_matches_the_dict_insertion(rng):
         assert colors == _edge_coloring_oracle(b, chains), b.edges
     # the inserts swap chains, long ones among them
     assert sum(k > 0 for k in chains) > 2000 and sum(k >= 5 for k in chains) > 100
+
+
+def _is_f_KP_oracle(g, f, allow_doubling=False):
+    # the search before it refused one-way triangles: every complete
+    # orientation within the budget goes to `is_kernel_perfect`
+    if g.n > kernel.F_KP_VERTICES:
+        raise ValueError(f"search capped at {kernel.F_KP_VERTICES} vertices")
+    budget = [f(v) for v in range(g.n)]
+    if any(k < 1 for k in budget) or degree_route(g.adjacency_masks(), budget) is False:
+        return None
+    edges = g.edge_list()
+    limit = [k - 1 for k in budget]
+    outs = [0] * g.n
+    chosen = []
+
+    def place(k):
+        if k == len(edges):
+            d = Digraph.from_arcs(g.n, [a for arcs in chosen for a in arcs])
+            ok, _ = kernel.is_kernel_perfect(d)
+            return ok
+        u, v = edges[k]
+        options = [((u, v),), ((v, u),)]
+        if allow_doubling:
+            options.append(((u, v), (v, u)))
+        for arcs in options:
+            feasible = True
+            for a, _ in arcs:
+                outs[a] += 1
+                if outs[a] > limit[a]:
+                    feasible = False
+            if feasible:
+                chosen.append(arcs)
+                if place(k + 1):
+                    return True
+                chosen.pop()
+            for a, _ in arcs:
+                outs[a] -= 1
+        return False
+
+    if not place(0):
+        return None
+    return kernel.KPCertificate(
+        g, f, Digraph.from_arcs(g.n, [a for group in chosen for a in group]))
+
+
+def test_is_f_KP_matches_the_search_without_the_triangle_cut(rng):
+    # budgets d or d - 1 on 3-6 vertices, 30% of them with doubling;
+    # the same first certificate, or None on both
+    found = doubled = 0
+    for i in range(2400):
+        n = rng.randint(3, 6)
+        g = random_simple_graph(rng, n, rng.uniform(0.2, 0.7))
+        f = ListSizeFn(tuple(max(1, d - rng.randint(0, 1)) for d in g.degrees()))
+        double = i % 10 < 3
+        got, want = kernel.is_f_KP(g, f, double), _is_f_KP_oracle(g, f, double)
+        assert (got and got.to_json()) == (want and want.to_json()), (g.edge_list(), f.values)
+        found += got is not None
+        doubled += bool(got and got.supergraph_edges)
+    assert found > 150 and doubled > 15
+
+
+def test_is_f_KP_decides_a_dense_8_vertex_graph_at_once():
+    # not a Gallai tree, so the degree route says yes; without the cut
+    # the search had no answer after 300 s
+    g = SimpleGraph.from_edges(8, [
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 4), (1, 5),
+        (1, 7), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 5), (3, 7), (4, 5), (4, 6),
+        (4, 7), (5, 6), (5, 7), (6, 7)])
+    f = ListSizeFn(tuple(max(d, 1) for d in g.degrees()))
+    start = time.perf_counter()
+    assert kernel.is_f_KP(g, f) is None
+    assert time.perf_counter() - start < 2

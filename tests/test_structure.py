@@ -1,12 +1,13 @@
 import json
 import random
+import time
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorcert import structure
+from colorcert import cli, structure
 from colorcert.alon_tarsi import is_f_AT
 from colorcert.catalog import two_join_catalog
 from colorcert.graphs import (
@@ -473,6 +474,61 @@ def test_line_graph_cover_matches_the_pair_set_cover(rng):
         lines += root is not None
         others += root is None
     assert lines > 600 and others > 100
+
+
+def _recognize_line_graph_without_the_cut(g):
+    """The mask cover before it dropped parts that strand an edge at a
+    vertex entering its second part."""
+    cliques = [sum(1 << v for v in c) for c in g.cliques() if len(c) >= 2]
+
+    def cover(rest, once, twice):
+        a = next((v for v, m in enumerate(rest) if m), None)
+        if a is None:
+            return []
+        edge = 1 << a | rest[a] & -rest[a]
+        for cl in cliques:
+            if cl & edge == edge and not cl & twice:
+                tail = cover(tuple(m & ~cl if cl >> v & 1 else m for v, m in enumerate(rest)),
+                             once | cl, twice | once & cl)
+                if tail is not None:
+                    return [cl, *tail]
+        return None
+
+    parts = cover(g.adjacency_masks(), 0, 0)
+    if parts is None:
+        return None
+    extra = len(parts)
+    origin = []
+    for v in range(g.n):
+        ms = [i for i, cl in enumerate(parts) if cl >> v & 1]
+        while len(ms) < 2:
+            ms.append(extra)
+            extra += 1
+        origin.append(tuple(ms))
+    root = MultiGraph.from_edges(extra, origin)
+    return root if line_graph(root, origin)[0] == g else None
+
+
+def test_line_graph_cover_matches_the_cover_without_the_cut(rng):
+    graphs = []
+    while len(graphs) < 320:
+        g = line_graph(random_multigraph(rng, rng.randint(3, 6), rng.randint(3, 7)))[0]
+        if 6 <= g.n <= 11:
+            graphs.append(shuffled(rng, g.n, g.edge_list()))
+    for g in graphs:
+        root = structure.recognize_line_graph(g)
+        assert root is not None and root == _recognize_line_graph_without_the_cut(g), g.edge_list()
+
+
+def test_structure_linegraph_decides_ten_parallel_copies_at_once(tmp_path, capsys):
+    # the root 02x2, 05, 12x3, 23, 24x2, 25x2 plus a vertex joined to five
+    # copies, labels shuffled: vertex 2's ten copies make a 10-clique,
+    # and without the cut the cover took over 10 s
+    path = tmp_path / "k10.g6"
+    path.write_text("KJ\\z~~~~~~pM\n")
+    start = time.perf_counter()
+    assert cli.main(["structure", "linegraph", str(path)]) == 0
+    assert time.perf_counter() - start < 2
 
 
 def test_homogeneous_pairs_match_the_subset_scan(rng):
