@@ -7,8 +7,9 @@ printed to stderr and kept out of stdout and the machine-readable
 report, so both stay byte-identical across runs.
 
 A certificate is checked once: by the function that made it
-(`kernel.galvin_orientation`, `discharging.witness_to_kp`), else by the
-command that reports it (`paint play`, `catalog verify`, `kp mu3`).
+(`kernel.galvin_orientation`; `discharging.witness_to_kp` only raises
+the budgets of its certificate), else by the command that reports it
+(`paint play`, `catalog verify`, `kp mu3`).
 """
 
 import argparse
@@ -252,17 +253,16 @@ def cmd_corpus(args, report):
             m = sum(g.degrees()) // 2
             if args.cap_edges and m > args.cap_edges:
                 raise ValueError(f"over --cap-edges ({m})")
-            f = budgets(g)
             if args.sub == "at":
-                ok, cert = alon_tarsi.is_f_AT(g, f)
+                ok, _ = alon_tarsi.is_f_AT(g, budgets(g))
                 report.add(name, True, {"f_AT": ok})
             elif args.sub == "kp":
-                cert = kernel.is_f_KP(g, f, allow_doubling=args.double)
+                cert = kernel.is_f_KP(g, budgets(g), allow_doubling=args.double)
                 report.add(name, True, {"f_KP": cert is not None})
             elif args.sub == "paint":
-                ok, _ = paint.is_f_paintable(g, f)
+                ok, _ = paint.is_f_paintable(g, budgets(g))
                 report.add(name, True, {"f_paintable": ok})
-            elif args.sub == "scan":
+            elif args.sub == "scan":  # bk_free_scan sets its own budgets
                 hits = structure.bk_free_scan(g, delta=args.delta, max_sub=args.max_sub)
                 report.add(name, True, {"reducible_pieces": len(hits)})
         except (FormatError, ValueError, OSError) as exc:

@@ -79,12 +79,9 @@ def maxcut_partition(h):
     """Best vertex bipartition under (max crossing edges, min crossing
     sum of squared multiplicities), lexicographically.
 
-    Exact up to MAXCUT_EXHAUSTIVE_VERTICES vertices, where ties go to
-    the lexicographically least side-A indicator tuple with vertex 0 on
-    side A: a branch and bound places vertices in index order, side B
-    first, and drops a partial bipartition once its cut plus the
-    heavier side of each unplaced vertex plus the edges among unplaced
-    vertices cannot beat the best (cut, squares) so far.  Beyond that,
+    Exact up to MAXCUT_EXHAUSTIVE_VERTICES vertices, by the branch and
+    bound of `_place`, where ties go to the lexicographically least
+    side-A indicator tuple with vertex 0 on side A.  Beyond that,
     single-vertex-move local search, which still guarantees every
     vertex keeps at least half its degree across the cut.
     """
@@ -128,20 +125,7 @@ def _exhaustive_maxcut(h):
     Vertex v is bit n-1-v, so vertex 0 is the most significant bit and
     numeric order on masks is lexicographic order on indicator tuples;
     the answer is the minimum of (-cut, sq, mask) over the 2^(n-1)
-    masks.
-
-    A depth-first branch and bound finds it.  Vertices 1..n-1 are
-    placed in index order, side B before side A, so leaves are reached
-    in increasing mask order.  The bound on the cut of every leaf below
-    a node is the cut among placed vertices, plus max(w_A(u), w_B(u))
-    for each unplaced u, where w_X(u) is u's edge weight to the placed
-    vertices on side X, plus the weight of the edges among unplaced
-    vertices.  A node is pruned when its bound is below the best cut,
-    or equal to it while its crossing squares already reach the best
-    squares: squares only grow as vertices are placed, and every leaf
-    below comes after the incumbent in mask order, so it could at best
-    tie the incumbent and lose the tie-break.  A leaf that survives is
-    therefore strictly better in (cut, sq) and becomes the incumbent.
+    masks, which `_place` finds.
     """
     n = h.n
     later = [[] for _ in range(n)]  # (u, m) for each neighbour u > v
@@ -151,45 +135,55 @@ def _exhaustive_maxcut(h):
         inside[u] += m
     for v in range(n - 2, -1, -1):
         inside[v] += inside[v + 1]
-    best = (-1, 0, 0)  # (cut, sq, mask) of the incumbent
-    zero = [0] * n
-    root = _place((0, 0, 0, (zero, zero), (zero, zero)), 0, 1, later[0])
-    stack = [(1, 1 << (n - 1), root)]  # (next vertex, mask so far, state)
-    while stack:
-        v, mask, state = stack.pop()
-        cut, sq, free = state[:3]
-        bound = cut + free + inside[v]
-        if bound < best[0] or bound == best[0] and sq >= best[1]:
-            continue
-        if v == n:
-            best = cut, sq, mask
-            continue
-        for s in (1, 0):  # side B is popped, and searched, first
-            stack.append((v + 1, mask | s << (n - 1 - v), _place(state, v, s, later[v])))
+    best = [-1, 0, 0]  # (cut, sq, mask) of the incumbent
+    _place((later, inside, [[0] * n, [0] * n], [[0] * n, [0] * n], best), 0, 1, 0, 0, 0, 0)
     return best[2]
 
 
-def _place(state, v, s, later_v):
-    """The search state after vertex v goes to side s (1 is side A).
+def _place(search, v, s, mask, cut, sq, free):
+    """Put vertex v on side s (1 is side A), search below, take it off.
 
-    A state is (cut, sq, free, w, q): the cut weight and the crossing
-    squared multiplicities among placed vertices; the sum of
-    max(w[0][u], w[1][u]) over unplaced vertices u; and w[t][u] and
-    q[t][u], the edge weight and the squared multiplicities from u to
-    the placed vertices on side t.  Only the lists of side s are
-    copied; later_v holds (u, m) for each neighbour u > v.
+    `search` is (later, inside, w, q, best): later[v] holds (u, m) for
+    each neighbour u > v; inside[v] is the edge weight among vertices
+    v..n-1; w[t][u] and q[t][u] are the edge weight and the squared
+    multiplicities from u to the placed vertices on side t, updated in
+    place; best is the incumbent [cut, sq, mask].  mask, cut and sq
+    are those of the placed vertices before v, and free is the sum of
+    max(w[0][u], w[1][u]) over the unplaced vertices u.
+
+    A depth-first branch and bound: vertices are placed in index order,
+    side B before side A, so leaves are reached in increasing mask
+    order.  The bound on the cut of every leaf below a node is the cut
+    among placed vertices, plus max(w_A(u), w_B(u)) for each unplaced
+    u, plus the weight of the edges among unplaced vertices.  A node is
+    pruned when its bound is below the best cut, or equal to it while
+    its crossing squares already reach the best squares: squares only
+    grow as vertices are placed, and every leaf below comes after the
+    incumbent in mask order, so it could at best tie the incumbent and
+    lose the tie-break.  A leaf that survives is therefore strictly
+    better in (cut, sq) and becomes the incumbent.
     """
-    cut, sq, free, w, q = state
-    ws, qs, wo, qo = list(w[s]), list(q[s]), w[1 - s], q[1 - s]
+    later, inside, w, q, best = search
+    ws, qs, wo = w[s], q[s], w[1 - s]
+    mask |= s << (len(wo) - 1 - v)
+    cut += wo[v]
+    sq += q[1 - s][v]
     free -= max(ws[v], wo[v])
-    for u, m in later_v:
+    for u, m in later[v]:
         old = max(ws[u], wo[u])
         ws[u] += m
         qs[u] += m * m
         free += max(ws[u], wo[u]) - old
-    if s:
-        return cut + wo[v], sq + qo[v], free, (wo, ws), (qo, qs)
-    return cut + wo[v], sq + qo[v], free, (ws, wo), (qs, qo)
+    bound = cut + free + inside[v + 1]
+    if bound > best[0] or bound == best[0] and sq < best[1]:
+        if v + 1 == len(wo):
+            best[:] = cut, sq, mask
+        else:
+            _place(search, v + 1, 0, mask, cut, sq, free)
+            _place(search, v + 1, 1, mask, cut, sq, free)
+    for u, m in later[v]:
+        ws[u] -= m
+        qs[u] -= m * m
 
 
 def degeneracy(h):
@@ -297,6 +291,10 @@ def witness_to_kp(h, w, delta):
     witness and inside h.  The witness invariant plus delta > max
     degree of h force f(xy) >= max of the endpoint degrees in w.b, so
     the standard bipartite orientation certifies the budget.
+
+    `galvin_orientation` checks its certificate once, under the budget
+    max(d_B(x), d_B(y)); this only raises that budget, and
+    kernel-perfection does not read it, so there is no second check.
     """
     if max(h.degrees(), default=0) >= delta:
         raise ValueError("delta must exceed the maximum degree of the host")
@@ -318,8 +316,4 @@ def witness_to_kp(h, w, delta):
                 f"max({degs_b[u]}, {degs_b[v]})"
             )
         fvals.append(fv)
-    f = ListSizeFn(tuple(fvals))
-    cert = KPCertificate(base.graph, f, base.digraph, root=b)
-    if not cert.check():
-        raise RuntimeError("orientation failed verification")
-    return cert
+    return KPCertificate(base.graph, ListSizeFn(tuple(fvals)), base.digraph, root=b)

@@ -11,7 +11,7 @@ online game version of it.
 from dataclasses import dataclass
 
 from .graphs import (
-    Digraph, FormatError, ListSizeFn, MultiGraph, OrientationCertificate, copy_stars,
+    Digraph, FormatError, ListSizeFn, MultiGraph, OrientationCertificate, _bits, copy_stars,
     degree_route, edge_copies, line_graph, require, require_pairs, require_records,
     two_coloring,
 )
@@ -237,7 +237,6 @@ def is_f_KP(g, f, allow_doubling=False):
     limit = [k - 1 for k in budget]
     out = [0] * g.n  # out- and in-masks of the placed arcs
     into = [0] * g.n
-    chosen = []
 
     def flip(arcs):
         for t, h in arcs:
@@ -245,10 +244,10 @@ def is_f_KP(g, f, allow_doubling=False):
             into[h] ^= 1 << t
 
     def place(k):
+        """The first kernel-perfect digraph below the placed arcs, or None."""
         if k == len(edges):
-            d = Digraph.from_arcs(g.n, [a for arcs in chosen for a in arcs])
-            ok, _ = is_kernel_perfect(d)
-            return ok
+            d = Digraph.from_arcs(g.n, [(t, h) for t in range(g.n) for h in _bits(out[t])])
+            return d if is_kernel_perfect(d)[0] else None
         u, v = edges[k]
         options = [((u, v),), ((v, u),)]
         if allow_doubling:
@@ -259,16 +258,14 @@ def is_f_KP(g, f, allow_doubling=False):
                     or len(arcs) == 1 and out[b] & ~into[b] & into[a] & ~out[a]):
                 continue
             flip(arcs)
-            chosen.append(arcs)
-            if place(k + 1):
-                return True
-            chosen.pop()
+            d = place(k + 1)
+            if d is not None:
+                return d
             flip(arcs)
-        return False
-
-    if not place(0):
         return None
-    return KPCertificate(g, f, Digraph.from_arcs(g.n, [a for group in chosen for a in group]))
+
+    d = place(0)
+    return None if d is None else KPCertificate(g, f, d)
 
 
 # ---------------------------------------------------------------------------

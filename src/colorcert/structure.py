@@ -462,12 +462,12 @@ def compose(spec):
     for strip in spec.strips:
         adj = strip.graph.adjacency_masks()
         for name, cl in (("X", frozenset(strip.x)), ("Y", frozenset(strip.y))):
-            if not strip.graph.is_clique(sorted(cl)):
-                raise ValueError(f"strip end {name} is not a clique")
             for v in cl:
                 _check_vertex(v, strip.graph.n)
-                if not _is_clique(adj, adj[v] & ~_mask(cl)):
-                    raise ValueError("strip end vertex with non-clique outside neighborhood")
+            if not strip.graph.is_clique(sorted(cl)):
+                raise ValueError(f"strip end {name} is not a clique")
+            if not all(_is_clique(adj, adj[v] & ~_mask(cl)) for v in cl):
+                raise ValueError("strip end vertex with non-clique outside neighborhood")
     offsets = []
     total = 0
     for strip in spec.strips:

@@ -213,6 +213,26 @@ def test_pipeline_and_degeneracy_report_bytes(name, host, argv, code, digest, tm
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_pipeline_linegraph_checks_its_certificate_once(tmp_path, monkeypatch, capsys):
+    # galvin_orientation checks the certificate; witness_to_kp and the
+    # command report it unchecked
+    characterize = kernel.kp_line_characterization
+    calls = []
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return characterize(*a, **kw)
+
+    monkeypatch.setattr(kernel, "kp_line_characterization", counting)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "k44.txt",
+          emit_edge_list(MultiGraph.from_edges(8, complete_bipartite(4, 4).edge_list())))
+    assert run(["pipeline", "linegraph", "k44.txt", "--json", "rep.json"]) == 0
+    assert len(calls) == 1
+    assert hashlib.sha256((tmp_path / "rep.json").read_bytes()).hexdigest() == (
+        "8795904ac8d4019d7625f65083274e3c8cae514c94d65cb0d0347635e74293c0")
+
+
 def test_structure_linegraph_report_bytes(tmp_path, monkeypatch, capsys):
     # a vertex-shuffled line graph of a multigraph with a double edge
     h = MultiGraph.from_edges(5, [(0, 1, 2), (0, 2, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1),
@@ -697,7 +717,7 @@ def test_compose_with_a_hub_edge_outside_the_hub_exits_2(hub_edges, tmp_path, ca
     ([], "one strip per hub edge required"),
     ([{"n": 3, "edges": [[0, 1]], "X": [0, 2], "Y": [1]}], "strip end X is not a clique"),
     ([{"n": 3, "edges": [[0, 1], [0, 2]], "X": [0], "Y": [1]}],
-     "strip end vertex with non-clique outside neighborhood"),
+     "strip end vertex with non-clique outside neighborhood"),    ([{"n": 2, "edges": [[0, 1]], "X": [0, 5], "Y": [1]}], "vertex 5 out of range for n=2"),
 ])
 def test_compose_refuses_a_spec_it_cannot_compose_with_exit_2(strips, message, tmp_path,
                                                               capsys):
@@ -934,6 +954,23 @@ def test_corpus_exits_2_on_a_bad_budget_file_before_any_graph(text, named, tmp_p
                 "--json", str(rep)]) == 2
     assert named in capsys.readouterr().err
     assert not rep.exists()
+
+
+def test_corpus_scan_reads_no_budget(tmp_path, capsys):
+    # the default --f d1 is 0 at a degree-1 vertex of P_4, and the scan
+    # never reads --f: only the tasks that take a budget fail on it
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    (d / "p4.g6").write_text(emit_graph6(path_graph(4)))
+    rep = tmp_path / "rep.json"
+    assert run(["corpus", str(d), "--task", "scan", "--json", str(rep)]) == 0
+    assert [r["pass"] for r in json.loads(rep.read_bytes())["results"]] == [True, True]
+    assert run(["corpus", str(d), "--task", "at", "--json", str(rep)]) == 1
+    byname = {r["item"]: r for r in json.loads(rep.read_bytes())["results"]}
+    assert byname["c5.g6"]["pass"]
+    assert byname["p4.g6"]["payload"] == {
+        "error": "budget specifier produced a value below 1"}
 
 # --- the report writer: PATH is rewritten in place, never truncated first
 

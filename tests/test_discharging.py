@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -365,6 +366,78 @@ def test_branch_and_bound_prunes_by_its_bound(monkeypatch):
         placed.clear()
         discharging.maxcut_partition(h)
         assert len(placed) <= 2048, h.edges
+
+
+def _stack_maxcut(h):
+    """The branch and bound on an explicit stack, each node holding its
+    own state: the same nodes in the same order as `_place`."""
+    n = h.n
+    later = [[] for _ in range(n)]  # (u, m) for each neighbour u > v
+    inside = [0] * (n + 1)  # inside[v]: edge weight among vertices v..n-1
+    for u, v, m in h.edges:
+        later[u].append((v, m))
+        inside[u] += m
+    for v in range(n - 2, -1, -1):
+        inside[v] += inside[v + 1]
+    best = (-1, 0, 0)  # (cut, sq, mask) of the incumbent
+    zero = [0] * n
+    root = _stack_place((0, 0, 0, (zero, zero), (zero, zero)), 0, 1, later[0])
+    stack = [(1, 1 << (n - 1), root)]  # (next vertex, mask so far, state)
+    while stack:
+        v, mask, state = stack.pop()
+        cut, sq, free = state[:3]
+        bound = cut + free + inside[v]
+        if bound < best[0] or bound == best[0] and sq >= best[1]:
+            continue
+        if v == n:
+            best = cut, sq, mask
+            continue
+        for s in (1, 0):  # side B is popped, and searched, first
+            stack.append((v + 1, mask | s << (n - 1 - v), _stack_place(state, v, s, later[v])))
+    return best[2]
+
+
+def _stack_place(state, v, s, later_v):
+    """The state (cut, sq, free, w, q) after vertex v goes to side s,
+    with copies of the lists of side s."""
+    cut, sq, free, w, q = state
+    ws, qs, wo, qo = list(w[s]), list(q[s]), w[1 - s], q[1 - s]
+    free -= max(ws[v], wo[v])
+    for u, m in later_v:
+        old = max(ws[u], wo[u])
+        ws[u] += m
+        qs[u] += m * m
+        free += max(ws[u], wo[u]) - old
+    if s:
+        return cut + wo[v], sq + qo[v], free, (wo, ws), (qo, qs)
+    return cut + wo[v], sq + qo[v], free, (ws, wo), (qs, qo)
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name, made through the global name."""
+    inner = getattr(owner, name)
+    calls = []
+
+    def counting(*a):
+        calls.append(1)
+        return inner(*a)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_in_place_search_matches_the_stack_search_node_for_node(rng, monkeypatch):
+    hosts = [random_multigraph(rng, n, rng.randint(0, n * (n - 1) // 2), max_mult=3)
+             for n in range(1, 17) for _ in range(60)]
+    hosts += [_TIED14] + _benchmark_shaped_hosts() + _tie_heavy_hosts(rng)
+    assert len(hosts) >= 1000
+    placed = _counting(monkeypatch, discharging, "_place")
+    stacked = _counting(monkeypatch, sys.modules[__name__], "_stack_place")
+    for h in hosts:
+        placed.clear()
+        stacked.clear()
+        assert discharging._exhaustive_maxcut(h) == _stack_maxcut(h), h.edges
+        assert len(placed) == len(stacked), h.edges
 
 
 # ---------------------------------------------------------------------------

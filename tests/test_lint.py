@@ -737,6 +737,8 @@ def _self_calling_functions(tree):
 # ValueError cap bounds its depth far below Python's recursion limit.
 # A recursion whose depth grows with the input has to be a loop instead.
 RECURSION_CAPS = {
+    ("discharging.py", "_place"):
+        ([("discharging.py", "MAXCUT_EXHAUSTIVE_VERTICES")], "one level per vertex of the host"),
     ("kernel.py", "is_f_KP.place"):
         ([("kernel.py", "F_KP_VERTICES")], "one level per edge of a graph on at most 8 vertices"),
     ("kernel.py", "_search_star_orders.place"):
