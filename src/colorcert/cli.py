@@ -125,35 +125,36 @@ def budget_fn(spec, report):
     d1, const:<k>, file:<path>, lowset:<ids>.
 
     d1 gives every vertex degree minus one; lowset gives the listed
-    vertices their full degree and everyone else degree minus one.  A
-    budget file is read here, once, through `report`, so the report
-    records its sha256 once however many graphs it is applied to.
+    vertices their full degree and everyone else degree minus one.  The
+    specifier is parsed here, once, before any graph: a budget file is
+    read through `report`, so the report records its sha256 once however
+    many graphs it is applied to.  Only the checks that need the graph
+    are left to each call.
     """
-    from_file = None
-    if spec.startswith("file:"):
-        data = json.loads(report.add_input(spec.split(":", 1)[1]))
+    kind, sep, arg = spec.partition(":")
+    kind += sep
+    if kind == "const:":
+        k = int(arg)
+    elif kind == "file:":
+        data = json.loads(report.add_input(arg))
         if not (isinstance(data, list) and all(type(x) is int for x in data)):
             raise FormatError("budget file is not a JSON list of ints")
-        from_file = tuple(data)
+    elif kind == "lowset:" or spec == "d1":
+        lows = {int(x) for x in arg.split(",")} if arg else set()
+    else:
+        raise FormatError(f"unknown budget specifier {spec!r}")
 
     def budgets(g):
-        degs = g.degrees()
-        if spec == "d1":
-            vals = tuple(d - 1 for d in degs)
-        elif spec.startswith("const:"):
-            vals = (int(spec.split(":", 1)[1]),) * g.n
-        elif spec.startswith("file:"):
-            vals = from_file
+        if kind == "const:":
+            vals = (k,) * g.n
+        elif kind == "file:":
+            vals = tuple(data)
             if len(vals) != g.n:
                 raise FormatError("budget file length does not match the graph")
-        elif spec.startswith("lowset:"):
-            ids = spec.split(":", 1)[1]
-            lows = {int(x) for x in ids.split(",")} if ids else set()
+        else:
             if any(not 0 <= v < g.n for v in lows):
                 raise FormatError(f"lowset names a vertex outside 0..{g.n - 1}")
-            vals = tuple(degs[v] if v in lows else degs[v] - 1 for v in range(g.n))
-        else:
-            raise FormatError(f"unknown budget specifier {spec!r}")
+            vals = tuple(d - (v not in lows) for v, d in enumerate(g.degrees()))
         if any(x < 1 for x in vals):
             raise FormatError("budget specifier produced a value below 1")
         return ListSizeFn(vals)

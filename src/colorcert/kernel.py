@@ -88,11 +88,11 @@ def is_kernel_perfect(d):
             free ^= low
             v = low.bit_length() - 1
             stack.append((k | low, reach | into[v], free & ~support[v]))
-    failing = [s for s in range(1, 1 << n) if not has_kernel[s]]
-    if not failing:
+    if 0 not in has_kernel:
         return True, None
-    members = [[v for v in range(n) if s >> v & 1] for s in failing]
-    return False, set(min(members, key=lambda m: (len(m), m)))
+    failing = [s for s, ok in enumerate(has_kernel) if not ok]
+    size = min(s.bit_count() for s in failing)
+    return False, set(min(list(_bits(s)) for s in failing if s.bit_count() == size))
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def find_homogeneous_pairs(g, nonlinear_only=False):
 # ---------------------------------------------------------------------------
 # linear / circular interval orders
 
-LINEAR_INTERVAL_VERTICES = 10
+LINEAR_INTERVAL_VERTICES = 10  # also the strip order search's cap
 CIRCULAR_INTERVAL_VERTICES = 9
 
 
@@ -300,9 +300,6 @@ class TwoJoin:
         return TwoJoin(*(frozenset(require_ints(doc, key)) for key in ("H", "A1", "A2", "B1", "B2")))
 
 
-STRIP_VERTICES = 10
-
-
 def verify_2join(g, tj):
     """Check the four strip conditions; returns (True, None) or (False, why).
 
@@ -328,8 +325,9 @@ def _strip_order(g, tj):
         return "(i) end cliques not inside the strip", None
     if h & (b1 | b2):
         return "(ii) outside cliques meet the strip", None
-    if len(tj.h) > STRIP_VERTICES:
-        raise ValueError(f"interval-order search capped at {STRIP_VERTICES} strip vertices")
+    if len(tj.h) > LINEAR_INTERVAL_VERTICES:
+        raise ValueError(
+            f"interval-order search capped at {LINEAR_INTERVAL_VERTICES} strip vertices")
     adj = g.adjacency_masks()
     order = _interval_order_with_ends(adj, h, tj.a1, tj.a2)
     if order is None:
@@ -468,21 +466,17 @@ def compose(spec):
                 raise ValueError(f"strip end {name} is not a clique")
             if not all(_is_clique(adj, adj[v] & ~_mask(cl)) for v in cl):
                 raise ValueError("strip end vertex with non-clique outside neighborhood")
-    offsets = []
-    total = 0
-    for strip in spec.strips:
-        offsets.append(total)
-        total += strip.graph.n
     edges = []
-    for strip, off in zip(spec.strips, offsets):
-        edges.extend((u + off, v + off) for u, v in strip.graph.edge_list())
     classes = {v: set() for v in range(spec.hub_n)}
-    for (u, v), strip, off in zip(spec.hub_edges, spec.strips, offsets):
-        classes[u].update(x + off for x in frozenset(strip.x))
-        classes[v].update(y + off for y in frozenset(strip.y))
+    off = 0
+    for (u, v), strip in zip(spec.hub_edges, spec.strips):
+        edges.extend((a + off, b + off) for a, b in strip.graph.edge_list())
+        classes[u].update(x + off for x in strip.x)
+        classes[v].update(y + off for y in strip.y)
+        off += strip.graph.n
     for cl in classes.values():
         edges.extend(combinations(sorted(cl), 2))
-    return SimpleGraph.from_edges(total, edges)
+    return SimpleGraph.from_edges(off, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -956,6 +956,23 @@ def test_corpus_exits_2_on_a_bad_budget_file_before_any_graph(text, named, tmp_p
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("task", ["at", "scan"])
+@pytest.mark.parametrize("spec", ["bogus", "const:x", "lowset:a,b"])
+def test_corpus_exits_2_on_a_malformed_budget_specifier_before_any_graph(spec, task, tmp_path,
+                                                                        c5_file, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    (d / "p3.g6").write_text(emit_graph6(path_graph(3)))
+    (d / "c5.g6").write_text(emit_graph6(cycle_graph(5)))
+    assert run(["at", "check", c5_file, "--f", spec]) == 2
+    single = capsys.readouterr().err
+    rep = tmp_path / "rep.json"
+    assert run(["corpus", str(d), "--task", task, "--f", spec, "--json", str(rep)]) == 2
+    assert capsys.readouterr() == ("", single)
+    assert not rep.exists()
+    assert run(["corpus", str(d), "--task", task, "--f", "const:3"]) == 0
+
+
 def test_corpus_scan_reads_no_budget(tmp_path, capsys):
     # the default --f d1 is 0 at a degree-1 vertex of P_4, and the scan
     # never reads --f: only the tasks that take a budget fail on it

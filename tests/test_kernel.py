@@ -417,6 +417,44 @@ def _non_bipartite_line_orientation(rng):
             return b, Digraph.from_arcs(g.n, _random_arcs(rng, g.edge_list(), 0.2)), origin
 
 
+def _kernel_perfect_digraph(rng, kind):
+    """A digraph with a kernel in every induced subdigraph: an acyclic
+    one, a transitive tournament, a bidirected complete graph, or a
+    star-order orientation of the line graph of a bipartite multigraph,
+    where every clique lies in a star and has that star order's sink
+    (Boros-Gurvich)."""
+    n = rng.randint(1, 9)
+    if kind < 2:
+        perm = rng.sample(range(n), n)
+        p = rng.uniform(0.2, 0.8) if kind == 0 else 1
+        return Digraph.from_arcs(n, [(perm[j], perm[i]) for i in range(n)
+                                     for j in range(i + 1, n) if rng.random() < p])
+    if kind == 2:
+        return Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    while True:
+        b = _irregular_bipartite(rng, rng.randint(1, 3), rng.randint(1, 3))
+        g, origin = line_graph(b)
+        if g.n <= 9:
+            break
+    order_pos = {}
+    for v in range(b.n):
+        star = [i for i, e in enumerate(origin) if v in e]
+        rng.shuffle(star)
+        order_pos[v] = {i: p for p, i in enumerate(star)}
+    return _order_orientation(b, origin, order_pos)
+
+
+def _cycle_below_a_triangle(rng):
+    """A one-way 5- or 7-cycle on the lowest labels used and a one-way
+    triangle on the three highest, any other labels isolated: the cycle
+    fails on a mask numerically below the triangle's, the least failing
+    set."""
+    k = rng.choice((5, 7))
+    n = rng.randint(k + 3, 11)
+    labels = sorted(rng.sample(range(n), k + 3))
+    return n, labels[:k], labels[k:]
+
+
 def test_is_kernel_perfect_matches_the_per_subset_search(rng):
     kp = 0
     for i in range(520):
@@ -434,6 +472,19 @@ def test_is_kernel_perfect_matches_the_per_subset_search(rng):
         assert kernel.is_kernel_perfect(d) == want, sorted(d.arcs)
         kp += want[0]
     assert 100 < kp < 460
+    # the yes answer, which returns before any failing set is built
+    for i in range(160):
+        d = _kernel_perfect_digraph(rng, i % 4)
+        assert kernel.is_kernel_perfect(d) == _is_kernel_perfect_oracle(d) == (True, None), \
+            sorted(d.arcs)
+    # a least failing set that is not the numerically least failing mask
+    for n, ring, tri in [(11, [0, 1, 2, 6, 7], [8, 9, 10])] + [
+            _cycle_below_a_triangle(rng) for _ in range(20)]:
+        d = Digraph.from_arcs(n, [(c[i - 1], c[i]) for c in (ring, tri) for i in range(len(c))])
+        assert _find_kernel_oracle(d, ring) is None
+        want = _is_kernel_perfect_oracle(d)
+        assert want == (False, set(tri))
+        assert kernel.is_kernel_perfect(d) == want, sorted(d.arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -754,8 +754,8 @@ RECURSION_CAPS = {
     ("structure.py", "recognize_line_graph.cover"):
         ([("structure.py", "LINE_GRAPH_VERTICES")], "each level covers an edge of the capped graph"),
     ("structure.py", "_first_order"):
-        ([("structure.py", "LINEAR_INTERVAL_VERTICES"), ("structure.py", "CIRCULAR_INTERVAL_VERTICES"),
-          ("structure.py", "STRIP_VERTICES")], "one level per vertex placed"),
+        ([("structure.py", "LINEAR_INTERVAL_VERTICES"), ("structure.py", "CIRCULAR_INTERVAL_VERTICES")],
+         "one level per vertex placed"),
 }
 
 

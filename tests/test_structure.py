@@ -836,6 +836,81 @@ def test_compositions_are_quasi_line(rng):
 
 
 # ---------------------------------------------------------------------------
+# the one-pass compose against the earlier three-pass one
+
+def _compose_oracle(spec):
+    """Disjoint union of the strips with each hub-vertex class made a clique."""
+    if len(spec.strips) != len(spec.hub_edges):
+        raise ValueError("one strip per hub edge required")
+    for strip in spec.strips:
+        adj = strip.graph.adjacency_masks()
+        for name, cl in (("X", frozenset(strip.x)), ("Y", frozenset(strip.y))):
+            for v in cl:
+                _check_vertex(v, strip.graph.n)
+            if not strip.graph.is_clique(sorted(cl)):
+                raise ValueError(f"strip end {name} is not a clique")
+            if not all(structure._is_clique(adj, adj[v] & ~structure._mask(cl)) for v in cl):
+                raise ValueError("strip end vertex with non-clique outside neighborhood")
+    offsets = []
+    total = 0
+    for strip in spec.strips:
+        offsets.append(total)
+        total += strip.graph.n
+    edges = []
+    for strip, off in zip(spec.strips, offsets):
+        edges.extend((u + off, v + off) for u, v in strip.graph.edge_list())
+    classes = {v: set() for v in range(spec.hub_n)}
+    for (u, v), strip, off in zip(spec.hub_edges, spec.strips, offsets):
+        classes[u].update(x + off for x in frozenset(strip.x))
+        classes[v].update(y + off for y in frozenset(strip.y))
+    for cl in classes.values():
+        edges.extend(combinations(sorted(cl), 2))
+    return SimpleGraph.from_edges(total, edges)
+
+
+def test_compose_matches_the_three_pass_compose(rng, monkeypatch):
+    specs = []
+    compose = structure.compose
+    monkeypatch.setattr(structure, "compose", lambda spec: specs.append(spec) or compose(spec))
+    for _ in range(40):
+        _composed_strip(rng)
+    test_compositions_are_quasi_line(rng)
+    monkeypatch.undo()
+    k2, p3 = complete_graph(2), path_graph(3)
+    # loops only, repeated hub edges, both at once, ends given with repeats
+    specs += [
+        structure.CompositionSpec(1, ((0, 0),) * 3, (structure.Strip(p3, (0,), (2,)),) * 3),
+        structure.CompositionSpec(3, ((0, 1),) * 3 + ((2, 1),), (
+            structure.Strip(k2, (0, 1), (0, 1)), structure.Strip(p3, (0, 1), (2,)),
+            structure.Strip(p3, (1, 2), (0,)), structure.Strip(k2, (0,), (1,)))),
+        structure.CompositionSpec(4, ((1, 1), (1, 2), (1, 1), (2, 1)), (
+            structure.Strip(p3, [0, 0], [2, 1]), structure.Strip(k2, [1], [0, 1, 0]),
+            structure.Strip(complete_graph(1), (0,), (0,)), structure.Strip(p3, (2,), (0,)))),
+    ]
+    assert len(specs) > 45
+    for spec in specs:
+        g, want = structure.compose(spec), _compose_oracle(spec)
+        assert g.n == want.n and g.adjacency_masks() == want.adjacency_masks(), spec
+
+
+@pytest.mark.parametrize("strips", [
+    [],
+    [{"n": 3, "edges": [[0, 1]], "X": [0, 2], "Y": [1]}],
+    [{"n": 3, "edges": [[0, 1], [0, 2]], "X": [0], "Y": [1]}],
+    [{"n": 2, "edges": [[0, 1]], "X": [0, 5], "Y": [1]}],
+])
+def test_compose_refuses_what_the_three_pass_compose_refuses(strips):
+    # the specs of test_compose_refuses_a_spec_it_cannot_compose_with_exit_2
+    spec = structure.CompositionSpec.from_json({"hub_n": 2, "hub_edges": [[0, 1]],
+                                                "strips": strips})
+    with pytest.raises(ValueError) as want:
+        _compose_oracle(spec)
+    with pytest.raises(ValueError) as got:
+        structure.compose(spec)
+    assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
 # the mask walks against the earlier per-set scans; the earlier strip
 # check calls the permutation scan `_interval_order_with_ends` above in
 # place of the end-pinned search, which gives the same order
@@ -862,9 +937,9 @@ def verify_2join(g, tj):
         return False, "(i) end cliques not inside the strip"
     if h & (tj.b1 | tj.b2):
         return False, "(ii) outside cliques meet the strip"
-    if len(h) > structure.STRIP_VERTICES:
+    if len(h) > structure.LINEAR_INTERVAL_VERTICES:
         raise ValueError(
-            f"interval-order search capped at {structure.STRIP_VERTICES} strip vertices")
+            f"interval-order search capped at {structure.LINEAR_INTERVAL_VERTICES} strip vertices")
     sub, order_map = g.induced(h)
     idx = {v: i for i, v in enumerate(order_map)}
     interval = _interval_order_with_ends(sub, {idx[v] for v in tj.a1}, {idx[v] for v in tj.a2})
