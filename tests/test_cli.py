@@ -1205,6 +1205,40 @@ def test_choose_solve_report_bytes(name, graph, failing, digest, tmp_path, monke
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# two yes-questions that the degree route leaves open and an orientation
+# certificate settles: budgets below degree, not every vertex at degree
+_K2X3 = _relabel(complete_multipartite_2t(3), [4, 0, 5, 2, 1, 3])
+_K2_JOIN_K2X3 = _relabel(join(complete_graph(2), complete_multipartite_2t(3)),
+                         [3, 6, 0, 7, 4, 1, 5, 2])
+
+
+@pytest.mark.parametrize("name, graph, f, digest", [
+    ("k2x3.g6", _K2X3, "const:3",
+     "d2c0b18a1bd47b0a65e7ce2ba88c566d3508baea5c3c3b950b91b1c003c36444"),
+    ("k2_join_k2x3.g6", _K2_JOIN_K2X3, "const:5",
+     "aabc598b7f0783340c16f7057753bd3195a4eb879399ff705ae1c171485cb693"),
+])
+def test_choose_solve_report_bytes_off_the_degree_route(name, graph, f, digest, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_graph6(graph))
+    assert run(["choose", "solve", name, "--f", f, "--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_corpus_paint_report_bytes_off_the_degree_route(tmp_path, monkeypatch, capsys):
+    # at d1 both graphs are yes-questions that the degree route leaves open
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "corpus").mkdir()
+    write(tmp_path, "corpus/k2x3.g6", emit_graph6(_K2X3))
+    write(tmp_path, "corpus/k2_join_k2x3.g6", emit_graph6(_K2_JOIN_K2X3))
+    assert run(["corpus", "corpus", "--task", "paint", "--f", "d1", "--json", "rep.json"]) == 0
+    data = (tmp_path / "rep.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "8673c3691fe0b9857fdd67f7ff9e429de4782c3ac37010eaff970d31ebb60d87")
+
+
 def test_importing_the_package_loads_no_hashing_library():
     # hashlib maps the OpenSSL library (about 3 MB resident)
     src = str(Path(cli.__file__).resolve().parent.parent)
