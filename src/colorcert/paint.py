@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+from .alon_tarsi import is_f_AT
 from .graphs import _bits, degree_route
 from .kernel import find_kernel
 
@@ -136,22 +137,52 @@ def _play(tokens, width, mask, move):
 PAINTABLE_VERTICES = 9
 
 
+def _painter_line(n):
+    """The painter-win line: the lowest uncolored vertex listed alone and
+    painted, round by round."""
+    return GameTranscript([({v}, {v}) for v in range(n)], "Painter")
+
+
 def is_f_paintable(g, f):
     """Exact value of the online game, with a sample winning line.
 
-    Returns (paintable, transcript).  A budget below 1 loses before the
-    first round.  On a lister win the lister plays its first winning
-    listing in ascending mask order, answered by the least maximal
-    independent set.  On a painter win the lister lists the lowest
-    uncolored vertex alone and the painter paints it, round by round.
-    That is the lister's first legal move with the painter's only
-    answer, and no search is needed to see that the answer wins: it
-    leaves the game on an induced subgraph with the same tokens, and
-    paintability passes to induced subgraphs (Schauz, "Mr. Paint and
-    Mrs. Correct", EJC 16, 2009).  It is written down without play:
-    each listed vertex is painted, so no token is paid.  When
-    `degree_route` says yes, it is returned before any table is built;
-    when it says no, the search still runs, for the lister's line.
+    Returns (paintable, transcript).  It tries four routes, cheapest
+    first, and the first that decides answers:
+
+    1. A budget below 1 loses before the first round.
+    2. A yes from `degree_route` (peeling, then the blocks at budget =
+       degree).  Its no goes on to route 4, for the lister's line.
+    3. When `degree_route` does not apply, a yes from `is_f_AT`: f-AT
+       implies f-paintable (Schauz, "Flexible color lists in Alon and
+       Tarsi's theorem, and time scheduling", EJC 17, 2010).  A no from
+       `degree_route` needs no AT test, since not paintable implies not
+       AT, and a no from `is_f_AT` settles nothing.
+    4. The state search of `_online_game`.
+
+    On a lister win the lister plays its first winning listing in
+    ascending mask order, answered by the least maximal independent
+    set.  On a painter win, by any route and with no search table built
+    on routes 2 and 3, the lister lists the lowest uncolored vertex
+    alone and the painter paints it, round by round.  That is the
+    lister's first legal move with the painter's only answer, and no
+    search is needed to see that the answer wins: it leaves the game on
+    an induced subgraph with the same tokens, and paintability passes to
+    induced subgraphs (Schauz, "Mr. Paint and Mrs. Correct", EJC 16,
+    2009).  It is written down without play: each listed vertex is
+    painted, so no token is paid.
+    """
+    if g.n > PAINTABLE_VERTICES:
+        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
+    budget = [f(v) for v in range(g.n)]
+    if any(t < 1 for t in budget):
+        return False, GameTranscript([], "Lister")
+    adj = g.adjacency_masks()
+    return _online_game(g, f, adj, budget, degree_route(adj, budget))
+
+
+def _online_game(g, f, adj, budget, route):
+    """Routes 2 to 4 of `is_f_paintable`, with every budget at least 1
+    and `route` what `degree_route` answered on them.
 
     A game state is the uncolored mask with the tokens left, packed by
     `_pack` with the fields of colored vertices cleared.  An answer that
@@ -176,14 +207,8 @@ def is_f_paintable(g, f):
     values of the full game, and the lister-win line, which tries every
     listed set, reads it as it is.
     """
-    if g.n > PAINTABLE_VERTICES:
-        raise ValueError(f"solver capped at {PAINTABLE_VERTICES} vertices")
-    budget = [f(v) for v in range(g.n)]
-    if any(t < 1 for t in budget):
-        return False, GameTranscript([], "Lister")
-    adj = g.adjacency_masks()
-    if degree_route(adj, budget):
-        return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
+    if route or route is None and is_f_AT(g, f)[0]:
+        return True, _painter_line(g.n)
     tokens, width = _pack(budget)
     size = 1 << g.n
     field = (1 << width) - 1
@@ -252,7 +277,7 @@ def is_f_paintable(g, f):
                 return listed, min(answers[listed])
 
     if value(size - 1, tokens, size - 1):
-        return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
+        return True, _painter_line(g.n)
     return False, _play(tokens, width, size - 1, refute)
 
 
@@ -387,6 +412,8 @@ def is_f_choosable(g, f):
        the lists (Schauz, "Mr. Paint and Mrs. Correct", EJC 16, 2009;
        Zhu, "On-line list colouring of graphs", EJC 16, 2009).  Every
        budget is at least 1 here, since a budget of 0 fails at route 2.
+       `_online_game` takes the route's answer, so `degree_route` runs
+       once, and tries an Alon–Tarsi certificate before its search.
     4. `_canonical_search` enumerates what is left: the graphs that are
        choosable but not paintable, and the failing assignments that
        the nested lists miss.
@@ -409,7 +436,7 @@ def is_f_choosable(g, f):
     lists[:] = [(1 << k) - 1 for k in sizes]
     if not colorable(0):
         return False, _as_sets(lists)
-    if by_blocks is None and is_f_paintable(g, f)[0]:
+    if by_blocks is None and _online_game(g, f, adj, sizes, None)[0]:
         return True, None
     return _canonical_search(adj, sizes)
 

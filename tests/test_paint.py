@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorcert import alon_tarsi, graphs, kernel, paint
+import paint_search_oracle
+from colorcert import alon_tarsi, catalog, graphs, kernel, paint
 from colorcert.graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     cycle_graph, path_graph,
@@ -1460,3 +1461,130 @@ def test_a_gallai_tree_whose_nested_lists_colour_goes_straight_to_the_enumeratio
     assert calls == [[1, 2, 1]]
     assert not ok and [len(s) for s in lists] == [1, 2, 1]
     assert next(_list_colorings(path_graph(3), lists), None) is None
+
+
+# ---------------------------------------------------------------------------
+# the orientation route: an Alon–Tarsi yes settles the online game (and so
+# the offline one) before any search; the solver before the route is the
+# oracle
+
+def _theta_graphs(rng):
+    """Relabelled θ_{2,2,2} = K_{2,3}, θ_{1,2,3}, θ_{2,2,4} and θ_{2,3,3}."""
+    for paths in ((2, 2, 2), (1, 2, 3), (2, 2, 4), (2, 3, 3)):
+        edges, n = [], 2
+        for length in paths:
+            inner = list(range(n, n + length - 1))
+            walk = [0] + inner + [1]
+            edges += list(zip(walk, walk[1:]))
+            n += length - 1
+        yield _relabel(SimpleGraph.from_edges(n, edges), rng)
+
+
+def _orientation_yes_instances(rng):
+    """Relabelled K_{2*t} at f = t, t = 2-4, and the catalog's joins
+    1b-1i at the budgets their orientations certify (out-degree + 1)."""
+    for t in (2, 3, 4):
+        g = _relabel(graphs.complete_multipartite_2t(t), rng)
+        yield g, ListSizeFn.constant(g.n, t)
+    for entry in catalog.catalog():
+        if "1b" <= entry.tag <= "1i":
+            g = entry.digraph.support()
+            yield g, ListSizeFn(tuple(k + 1 for k in entry.digraph.out_degrees()))
+
+
+def _orientation_no_instances(rng):
+    """Paintable graphs without an orientation certificate (K_{2,3} at 2,
+    L(K_{3,3}) at 3, θ_{2,2,2}) and lister wins (θ graphs at 2 but
+    θ_{2,2,2}, C_5 at 2, K_4 at 3, K_{2,4} at 2)."""
+    k23 = _relabel(complete_bipartite(2, 3), rng)
+    yield k23, ListSizeFn.constant(5, 2)
+    lk33 = _relabel(_line_k33(), rng)
+    yield lk33, ListSizeFn.constant(9, 3)
+    for g in _theta_graphs(rng):
+        yield g, ListSizeFn.constant(g.n, 2)
+    for g, k in ((cycle_graph(5), 2), (complete_graph(4), 3), (complete_bipartite(2, 4), 2)):
+        g = _relabel(g, rng)
+        yield g, ListSizeFn.constant(g.n, k)
+
+
+def _near_degree_instances(rng, count):
+    """Random graphs on 5-8 vertices, each budget its degree less 0-2,
+    and at least 1."""
+    for _ in range(count):
+        g = random_simple_graph(rng, rng.randint(5, 8), p=rng.uniform(0.3, 0.8))
+        yield g, ListSizeFn(tuple(max(d - rng.randint(0, 2), 1) for d in g.degrees()))
+
+
+def _check_against_the_search(g, f):
+    """The solver's verdict and transcript are the oracle's; so is
+    is_f_choosable's answer, by its spec where the enumerating solver is
+    cheap and, on a painter win, as (True, None) without enumerating.
+    Returns (paintable, AT)."""
+    got = paint.is_f_paintable(g, f)
+    assert got == paint_search_oracle.is_f_paintable(g, f), (g.edge_list(), f.values)
+    at = alon_tarsi.is_f_AT(g, f)[0]
+    if at:
+        assert got[0]
+    if sum(f.values) <= 14:
+        _check_choosable_spec(g, f)
+    elif got[0]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paint, "_canonical_search", _refuse_enumeration)
+            assert paint.is_f_choosable(g, f) == (True, None)
+    return got[0], at
+
+
+def test_orientation_yeses_match_the_search(rng):
+    outcomes = [_check_against_the_search(g, f) for g, f in _orientation_yes_instances(rng)]
+    assert outcomes == [(True, True)] * 11
+
+
+def test_paintable_graphs_without_an_orientation_match_the_search(rng):
+    outcomes = [_check_against_the_search(g, f) for g, f in _orientation_no_instances(rng)]
+    # K_{2,3}, L(K_{3,3}), then the θ graphs, then C_5, K_4 and K_{2,4}
+    assert outcomes == ([(True, False)] * 3 + [(False, False)] * 3
+                        + [(False, False)] * 3)
+
+
+def test_near_degree_budgets_match_the_search(rng):
+    outcomes = {_check_against_the_search(g, f) for g, f in _near_degree_instances(rng, 150)}
+    # a paintable graph without an orientation is rare here
+    assert outcomes >= {(True, True), (False, False)}
+
+
+@pytest.mark.parametrize("t", [3, 4])
+def test_an_orientation_yes_is_painted_without_a_search(t, rng, monkeypatch):
+    g = _relabel(graphs.complete_multipartite_2t(t), rng)
+    f = ListSizeFn.constant(g.n, t)
+    assert graphs.degree_route(g.adjacency_masks(), list(f.values)) is None
+    monkeypatch.setattr(paint, "_maximal_independent_sets", _refuse("_maximal_independent_sets"))
+    start = time.perf_counter()
+    ok, transcript = paint.is_f_paintable(g, f)
+    assert time.perf_counter() - start < 0.5
+    assert ok and transcript == GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
+    monkeypatch.setattr(paint, "_canonical_search", _refuse_enumeration)
+    assert paint.is_f_choosable(g, f) == (True, None)
+
+
+def test_choosable_runs_the_degree_route_once(monkeypatch):
+    calls = []
+    route = graphs.degree_route
+    monkeypatch.setattr(paint, "degree_route",
+                        lambda adj, budget: calls.append(budget) or route(adj, budget))
+    g = graphs.complete_multipartite_2t(3)
+    assert paint.is_f_choosable(g, ListSizeFn.constant(6, 3)) == (True, None)
+    assert calls == [[3] * 6]
+
+
+@pytest.mark.parametrize("g, budget, want", [
+    (cycle_graph(5), (2,) * 5, False),
+    (complete_graph(4), (3,) * 4, False),
+    (path_graph(3), (1, 2, 1), False),
+    (cycle_graph(6), (2,) * 6, True),
+], ids=["c5", "k4", "p3", "c6"])
+def test_the_degree_route_answers_without_an_orientation(g, budget, want, monkeypatch):
+    monkeypatch.setattr(paint, "is_f_AT", _refuse("is_f_AT"))
+    f = ListSizeFn(budget)
+    got = paint.is_f_paintable(g, f)
+    assert got[0] is want and got == paint_search_oracle.is_f_paintable(g, f)
+    assert paint.is_f_choosable(g, f)[0] is want
