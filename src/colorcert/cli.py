@@ -74,6 +74,8 @@ class RunReport:
     def emit(self, args):
         """Print each result and the pass count on stdout and the elapsed
         time on stderr, then write the report to `args.json` if given.
+        With `--json -` the report goes alone to stdout, and the result
+        lines and the count go to stderr.
 
         The report is written over PATH in place: opened without
         truncating, written, then cut at the end of what was written.
@@ -87,37 +89,44 @@ class RunReport:
         that cannot be written exits 2.
         """
         elapsed = time.time() - self.started
+        lines = sys.stderr if args.json == "-" else sys.stdout
         for r in self.results:
             status = "pass" if r["pass"] else "FAIL"
-            print(f"{status}  {r['item']}")
+            print(f"{status}  {r['item']}", file=lines)
         print(f"{len(self.results)} item(s), "
-              f"{sum(r['pass'] for r in self.results)} passed")
+              f"{sum(r['pass'] for r in self.results)} passed", file=lines)
         print(f"elapsed {elapsed:.2f}s", file=sys.stderr)
-        if args.json:
-            data = (json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n").encode()
+        code = 0 if all(r["pass"] for r in self.results) else 1
+        if not args.json:
+            return code
+        text = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        if args.json == "-":
+            sys.stdout.write(text)
+            return code
+        data = text.encode()
+        try:
+            fd = os.open(args.json, os.O_WRONLY | os.O_CREAT, 0o666)
             try:
-                fd = os.open(args.json, os.O_WRONLY | os.O_CREAT, 0o666)
+                st = os.fstat(fd)
+                out = fd
                 try:
-                    st = os.fstat(fd)
-                    out = fd
-                    try:
-                        if os.path.samestat(st, os.fstat(sys.stdout.fileno())):
-                            sys.stdout.flush()
-                            out = sys.stdout.fileno()
-                    except (AttributeError, OSError, ValueError):
-                        pass
-                    view = memoryview(data)
-                    while view:
-                        view = view[os.write(out, view):]
-                    if out == fd and stat.S_ISREG(st.st_mode):
-                        os.ftruncate(fd, len(data))
-                finally:
-                    os.close(fd)
-            except OSError as exc:
-                print(f"cannot write report {args.json}: {exc.strerror or exc}",
-                      file=sys.stderr)
-                return 2
-        return 0 if all(r["pass"] for r in self.results) else 1
+                    if os.path.samestat(st, os.fstat(sys.stdout.fileno())):
+                        sys.stdout.flush()
+                        out = sys.stdout.fileno()
+                except (AttributeError, OSError, ValueError):
+                    pass
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(out, view):]
+                if out == fd and stat.S_ISREG(st.st_mode):
+                    os.ftruncate(fd, len(data))
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            print(f"cannot write report {args.json}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
+        return code
 
 
 def budget_fn(spec, report):
@@ -217,6 +226,8 @@ def cmd_catalog(args, report):
 
 def cmd_pipeline(args, report):
     h = read_multigraph(report.add_input(args.multigraph))
+    top = max(h.degrees(), default=0)
+    refuse_low_delta(args.delta, top)
     mu = h.max_multiplicity()
     payload = {"mu": mu}
     if mu >= 4:
@@ -232,7 +243,7 @@ def cmd_pipeline(args, report):
             "catalog entries 3a-3c"
         )
     report.add("multiplicity screen", mu <= 3 and not triple_on_triangle, payload)
-    delta = args.delta if args.delta is not None else max(h.degrees(), default=0) * 2
+    delta = args.delta if args.delta is not None else top * 2
     add_discharge_items(report, h, ("partition", "degeneracy", "run"), delta, "discharge ", {})
 
 
@@ -405,10 +416,18 @@ def add_discharge_items(report, h, subs, delta, prefix, facts):
     report.add(prefix + "witness", "error" not in payload, payload)
 
 
+def refuse_low_delta(delta, top):
+    """Refuse a `delta` that is given and does not exceed the host's
+    maximum degree `top`: bad usage, exit 2, before any item is added."""
+    if delta is not None and delta <= top:
+        raise ValueError("delta must exceed the maximum degree of the host")
+
+
 def cmd_discharge(args, report):
     h = read_multigraph(report.add_input(args.multigraph))
     deg = h.degrees()
     top = max(deg, default=0)
+    refuse_low_delta(vars(args).get("delta"), top)
     edge_sum_ok = all(deg[u] + deg[v] >= top + 2 for u, v, _ in h.edges)
     add_discharge_items(report, h, (args.sub,), vars(args).get("delta"), "",
                         {"edge_sum_hypothesis": edge_sum_ok})
@@ -481,7 +500,8 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     for parser, default in ((p, None), (common, argparse.SUPPRESS)):
         parser.add_argument("--json", metavar="PATH", default=default,
-                            help="write the machine-readable report here")
+                            help="write the machine-readable report here; "
+                                 "- for stdout alone")
     groups = p.add_subparsers(dest="cmd", required=True)
     for group, (text, _, leaves) in COMMANDS.items():
         parser = groups.add_parser(group, help=text, parents=[] if leaves else [common])

@@ -797,6 +797,27 @@ def test_discharge_and_pipeline(tmp_path, capsys):
     assert "certificate" in items["discharge witness"]["payload"]
 
 
+@pytest.mark.parametrize("command", [["discharge", "run"], ["pipeline", "linegraph"]],
+                         ids=["discharge", "pipeline"])
+@pytest.mark.parametrize("name, host, low, high", [
+    # the path 0-1-2 stalls into a witness, K_13 settles into a ledger
+    ("p3.txt", MultiGraph.from_edges(3, [(0, 1, 1), (1, 2, 1)]), ["1", "2"], "3"),
+    ("k13.txt", MultiGraph.from_edges(13, complete_graph(13).edge_list()), ["5", "12"], "13"),
+], ids=["witness", "ledger"])
+def test_a_delta_not_above_the_maximum_degree_exits_2_before_any_item(
+        command, name, host, low, high, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, name, emit_edge_list(host))
+    for delta in low:
+        assert run(command + [name, "--delta", delta, "--json", "rep.json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: delta must exceed the maximum degree of the host\n"
+        assert not (tmp_path / "rep.json").exists()
+    assert run(command + [name, "--delta", high, "--json", "rep.json"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_pipeline_flags_high_multiplicity(tmp_path, capsys):
     h = MultiGraph.from_edges(3, [(0, 1, 4), (1, 2, 1)])
     path = write(tmp_path, "mu4.txt", emit_edge_list(h))
@@ -1076,6 +1097,35 @@ def test_a_report_to_dev_stdout_redirected_to_a_file_follows_the_lines(unbuffere
             stderr=subprocess.PIPE)
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == lines + fresh
+
+
+def test_a_report_to_dash_goes_alone_to_stdout(tmp_path, capsys):
+    fresh = _fresh_report(tmp_path)
+    lines = capsys.readouterr().out
+    assert run(ENTRY_1F + ["--json", "-"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out) == json.loads(fresh) and out.encode() == fresh
+    # the pass/FAIL lines and the count, then the elapsed time
+    assert err.startswith(lines) and re.fullmatch(r"elapsed \d+\.\d\ds\n", err[len(lines):])
+    # the exit code still says whether every item passed
+    c5 = write(tmp_path, "c5.g6", emit_graph6(cycle_graph(5)))
+    assert run(["at", "check", c5, "--f", "const:2", "--json", "-"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["results"][0]["pass"] is False
+    assert err.startswith("FAIL  orientation certificate\n1 item(s), 0 passed\n")
+    assert not (tmp_path / "-").exists()
+
+
+def test_a_report_to_dash_through_a_pipe_is_one_json_document(tmp_path, capsys):
+    fresh = _fresh_report(tmp_path)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "colorcert.cli"] + ENTRY_1F + ["--json", "-"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == fresh and json.loads(proc.stdout)["command"] == "catalog verify"
+    assert proc.stderr.startswith(b"pass  orientation 1f (k4-join-e4-plus-edge)\n1 item(s)")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")

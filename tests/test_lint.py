@@ -7,9 +7,11 @@ dataclass field is read by the package or the benchmark or is listed,
 every function reads each of its parameters, no module holds an
 `assert`, every `raise AssertionError` sits in a listed function, only
 `graphs.py` calls the raw `SimpleGraph` constructor, only
-`cli.RunReport` opens files, `cli.py` declares each option once, and
+`cli.RunReport` opens files, `cli.py` declares each option once,
 every function that calls itself has its depth capped by a module
-constant; brute force kept only for cross-checking lives in the tests."""
+constant, and only listed functions hold a `global` statement and none
+a `functools` cache; brute force kept only for cross-checking lives in
+the tests."""
 
 import ast
 from collections import Counter
@@ -804,3 +806,77 @@ def test_the_check_sees_self_calling_functions():
         "    return outer([k])\n"
     )
     assert _self_calling_functions(tree) == ["Tree.flat.go", "outer.place", "walk"]
+
+
+def _globals_and_caches(tree):
+    """(function, line) of each `global` statement, the function named as
+    in `_self_calling_functions` (None at module level), and the line of
+    each `cache` or `lru_cache` imported from `functools` or read as its
+    attribute.  A memo that outlives a call would let a run that repeats
+    its inputs, as the benchmark's cycles do, answer from a previous
+    call."""
+    globals_found, caches = [], []
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name + ".", prefix + child.name)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", owner)
+                continue
+            if isinstance(child, ast.Global):
+                globals_found.append((owner, child.lineno))
+            elif isinstance(child, ast.ImportFrom) and child.module == "functools":
+                caches.extend(child.lineno for alias in child.names
+                              if alias.name in ("cache", "lru_cache"))
+            elif (isinstance(child, ast.Attribute) and child.attr in ("cache", "lru_cache")
+                  and isinstance(child.value, ast.Name) and child.value.id == "functools"):
+                caches.append(child.lineno)
+            visit(child, prefix, owner)
+
+    visit(tree, "", None)
+    return globals_found, caches
+
+
+# Every function that rebinds a module-level name, with the reason.  State
+# kept between calls belongs to an object the caller makes and passes.
+GLOBALS = {
+    ("cli.py", "main"):
+        "builds the argument parser once per process, on the first call, so that "
+        "importing stays cheap; the parser holds no answer",
+}
+
+
+def test_no_module_state_outlives_a_call_but_the_listed():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    found = {(module, owner) for module, tree in trees.items()
+             for owner, _ in _globals_and_caches(tree)[0]}
+    # equal, not a subset: a function that stops rebinding leaves the list
+    assert sorted(found, key=str) == sorted(GLOBALS)
+    caches = {module: _globals_and_caches(tree)[1] for module, tree in trees.items()}
+    assert {module: lines for module, lines in caches.items() if lines} == {}
+
+
+def test_the_check_sees_globals_and_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache as lru, partial\n"
+        "from functools import cache\n"
+        "global top\n"
+        "_seen = {}\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def solve(g):\n"
+        "    global _seen\n"
+        "    def inner():\n"
+        "        global _seen\n"
+        "    return partial(inner)\n"
+        "class Solver:\n"
+        "    @functools.cache\n"
+        "    def run(self):\n"
+        "        global _seen\n"
+        "    def keep(self):\n"
+        "        _seen['k'] = functools.reduce\n"
+    )
+    assert _globals_and_caches(tree) == (
+        [(None, 4), ("solve", 8), ("solve.inner", 10), ("Solver.run", 15)], [2, 3, 6, 13])
