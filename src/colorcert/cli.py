@@ -427,9 +427,10 @@ def cmd_discharge(args, report):
     h = read_multigraph(report.add_input(args.multigraph))
     deg = h.degrees()
     top = max(deg, default=0)
-    refuse_low_delta(vars(args).get("delta"), top)
+    delta = vars(args).get("delta")
+    refuse_low_delta(delta, top)
     edge_sum_ok = all(deg[u] + deg[v] >= top + 2 for u, v, _ in h.edges)
-    add_discharge_items(report, h, (args.sub,), vars(args).get("delta"), "",
+    add_discharge_items(report, h, (args.sub,), delta, "",
                         {"edge_sum_hypothesis": edge_sum_ok})
 
 

@@ -7,6 +7,12 @@ lister wins if an uncolored vertex runs out of tokens; the painter wins
 once everything is colored.  A graph is f-paintable when the painter
 wins starting from budgets f.  The offline variant quantifies over
 explicit list assignments instead.
+
+Both solvers settle what they can before any exponential search: the
+degree route, then an Alon–Tarsi certificate, since f-AT implies
+f-paintable (Schauz, "Flexible color lists in Alon and Tarsi's
+theorem, and time scheduling", EJC 17, 2010) and f-paintable implies
+f-choosable.
 """
 
 import random
@@ -137,12 +143,6 @@ def _play(tokens, width, mask, move):
 PAINTABLE_VERTICES = 9
 
 
-def _painter_line(n):
-    """The painter-win line: the lowest uncolored vertex listed alone and
-    painted, round by round."""
-    return GameTranscript([({v}, {v}) for v in range(n)], "Painter")
-
-
 def is_f_paintable(g, f):
     """Exact value of the online game, with a sample winning line.
 
@@ -152,9 +152,8 @@ def is_f_paintable(g, f):
     1. A budget below 1 loses before the first round.
     2. A yes from `degree_route` (peeling, then the blocks at budget =
        degree).  Its no goes on to route 4, for the lister's line.
-    3. When `degree_route` does not apply, a yes from `is_f_AT`: f-AT
-       implies f-paintable (Schauz, "Flexible color lists in Alon and
-       Tarsi's theorem, and time scheduling", EJC 17, 2010).  A no from
+    3. When `degree_route` does not apply, a yes from `is_f_AT`, since
+       f-AT implies f-paintable (see the module docstring).  A no from
        `degree_route` needs no AT test, since not paintable implies not
        AT, and a no from `is_f_AT` settles nothing.
     4. The state search of `_online_game`.
@@ -208,7 +207,7 @@ def _online_game(g, f, adj, budget, route):
     listed set, reads it as it is.
     """
     if route or route is None and is_f_AT(g, f)[0]:
-        return True, _painter_line(g.n)
+        return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
     tokens, width = _pack(budget)
     size = 1 << g.n
     field = (1 << width) - 1
@@ -277,7 +276,7 @@ def _online_game(g, f, adj, budget, route):
                 return listed, min(answers[listed])
 
     if value(size - 1, tokens, size - 1):
-        return True, _painter_line(g.n)
+        return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
     return False, _play(tokens, width, size - 1, refute)
 
 
