@@ -1457,6 +1457,7 @@ def test_a_gallai_tree_whose_nested_lists_colour_goes_straight_to_the_enumeratio
     monkeypatch.setattr(paint, "_canonical_search",
                         lambda adj, sizes: calls.append(sizes) or search(adj, sizes))
     monkeypatch.setattr(paint, "is_f_paintable", _refuse("is_f_paintable"))
+    monkeypatch.setattr(paint, "_online_game", _refuse("_online_game"))
     ok, lists = paint.is_f_choosable(path_graph(3), ListSizeFn((1, 2, 1)))
     assert calls == [[1, 2, 1]]
     assert not ok and [len(s) for s in lists] == [1, 2, 1]
@@ -1541,9 +1542,9 @@ def test_orientation_yeses_match_the_search(rng):
 
 def test_paintable_graphs_without_an_orientation_match_the_search(rng):
     outcomes = [_check_against_the_search(g, f) for g, f in _orientation_no_instances(rng)]
-    # K_{2,3}, L(K_{3,3}), then the θ graphs, then C_5, K_4 and K_{2,4}
-    assert outcomes == ([(True, False)] * 3 + [(False, False)] * 3
-                        + [(False, False)] * 3)
+    # K_{2,3}, L(K_{3,3}) and θ_{2,2,2}, then the other θ graphs, C_5,
+    # K_4 and K_{2,4}
+    assert outcomes == [(True, False)] * 3 + [(False, False)] * 6
 
 
 def test_near_degree_budgets_match_the_search(rng):
