@@ -1260,6 +1260,10 @@ def test_choose_solve_report_bytes(name, graph, failing, digest, tmp_path, monke
 _K2X3 = _relabel(complete_multipartite_2t(3), [4, 0, 5, 2, 1, 3])
 _K2_JOIN_K2X3 = _relabel(join(complete_graph(2), complete_multipartite_2t(3)),
                          [3, 6, 0, 7, 4, 1, 5, 2])
+# a yes-question that neither settles: L(K_{3,3}) at 3 is not 3-AT, but it
+# has a Galvin orientation with every out-degree below 3
+_LK33 = _relabel(line_graph(MultiGraph.from_edges(6, complete_bipartite(3, 3).edge_list()))[0],
+                 [7, 3, 0, 5, 8, 1, 4, 6, 2])
 
 
 @pytest.mark.parametrize("name, graph, f, digest", [
@@ -1267,6 +1271,8 @@ _K2_JOIN_K2X3 = _relabel(join(complete_graph(2), complete_multipartite_2t(3)),
      "d2c0b18a1bd47b0a65e7ce2ba88c566d3508baea5c3c3b950b91b1c003c36444"),
     ("k2_join_k2x3.g6", _K2_JOIN_K2X3, "const:5",
      "aabc598b7f0783340c16f7057753bd3195a4eb879399ff705ae1c171485cb693"),
+    ("lk33.g6", _LK33, "const:3",
+     "261d25d2fdb7e6133ade11462638a67254572a15ae0ca9599dd56c7a7dd6de02"),
 ])
 def test_choose_solve_report_bytes_off_the_degree_route(name, graph, f, digest, tmp_path,
                                                         monkeypatch, capsys):
