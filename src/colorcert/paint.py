@@ -8,11 +8,16 @@ once everything is colored.  A graph is f-paintable when the painter
 wins starting from budgets f.  The offline variant quantifies over
 explicit list assignments instead.
 
-Both solvers settle what they can before any exponential search: the
-degree route, then an Alon–Tarsi certificate, since f-AT implies
-f-paintable (Schauz, "Flexible color lists in Alon and Tarsi's
-theorem, and time scheduling", EJC 17, 2010) and f-paintable implies
-f-choosable.
+Both solvers settle what they can before any exponential search, and
+f-paintable implies f-choosable.  First comes the degree route.  Then
+an Alon–Tarsi certificate, since f-AT implies f-paintable (Schauz,
+"Flexible color lists in Alon and Tarsi's theorem, and time
+scheduling", EJC 17, 2010).  Then, on the line graph of a bipartite
+multigraph, the Galvin route: a kernel-perfect orientation with every
+out-degree below f implies f-paintable (Galvin, JCTB 63, 1995; Schauz,
+"Mr. Paint and Mrs. Correct", EJC 16, 2009).  These two say only yes,
+each with a checked certificate, so they are exact where they answer;
+a question they leave goes on to the search.
 """
 
 import random
@@ -21,7 +26,8 @@ from itertools import combinations
 
 from .alon_tarsi import is_f_AT
 from .graphs import _bits, degree_route
-from .kernel import find_kernel
+from .kernel import bipartition, find_kernel, galvin_orientation
+from .structure import is_claw_free, line_graph_root
 
 RANDOM_GAMES = 1000
 
@@ -146,22 +152,26 @@ PAINTABLE_VERTICES = 9
 def is_f_paintable(g, f):
     """Exact value of the online game, with a sample winning line.
 
-    Returns (paintable, transcript).  It tries four routes, cheapest
+    Returns (paintable, transcript).  It tries five routes, cheapest
     first, and the first that decides answers:
 
     1. A budget below 1 loses before the first round.
     2. A yes from `degree_route` (peeling, then the blocks at budget =
-       degree).  Its no goes on to route 4, for the lister's line.
+       degree).  Its no goes on to route 5, for the lister's line.
     3. When `degree_route` does not apply, a yes from `is_f_AT`, since
        f-AT implies f-paintable (see the module docstring).  A no from
        `degree_route` needs no AT test, since not paintable implies not
        AT, and a no from `is_f_AT` settles nothing.
-    4. The state search of `_online_game`.
+    4. After a no from `is_f_AT`, a yes from `_galvin_route` on the line
+       graph of a bipartite multigraph.  It too only says yes, with a
+       checked kernel-perfect certificate; anything else settles
+       nothing.
+    5. The state search of `_online_game`.
 
     On a lister win the lister plays its first winning listing in
     ascending mask order, answered by the least maximal independent
     set.  On a painter win, by any route and with no search table built
-    on routes 2 and 3, the lister lists the lowest uncolored vertex
+    on routes 2 to 4, the lister lists the lowest uncolored vertex
     alone and the painter paints it, round by round.  That is the
     lister's first legal move with the painter's only answer, and no
     search is needed to see that the answer wins: it leaves the game on
@@ -179,8 +189,34 @@ def is_f_paintable(g, f):
     return _online_game(g, f, adj, budget, degree_route(adj, budget))
 
 
+def _galvin_route(g, budget):
+    """Whether Galvin's orientation shows g budget-paintable.
+
+    It does when g is the line graph of a bipartite multigraph B, read
+    off by `line_graph_root`, and each vertex's budget is at least
+    max(d(a), d(b)) for the root edge ab it stands for.
+    `galvin_orientation` then builds a kernel-perfect orientation of
+    L(B) with every out-degree below that bound and checks it, raising
+    if the check fails, so a yes always rests on a checked certificate.
+    Such an orientation implies paintability from the bound (see the
+    module docstring), and so from any larger budget.  A line graph has
+    no claw, so a graph with one is refused before any recognition.
+    """
+    if not is_claw_free(g)[0]:
+        return False
+    found = line_graph_root(g)
+    if found is None or bipartition(found[0]) is None:
+        return False
+    root, origin = found
+    degrees = root.degrees()
+    if any(t < max(degrees[a], degrees[b]) for t, (a, b) in zip(budget, origin)):
+        return False
+    galvin_orientation(root)
+    return True
+
+
 def _online_game(g, f, adj, budget, route):
-    """Routes 2 to 4 of `is_f_paintable`, with every budget at least 1
+    """Routes 2 to 5 of `is_f_paintable`, with every budget at least 1
     and `route` what `degree_route` answered on them.
 
     A game state is the uncolored mask with the tokens left, packed by
@@ -206,7 +242,7 @@ def _online_game(g, f, adj, budget, route):
     values of the full game, and the lister-win line, which tries every
     listed set, reads it as it is.
     """
-    if route or route is None and is_f_AT(g, f)[0]:
+    if route or route is None and (is_f_AT(g, f)[0] or _galvin_route(g, budget)):
         return True, GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
     tokens, width = _pack(budget)
     size = 1 << g.n
@@ -412,7 +448,9 @@ def is_f_choosable(g, f):
        Zhu, "On-line list colouring of graphs", EJC 16, 2009).  Every
        budget is at least 1 here, since a budget of 0 fails at route 2.
        `_online_game` takes the route's answer, so `degree_route` runs
-       once, and tries an Alon–Tarsi certificate before its search.
+       once, and tries an Alon–Tarsi certificate, then Galvin's
+       orientation on the line graph of a bipartite multigraph, before
+       its search.  Both only say yes, each with a checked certificate.
     4. `_canonical_search` enumerates what is left: the graphs that are
        choosable but not paintable, and the failing assignments that
        the nested lists miss.

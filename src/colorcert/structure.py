@@ -63,11 +63,20 @@ LINE_GRAPH_VERTICES = 12
 def recognize_line_graph(g):
     """Find a root multigraph whose line graph equals g exactly.
 
+    Returns the root of `line_graph_root`, or None.
+    """
+    found = line_graph_root(g)
+    return None if found is None else found[0]
+
+
+def line_graph_root(g):
+    """(root, origin) with g the line graph of root, or None.
+
     Searches for an edge-clique partition in which every vertex lies in
     at most two parts; each part becomes a root vertex and each graph
-    vertex becomes a root edge between its (one or two) parts.  Returns
-    a MultiGraph whose line graph, with vertex v as the root edge built
-    for v, is g exactly (verified before returning), or None.
+    vertex v becomes the root edge origin[v] between its (one or two)
+    parts.  The line graph of the MultiGraph root, with vertex v as the
+    root edge origin[v], is g exactly (verified before returning).
     """
     if g.n > LINE_GRAPH_VERTICES:
         raise ValueError(f"recognition capped at {LINE_GRAPH_VERTICES} vertices")
@@ -109,9 +118,8 @@ def recognize_line_graph(g):
             extra += 1
         origin.append(tuple(ms))
     root = MultiGraph.from_edges(extra, origin)
-    if line_graph(root, origin)[0] != g:
-        return None
-    return root
+    lg, origin = line_graph(root, origin)
+    return (root, origin) if lg == g else None
 
 
 # ---------------------------------------------------------------------------

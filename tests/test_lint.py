@@ -4,14 +4,15 @@ level, every import inside a function is listed with the import cycle
 it breaks, every module-level private function or class is used somewhere
 in the package, every public one, every public method and every
 dataclass field is read by the package or the benchmark or is listed,
-every function reads each of its parameters, no module holds an
-`assert`, every `raise AssertionError` sits in a listed function, only
-`graphs.py` calls the raw `SimpleGraph` constructor, only
-`cli.RunReport` opens files, `cli.py` declares each option once,
-every function that calls itself has its depth capped by a module
-constant, and only listed functions hold a `global` statement and none
-a `functools` cache; brute force kept only for cross-checking lives in
-the tests."""
+every function reads each of its parameters, the package's
+module-level imports form no cycle and no module imports `cli`, no
+module holds an `assert`, every `raise AssertionError` sits in a
+listed function, only `graphs.py` calls the raw `SimpleGraph`
+constructor, only `cli.RunReport` opens files, `cli.py` declares each
+option once, every function that calls itself has its depth capped by
+a module constant, and only listed functions hold a `global` statement
+and none a `functools` cache; brute force kept only for cross-checking
+lives in the tests."""
 
 import ast
 from collections import Counter
@@ -177,6 +178,71 @@ def test_the_check_sees_function_imports():
         ("Report.emit", "os"), ("Report.emit.write", ".graphs"), ("Report.emit.write", ".kernel"),
         ("load", ".catalog"),
     ]
+
+
+def _package_imports(tree, module_level=True):
+    """The package modules, as file names, that a module imports.
+
+    `from .graphs import x` and `from . import graphs` both read
+    `graphs.py`.  With `module_level`, imports inside a function or a
+    class body are left out: those are the listed lazy imports, which
+    run only when called, after every module has loaded.
+    """
+    found = set()
+    tops = [top for top in tree.body if not module_level
+            or not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for top in tops:
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                found.update(name.split(".")[0] + ".py" for name in names)
+    return found
+
+
+def _import_cycles(trees):
+    """The modules of `trees` that reach themselves through the
+    module-level imports, in name order."""
+    edges = {module: _package_imports(tree) & set(trees) for module, tree in trees.items()}
+    on_cycle = []
+    for start in sorted(edges):
+        seen, todo = set(), list(edges[start])
+        while todo:
+            module = todo.pop()
+            if module not in seen:
+                seen.add(module)
+                todo += edges[module]
+        if start in seen:
+            on_cycle.append(start)
+    return on_cycle
+
+
+def test_the_package_imports_form_no_cycle_and_nothing_imports_the_cli():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _import_cycles(trees) == []
+    # the CLI sits on top: a solver that imported it would load argparse
+    # and every other solver with it
+    assert [m for m, tree in trees.items() if "cli.py" in _package_imports(tree, False)] == []
+
+
+def test_the_check_sees_import_cycles():
+    trees = {
+        "graphs.py": ast.parse("import json\nfrom dataclasses import dataclass\n"),
+        "kernel.py": ast.parse("from .graphs import line_graph\nfrom .paint import play\n"),
+        "paint.py": ast.parse("from . import graphs, kernel\n"),
+        "structure.py": ast.parse("from .graphs import x\n"
+                                  "def lazy():\n"
+                                  "    from .catalog import entries\n"),
+        "catalog.py": ast.parse("from .structure.sub import y\n"),
+        "cli.py": ast.parse("from . import paint\n"),
+        "probe.py": ast.parse("class P:\n    from .cli import main\n"),
+    }
+    # the function-level import of catalog closes no cycle
+    assert _import_cycles(trees) == ["kernel.py", "paint.py"]
+    assert _package_imports(trees["structure.py"]) == {"graphs.py"}
+    assert _package_imports(trees["structure.py"], False) == {"graphs.py", "catalog.py"}
+    assert _package_imports(trees["catalog.py"]) == {"structure.py"}
+    assert _package_imports(trees["probe.py"]) == set()
+    assert _package_imports(trees["probe.py"], False) == {"cli.py"}
 
 
 def _methods(cls):
@@ -753,7 +819,7 @@ RECURSION_CAPS = {
         ([("paint.py", "PAINTABLE_VERTICES")], "one level per vertex; only is_f_choosable calls it"),
     ("paint.py", "kernel_painter_play.sweep"):
         ([("paint.py", "KERNEL_SWEEP_VERTICES")], "each round colors a vertex"),
-    ("structure.py", "recognize_line_graph.cover"):
+    ("structure.py", "line_graph_root.cover"):
         ([("structure.py", "LINE_GRAPH_VERTICES")], "each level covers an edge of the capped graph"),
     ("structure.py", "_first_order"):
         ([("structure.py", "LINEAR_INTERVAL_VERTICES"), ("structure.py", "CIRCULAR_INTERVAL_VERTICES")],

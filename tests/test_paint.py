@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paint_search_oracle
-from colorcert import alon_tarsi, catalog, graphs, kernel, paint
+from colorcert import alon_tarsi, catalog, graphs, kernel, paint, structure
 from colorcert.graphs import (
     Digraph, ListSizeFn, MultiGraph, SimpleGraph, complete_bipartite, complete_graph,
     cycle_graph, path_graph,
@@ -1589,3 +1589,134 @@ def test_the_degree_route_answers_without_an_orientation(g, budget, want, monkey
     got = paint.is_f_paintable(g, f)
     assert got[0] is want and got == paint_search_oracle.is_f_paintable(g, f)
     assert paint.is_f_choosable(g, f)[0] is want
+
+
+# ---------------------------------------------------------------------------
+# the Galvin route: a checked kernel-perfect orientation of the line graph of
+# a bipartite multigraph settles the online game (and so the offline one)
+# before any search; the solver before the orientation route is the oracle
+
+def _bipartite_line_graphs(rng, count):
+    """Relabelled line graphs of random bipartite multigraphs: 2-4 + 2-4
+    vertices, edge chance 0.4-0.9, multiplicity at most 2 and 2-9 copies.
+    Each comes with the Galvin budget max(d(a), d(b)) of the root edge ab
+    behind each vertex."""
+    found = []
+    while len(found) < count:
+        a, b = rng.randint(2, 4), rng.randint(2, 4)
+        p = rng.uniform(0.4, 0.9)
+        records = [(i, a + j, 1 + (rng.random() < 0.25))
+                   for i in range(a) for j in range(b) if rng.random() < p]
+        if not 2 <= sum(m for _, _, m in records) <= 9:
+            continue
+        root = MultiGraph.from_edges(a + b, records)
+        lg, origin = graphs.line_graph(root)
+        degrees = root.degrees()
+        perm = list(range(lg.n))
+        rng.shuffle(perm)
+        g = SimpleGraph.from_edges(lg.n, [(perm[u], perm[v]) for u, v in lg.edge_list()])
+        galvin = [0] * lg.n
+        for v, (x, y) in enumerate(origin):
+            galvin[perm[v]] = max(degrees[x], degrees[y])
+        found.append((g, galvin))
+    return found
+
+
+def _galvin_levels(rng, galvin):
+    """The Galvin budget, then one below it on some copies (at least 1),
+    then one above it on some copies."""
+    some = rng.sample(range(len(galvin)), rng.randint(1, len(galvin)))
+    yield "at", galvin
+    yield "below", [max(t - (v in some), 1) for v, t in enumerate(galvin)]
+    yield "above", [t + (v in some) for v, t in enumerate(galvin)]
+
+
+def test_galvin_budgets_match_the_search(rng):
+    seen = set()
+    # random roots on up to 9 copies hardly ever leave the degree route
+    # open with no orientation at their Galvin budget; L(K_{3,3}) does
+    lk33 = [(_relabel(_line_k33(), rng), [3] * 9) for _ in range(3)]
+    for g, galvin in _bipartite_line_graphs(rng, 60) + lk33:
+        bipartite = kernel.bipartition(structure.line_graph_root(g)[0]) is not None
+        for level, budget in _galvin_levels(rng, galvin):
+            ok, at = _check_against_the_search(g, ListSizeFn(tuple(budget)))
+            route = paint._galvin_route(g, budget)
+            if level == "at":
+                # Galvin's theorem, which the search confirms
+                assert ok
+            if route:
+                assert ok
+            seen.add((level, bipartite, route, ok, at))
+    # the route settles L(K_{3,3}), which no orientation does, says yes
+    # above the Galvin budget, refuses a budget below it where the lister
+    # wins, and refuses a root recognized with a triangle
+    assert {("at", True, True, True, False), ("above", True, True, True, True),
+            ("below", True, False, False, False), ("at", False, False, True, True)} <= seen
+
+
+def test_galvin_route_fires_where_the_degree_route_leaves_a_galvin_budget_open(rng):
+    outcomes = []
+    lk33 = [(_relabel(_line_k33(), rng), [3] * 9) for _ in range(50)]
+    for g, galvin in _bipartite_line_graphs(rng, 200) + lk33:
+        if graphs.degree_route(g.adjacency_masks(), galvin) is None:
+            root = structure.line_graph_root(g)[0]
+            outcomes.append((kernel.bipartition(root) is not None, paint._galvin_route(g, galvin)))
+    assert len(outcomes) >= 60 and set(outcomes) == {(True, True)}
+
+
+def _lk33_relabelled(rng):
+    g = _relabel(_line_k33(), rng)
+    return g, ListSizeFn.constant(9, 3)
+
+
+def test_the_galvin_route_paints_line_k33_without_a_search(rng, monkeypatch):
+    g, f = _lk33_relabelled(rng)
+    assert graphs.degree_route(g.adjacency_masks(), list(f.values)) is None
+    assert not alon_tarsi.is_f_AT(g, f)[0]
+    monkeypatch.setattr(paint, "_maximal_independent_sets", _refuse("_maximal_independent_sets"))
+    ok, transcript = paint.is_f_paintable(g, f)
+    assert ok and transcript == GameTranscript([({v}, {v}) for v in range(g.n)], "Painter")
+
+
+def test_choosable_settles_line_k33_by_the_galvin_route(rng, monkeypatch):
+    g, f = _lk33_relabelled(rng)
+    monkeypatch.setattr(paint, "_maximal_independent_sets", _refuse("_maximal_independent_sets"))
+    monkeypatch.setattr(paint, "_canonical_search", _refuse_enumeration)
+    assert paint.is_f_choosable(g, f) == (True, None)
+
+
+def test_the_galvin_route_raises_on_a_failing_certificate(rng, monkeypatch):
+    g, f = _lk33_relabelled(rng)
+    monkeypatch.setattr(kernel.KPCertificate, "check", lambda self: False)
+    monkeypatch.setattr(paint, "_maximal_independent_sets", _refuse("_maximal_independent_sets"))
+    with pytest.raises(RuntimeError, match="failed its certificate check"):
+        paint.is_f_paintable(g, f)
+    with pytest.raises(RuntimeError, match="failed its certificate check"):
+        paint.is_f_choosable(g, f)
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(2, 3), graphs.complete_multipartite_2t(2)],
+                         ids=["k23", "c4"])
+def test_the_galvin_route_refuses_a_claw_or_a_short_budget_before_galvin(g, monkeypatch):
+    # K_{2,3} has a claw; C_4 = L(C_4) needs 2 at every vertex
+    monkeypatch.setattr(paint, "galvin_orientation", _refuse("galvin_orientation"))
+    budget = [2] * 5 if g.n == 5 else [2, 2, 2, 1]
+    assert paint._galvin_route(g, budget) is False
+    f = ListSizeFn(tuple(budget))
+    assert paint.is_f_paintable(g, f) == paint_search_oracle.is_f_paintable(g, f)
+
+
+def test_the_galvin_route_misses_a_root_recognized_with_a_triangle(rng, monkeypatch):
+    # L(K_{1,3} + K_{2,3}) is K_3 beside the prism; the recognized root
+    # covers K_3 by three 2-cliques, a triangle, where K_{1,3} is bipartite
+    records = [(0, 1, 1), (0, 2, 1), (0, 3, 1)] + [(u, v, 1) for u in (4, 5) for v in (6, 7, 8)]
+    g = _relabel(graphs.line_graph(MultiGraph.from_edges(9, records))[0], rng)
+    assert kernel.bipartition(structure.line_graph_root(g)[0]) is None
+    monkeypatch.setattr(paint, "galvin_orientation", _refuse("galvin_orientation"))
+    assert paint._galvin_route(g, [3] * 9) is False
+    # with the prism at 2 neither the degree route nor an orientation
+    # decides, the route refuses, and the search answers as the oracle does
+    f = ListSizeFn(tuple(3 if g.degree(v) == 2 else 2 for v in range(9)))
+    assert graphs.degree_route(g.adjacency_masks(), list(f.values)) is None
+    assert not alon_tarsi.is_f_AT(g, f)[0]
+    assert paint.is_f_paintable(g, f) == paint_search_oracle.is_f_paintable(g, f)
