@@ -199,10 +199,15 @@ def _galvin_route(g, budget):
     L(B) with every out-degree below that bound and checks it, raising
     if the check fails, so a yes always rests on a checked certificate.
     Such an orientation implies paintability from the bound (see the
-    module docstring), and so from any larger budget.  A line graph has
-    no claw, so a graph with one is refused before any recognition.
+    module docstring), and so from any larger budget.
+
+    Two exact cuts run before any recognition.  A copy of ab with
+    multiplicity m has d(a) + d(b) - m - 1 neighbours in L(B), so its
+    degree plus 2 is at most 2 max(d(a), d(b)), and a budget below half
+    of that is refused.  A line graph has no claw, so a graph with one
+    is refused.
     """
-    if not is_claw_free(g)[0]:
+    if any(2 * t < d + 2 for t, d in zip(budget, g.degrees())) or not is_claw_free(g)[0]:
         return False
     found = line_graph_root(g)
     if found is None or bipartition(found[0]) is None:

@@ -1695,14 +1695,22 @@ def test_the_galvin_route_raises_on_a_failing_certificate(rng, monkeypatch):
         paint.is_f_choosable(g, f)
 
 
-@pytest.mark.parametrize("g", [complete_bipartite(2, 3), graphs.complete_multipartite_2t(2)],
-                         ids=["k23", "c4"])
-def test_the_galvin_route_refuses_a_claw_or_a_short_budget_before_galvin(g, monkeypatch):
-    # K_{2,3} has a claw; C_4 = L(C_4) needs 2 at every vertex
+# the paw, L(K_{1,3} with one edge extended): its root is recognized as
+# a double edge 01, then 12 and 23, and the two copies of 01 need 3
+_PAW = SimpleGraph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("g, budget, skipped", [
+    (complete_bipartite(2, 3), (2,) * 5, "is_claw_free"),
+    (complete_bipartite(2, 3), (3,) * 5, "line_graph_root"),
+    (_PAW, (2, 3, 3, 2), "galvin_orientation"),
+], ids=["below-half-the-degree", "claw", "below-galvin"])
+def test_the_galvin_route_refuses_before_galvin(g, budget, skipped, monkeypatch):
+    # each refusal comes before the step named, and before any orientation
+    monkeypatch.setattr(paint, skipped, _refuse(skipped))
     monkeypatch.setattr(paint, "galvin_orientation", _refuse("galvin_orientation"))
-    budget = [2] * 5 if g.n == 5 else [2, 2, 2, 1]
-    assert paint._galvin_route(g, budget) is False
-    f = ListSizeFn(tuple(budget))
+    assert paint._galvin_route(g, list(budget)) is False
+    f = ListSizeFn(budget)
     assert paint.is_f_paintable(g, f) == paint_search_oracle.is_f_paintable(g, f)
 
 

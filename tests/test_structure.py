@@ -147,6 +147,9 @@ def test_recognize_line_graph_roundtrip(rng):
         assert root is not None
         g2, _ = line_graph(root)
         assert _isomorphic(g, g2)
+        # the shared helper's origin names the root edge behind each vertex
+        same, origin = structure.line_graph_root(g)
+        assert same == root and line_graph(root, origin)[0] == g
         checked += 1
 
 
